@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
 from .roots import (
-    RootSystem,
     Weight,
     build_root_system,
     express_in_simple_roots,
     is_zero_weight,
     wadd,
     wdot,
-    wneg,
     wzero,
 )
 
@@ -57,7 +55,6 @@ class LieAlgebra:
         self.brackets = table
         self._pairs_with_support = None
         self._weight_index = None
-        self._adjacency = None
 
     # -- bracket evaluation -------------------------------------------
 
@@ -173,7 +170,8 @@ def build_chevalley_D(l: int) -> LieAlgebra:
     h_alpha: dict[Weight, int] = {}
     for r in roots:
         coeffs = express_in_simple_roots(r, system)
-        assert coeffs is not None
+        if coeffs is None:
+            raise ArithmeticError(f"root {r} is outside the simple-root lattice")
         bits = 0
         for i, c in enumerate(coeffs):
             if c & 1:
@@ -382,10 +380,6 @@ def chevalley_rank(L: LieAlgebra) -> int:
     return len(L.weights[0])
 
 
-def chevalley_root_system(L: LieAlgebra) -> RootSystem:
-    return build_root_system(chevalley_rank(L))
-
-
 __all__ = [
     "LieAlgebra",
     "Subspace",
@@ -401,5 +395,4 @@ __all__ = [
     "algebra_to_json",
     "format_label",
     "chevalley_rank",
-    "chevalley_root_system",
 ]

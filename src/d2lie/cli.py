@@ -70,7 +70,6 @@ def _build_parser() -> _Parser:
             help="chevalley: structure-constant algebra; exterior: wedge-square model (odd rank)",
         )
         sp.add_argument("--out", default=None, help="write a JSON report here")
-        sp.add_argument("--jobs", type=int, default=1, help="worker threads for weight blocks")
         sp.add_argument(
             "--max-l",
             type=int,
@@ -168,7 +167,7 @@ def cmd_verify(args) -> int:
 def cmd_cohomology(args) -> int:
     L = _build(args)
     system = build_root_system(args.l)
-    rows = h2_survey_rows(L, jobs=args.jobs)
+    rows = h2_survey_rows(L)
     total = sum(r["dim_h2"] for r in rows)
     h2_zero = cohomology_dim(L, wzero(args.l))
     print(f"dim H^2 = {total} over {len(rows)} weights; at weight 0: {h2_zero}")
@@ -215,7 +214,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_rigidity(args) -> int:
     model = build_quotient_model(args.l)
-    reports = rigidity_scan(model, jobs=args.jobs)
+    reports = rigidity_scan(model)
     ok = bool(reports) and all(r.verdict == VERDICT_NONTRIVIAL for r in reports)
     for r in reports:
         print(f"  weight {list(r.weight)}: {r.verdict}")
@@ -232,7 +231,7 @@ def cmd_rigidity(args) -> int:
 
 def cmd_integrability(args) -> int:
     L = _build(args)
-    reports = integrability_scan(L, jobs=args.jobs)
+    reports = integrability_scan(L)
     deform_ok = True
     for r in reports:
         psi = build_even_cocycle(L, r.weight)

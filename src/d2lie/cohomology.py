@@ -16,10 +16,9 @@ oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, check_weight_additivity
 from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
 from .roots import Weight, wadd, wsub
 
@@ -296,6 +295,12 @@ class WeightBlock:
 
 
 def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
+    """The weight-mu block with dense d1 and d2 over canonical bases.
+
+    The dense form exists for callers that need a basis (representatives,
+    coboundary solves, tests); H^2 dimensions go through _image_rank,
+    which never builds the matrices.
+    """
     c1 = _block_pairs(L, 1, mu)
     c2 = _block_pairs(L, 2, mu)
     c3 = _block_pairs(L, 3, mu)
@@ -307,8 +312,12 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
 # -- ranks without materializing the target basis ----------------------
 
 
-def _lazy_image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
-    """Rank of the differential on src, indexing target coordinates lazily."""
+def _image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
+    """Rank of the differential on the basis cochains src.
+
+    Target coordinates are numbered as they first appear.  A rank does
+    not depend on how the target is indexed, so this serves d1 and d2.
+    """
     target_pos: dict[tuple, int] = {}
     basis = PivotBasis()
     for key, k in src:
@@ -325,32 +334,35 @@ def _lazy_image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
     return basis.rank
 
 
-def _d1_rank_into(
-    L: LieAlgebra, mu: Weight, c2_pos: dict[tuple, int]
-) -> int:
-    basis = PivotBasis()
-    for key, k in _block_pairs(L, 1, mu):
-        img = 0
-        for t, v in _diff_basis(L, key, k).items():
-            for m in bit_indices(v):
-                img |= 1 << c2_pos[(t, m)]
-        basis.add(img)
-    return basis.rank
+def _require_graded(L: LieAlgebra) -> None:
+    # Weight blocks are subcomplexes only when the bracket adds weights.
+    if not check_weight_additivity(L):
+        raise ValueError("the bracket does not preserve weight; H^2 is not graded")
+
+
+def _block_row(L: LieAlgebra, mu: Weight, c2: list[tuple[tuple, int]]) -> dict:
+    """Survey statistics of the weight-mu block whose C^2 basis is c2."""
+    rank2 = _image_rank(L, c2)
+    rank1 = _image_rank(L, _block_pairs(L, 1, mu))
+    n2 = len(c2)
+    h2 = n2 - rank2 - rank1
+    if h2 < 0:
+        raise ArithmeticError(f"rank d1 exceeds dim ker d2 at weight {mu}: d^2 != 0")
+    return {
+        "weight": mu,
+        "dim_c2": n2,
+        "dim_z2": n2 - rank2,
+        "dim_b2": rank1,
+        "dim_h2": h2,
+    }
 
 
 def cohomology_dim(L: LieAlgebra, mu: Weight, n: int = 2) -> int:
     """dim H^2 at weight mu (n is fixed at 2; the complex stops at C^3)."""
     if n != 2:
         raise ValueError("only second cohomology is computed")
-    c2 = _block_pairs(L, 2, mu)
-    if not c2:
-        return 0
-    rank2 = _lazy_image_rank(L, c2)
-    c2_pos = {pk: p for p, pk in enumerate(c2)}
-    rank1 = _d1_rank_into(L, mu, c2_pos)
-    h2 = len(c2) - rank2 - rank1
-    assert h2 >= 0
-    return h2
+    _require_graded(L)
+    return _block_row(L, mu, _block_pairs(L, 2, mu))["dim_h2"]
 
 
 # -- full weight survey ------------------------------------------------
@@ -374,37 +386,17 @@ def _c2_groups(L: LieAlgebra) -> dict[Weight, list[tuple[tuple, int]]]:
     return groups
 
 
-def _survey_block(L: LieAlgebra, mu: Weight, c2: list[tuple[tuple, int]]) -> dict:
-    rank2 = _lazy_image_rank(L, c2)
-    c2_pos = {pk: p for p, pk in enumerate(c2)}
-    rank1 = _d1_rank_into(L, mu, c2_pos)
-    n2 = len(c2)
-    h2 = n2 - rank2 - rank1
-    assert h2 >= 0
-    return {
-        "weight": mu,
-        "dim_c2": n2,
-        "dim_z2": n2 - rank2,
-        "dim_b2": rank1,
-        "dim_h2": h2,
-    }
-
-
-def h2_survey_rows(L: LieAlgebra, jobs: int = 1) -> list[dict]:
+def h2_survey_rows(L: LieAlgebra) -> list[dict]:
     """Block statistics for every weight with nonzero H^2, in weight order."""
+    _require_graded(L)
     groups = _c2_groups(L)
-    mus = sorted(groups)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda m: _survey_block(L, m, groups[m]), mus))
-    else:
-        rows = [_survey_block(L, mu, groups[mu]) for mu in mus]
+    rows = [_block_row(L, mu, groups[mu]) for mu in sorted(groups)]
     return [r for r in rows if r["dim_h2"]]
 
 
-def h2_weight_survey(L: LieAlgebra, jobs: int = 1) -> dict[Weight, int]:
+def h2_weight_survey(L: LieAlgebra) -> dict[Weight, int]:
     """Map weight -> dim H^2 over the weights where it is nonzero."""
-    return {r["weight"]: r["dim_h2"] for r in h2_survey_rows(L, jobs=jobs)}
+    return {r["weight"]: r["dim_h2"] for r in h2_survey_rows(L)}
 
 
 # -- cocycle / coboundary tests ----------------------------------------
@@ -469,15 +461,6 @@ def ungraded_h2_dim(L: LieAlgebra) -> int:
     oracle for small algebras only.
     """
     dim = L.dim
+    c1 = [((i,), k) for i in range(dim) for k in range(dim)]
     c2 = [((i, j), k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
-    rank2 = _lazy_image_rank(L, c2)
-    c2_pos = {pk: p for p, pk in enumerate(c2)}
-    basis = PivotBasis()
-    for i in range(dim):
-        for k in range(dim):
-            img = 0
-            for t, v in _diff_basis(L, (i,), k).items():
-                for m in bit_indices(v):
-                    img |= 1 << c2_pos[(t, m)]
-            basis.add(img)
-    return len(c2) - rank2 - basis.rank
+    return len(c2) - _image_rank(L, c2) - _image_rank(L, c1)

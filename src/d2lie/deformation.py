@@ -15,7 +15,6 @@ coboundary admits no extension at all.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 from .algebra import (
@@ -223,50 +222,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     raise ValueError(f"no central-valued generator found at weight {mu}")
 
 
-# -- truncated scalars and the deformed bracket --------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedScalar:
-    """c0 + c1 t + c2 t^2 over GF(2), with t^3 = 0."""
-
-    c0: int = 0
-    c1: int = 0
-    c2: int = 0
-
-    def __post_init__(self):
-        for c in (self.c0, self.c1, self.c2):
-            if c not in (0, 1):
-                raise ValueError("coefficients live in GF(2)")
-
-    @classmethod
-    def zero(cls) -> TruncatedScalar:
-        return cls(0, 0, 0)
-
-    @classmethod
-    def one(cls) -> TruncatedScalar:
-        return cls(1, 0, 0)
-
-    @classmethod
-    def t(cls) -> TruncatedScalar:
-        return cls(0, 1, 0)
-
-    def __add__(self, other: TruncatedScalar) -> TruncatedScalar:
-        return TruncatedScalar(
-            self.c0 ^ other.c0, self.c1 ^ other.c1, self.c2 ^ other.c2
-        )
-
-    def __mul__(self, other: TruncatedScalar) -> TruncatedScalar:
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = other.c0, other.c1, other.c2
-        return TruncatedScalar(
-            a0 & b0,
-            (a0 & b1) ^ (a1 & b0),
-            (a0 & b2) ^ (a1 & b1) ^ (a2 & b0),
-        )
-
-    def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2)
+# -- the deformed bracket ----------------------------------------------
 
 
 TVec = tuple[int, int, int]  # packed coefficient vectors of 1, t, t^2
@@ -330,7 +286,7 @@ class DeformationReport:
 
 
 def verify_deformation(D: DeformedAlgebra) -> DeformationReport:
-    """Antisymmetry plus the truncated-ring Jacobi identity on all triples.
+    """Alternation plus the truncated-ring Jacobi identity on all triples.
 
     The t and t^2 coefficients of the Jacobi sum are reported
     separately: they are d psi and the cup square.
@@ -339,17 +295,14 @@ def verify_deformation(D: DeformedAlgebra) -> DeformationReport:
     dim = L.dim
     bt = D.bracket_t
 
-    alternating_ok = True
-    rng = random.Random(12345)
-    probes = [D.lift(i) for i in range(dim)]
-    probes += [
-        (rng.getrandbits(dim), rng.getrandbits(dim), rng.getrandbits(dim))
-        for _ in range(16)
-    ]
-    for x in probes:
-        if any(bt(x, x)):
-            alternating_ok = False
-            break
+    # Exact on all of (K[t]/(t^3))^dim: in characteristic 2,
+    # f(x, x) = sum a_i^2 f(b_i, b_i) + sum_{i<j} a_i a_j (f(b_i, b_j) + f(b_j, b_i)).
+    lifts = [D.lift(i) for i in range(dim)]
+    alternating_ok = not any(any(bt(x, x)) for x in lifts) and all(
+        bt(lifts[i], lifts[j]) == bt(lifts[j], lifts[i])
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    )
 
     base_ok = t1_ok = t2_ok = True
     failing_triple = None
@@ -403,7 +356,7 @@ def verify_deformation(D: DeformedAlgebra) -> DeformationReport:
 # -- the two theorem scans ------------------------------------------------
 
 
-def rigidity_scan(model: QuotientModel, jobs: int = 1) -> list[ObstructionReport]:
+def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     """Verdict per second-cohomology class of the odd-rank model.
 
     Every class is represented by the quadratic cocycle of a basis
@@ -432,10 +385,10 @@ def rigidity_scan(model: QuotientModel, jobs: int = 1) -> list[ObstructionReport
             raise AssertionError("representative has the wrong weight")
         return report
 
-    return _run(one, items, jobs)
+    return [one(item) for item in items]
 
 
-def integrability_scan(L: LieAlgebra, jobs: int = 1) -> list[ObstructionReport]:
+def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
     """Verdict per second-cohomology class at even rank.
 
     Uses the central-valued generator at each weight and cross-checks
@@ -445,7 +398,7 @@ def integrability_scan(L: LieAlgebra, jobs: int = 1) -> list[ObstructionReport]:
     l = chevalley_rank(L)
     if l % 2 or l < 4:
         raise ValueError("integrability scan applies at even rank >= 4")
-    survey = h2_weight_survey(L, jobs=jobs)
+    survey = h2_weight_survey(L)
 
     def one(mu) -> ObstructionReport:
         psi = build_even_cocycle(L, mu)
@@ -462,16 +415,7 @@ def integrability_scan(L: LieAlgebra, jobs: int = 1) -> list[ObstructionReport]:
             )
         return report
 
-    return _run(one, sorted(survey), jobs)
-
-
-def _run(fn, items, jobs: int) -> list:
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+    return [one(mu) for mu in sorted(survey)]
 
 
 def scan_to_json(l: int, kind: str, reports: list[ObstructionReport]) -> dict:

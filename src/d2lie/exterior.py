@@ -124,14 +124,6 @@ class Wedge2Element:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def monomials(self) -> tuple[tuple[int, int], ...]:
-        """Signed-label pairs of the monomials present."""
-        monos = _monomials(self.space.l)
-        lab = self.space.label_of
-        return tuple(
-            (lab(monos[p][0]), lab(monos[p][1])) for p in bit_indices(self.bits)
-        )
-
 
 def wedge_of_vectors(space: SymplecticSpace, x: int, y: int) -> int:
     """x wedge y expanded over monomial coordinates."""
@@ -376,9 +368,6 @@ class Transvection:
 
     def __call__(self, x: int) -> int:
         return x ^ (self.v if self.space.form(x, self.v) else 0)
-
-    def inverse(self) -> Transvection:
-        return self
 
     def apply_to_wedge(self, wedge_bits: int) -> int:
         monos = _monomials(self.space.l)

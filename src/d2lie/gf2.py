@@ -56,11 +56,6 @@ class GF2Vector:
             raise ValueError("scalars over GF(2) are 0 or 1")
         return self if k else GF2Vector(self.n, 0)
 
-    def dot(self, other: GF2Vector) -> int:
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return (self.bits & other.bits).bit_count() & 1
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
@@ -68,9 +63,6 @@ class GF2Vector:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(bit_indices(self.bits))
 
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
@@ -236,18 +228,6 @@ class GF2Matrix:
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"
-
-
-def rank(m: GF2Matrix) -> int:
-    return m.rank()
-
-
-def nullspace(m: GF2Matrix) -> GF2Matrix:
-    return m.nullspace()
-
-
-def solve(m: GF2Matrix, b: GF2Vector) -> GF2Vector | None:
-    return m.solve(b)
 
 
 class PivotBasis:

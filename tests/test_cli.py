@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_verify_l5_reports_centre(capsys):
@@ -43,6 +46,7 @@ def test_usage_error_rank_cap(capsys):
 
 def test_usage_error_unknown_command(capsys):
     assert main(["frobnicate", "--l", "4"]) == EXIT_USAGE
+    assert main(["cohomology", "--l", "4", "--jobs", "3"]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -57,6 +61,7 @@ def test_cohomology_json_report(tmp_path, capsys):
     assert doc["pass"] is True
     assert len(doc["weights"]) == 24
     assert all(w["dim_h2"] == 1 for w in doc["weights"])
+    assert out.read_bytes() == (GOLDEN / "cohomology_l4.json").read_bytes()
 
 
 def test_cohomology_json_byte_stable(tmp_path, capsys):
@@ -65,6 +70,7 @@ def test_cohomology_json_byte_stable(tmp_path, capsys):
     assert main(["cohomology", "--l", "5", "--model", "exterior", "--out", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes() == (GOLDEN / "cohomology_exterior_l5.json").read_bytes()
 
 
 def test_rigidity_command(tmp_path, capsys):
@@ -77,6 +83,7 @@ def test_rigidity_command(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["verdicts"] == ["NONTRIVIAL"]
     assert len(doc["classes"]) == 10
+    assert out.read_bytes() == (GOLDEN / "rigidity_l5.json").read_bytes()
 
 
 def test_integrability_command(tmp_path, capsys):
@@ -89,8 +96,4 @@ def test_integrability_command(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["deformations_verified"] is True
     assert doc["verdicts"] == ["ZERO"]
-
-
-def test_jobs_flag(capsys):
-    assert main(["cohomology", "--l", "4", "--jobs", "3"]) == EXIT_OK
-    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "integrability_l4.json").read_bytes()

@@ -13,7 +13,6 @@ from d2lie.cohomology import (
 from d2lie.deformation import (
     DeformedAlgebra,
     ObstructionReport,
-    TruncatedScalar,
     VERDICT_COBOUNDARY,
     VERDICT_NONTRIVIAL,
     VERDICT_ZERO,
@@ -38,34 +37,6 @@ def e_weight(l, i, c):
     w = [0] * l
     w[i - 1] = c
     return tuple(w)
-
-
-# -- truncated scalars ----------------------------------------------------
-
-
-def test_truncated_scalar_ring_axioms():
-    rng = random.Random(30)
-    elems = [
-        TruncatedScalar(rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1))
-        for _ in range(12)
-    ]
-    one, zero = TruncatedScalar.one(), TruncatedScalar.zero()
-    t = TruncatedScalar.t()
-    assert t * t == TruncatedScalar(0, 0, 1)
-    assert t * t * t == zero
-    for a in elems:
-        assert a + a == zero
-        assert a * one == a
-        for b in elems[:6]:
-            assert a * b == b * a
-            for c in elems[:4]:
-                assert (a + b) * c == a * c + b * c
-                assert (a * b) * c == a * (b * c)
-
-
-def test_truncated_scalar_validates_bits():
-    with pytest.raises(ValueError):
-        TruncatedScalar(2, 0, 0)
 
 
 # -- cup square ------------------------------------------------------------
@@ -366,9 +337,3 @@ def test_scan_json_is_deterministic(model5):
     import json
 
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
-
-
-def test_scan_jobs_agree(model5):
-    seq = [r.to_json_dict() for r in rigidity_scan(model5)]
-    par = [r.to_json_dict() for r in rigidity_scan(model5, jobs=3)]
-    assert seq == par
