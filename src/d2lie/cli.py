@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import (
@@ -98,6 +99,8 @@ def _validate(args) -> None:
         raise UsageError("rigidity applies at odd rank >= 5")
     if args.command == "integrability" and args.l % 2:
         raise UsageError("integrability applies at even rank")
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError(f"no directory for --out {args.out}")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -266,7 +269,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArithmeticError as exc:
+        print(f"discrepancy: {exc}", file=sys.stderr)
+        return EXIT_DISCREPANCY
 
 
 if __name__ == "__main__":

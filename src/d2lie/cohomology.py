@@ -235,14 +235,6 @@ def _block_pairs(L: LieAlgebra, n: int, mu: Weight) -> list[tuple[tuple, int]]:
             for j in range(i + 1, dim):
                 for k in wt_idx.get(wadd(wi, weights[j]), ()):
                     out.append(((i, j), k))
-    elif n == 3:
-        for i in range(dim):
-            wi = wadd(mu, weights[i])
-            for j in range(i + 1, dim):
-                wij = wadd(wi, weights[j])
-                for h in range(j + 1, dim):
-                    for k in wt_idx.get(wadd(wij, weights[h]), ()):
-                        out.append(((i, j, h), k))
     else:
         raise ValueError(f"no basis enumeration in degree {n}")
     return out
@@ -255,24 +247,35 @@ def cochain_basis(L: LieAlgebra, n: int, mu: Weight) -> list[Cochain]:
     ]
 
 
+def _images(
+    L: LieAlgebra, src: list[tuple[tuple, int]], target_pos: dict[tuple, int]
+) -> list[int]:
+    """d of each basis cochain (key, k) in src, packed over target_pos.
+
+    target_pos maps a target coordinate (key, value index) to its bit.
+    A coordinate not yet in it gets the next number, in place.
+    """
+    images = []
+    for key, k in src:
+        img = 0
+        for t, v in _diff_basis(L, key, k).items():
+            for m in bit_indices(v):
+                pos = target_pos.get((t, m))
+                if pos is None:
+                    pos = target_pos[(t, m)] = len(target_pos)
+                img |= 1 << pos
+        images.append(img)
+    return images
+
+
 def _diff_matrix(
     L: LieAlgebra,
     src: list[tuple[tuple, int]],
-    dst: list[tuple[tuple, int]],
+    target_pos: dict[tuple, int],
 ) -> GF2Matrix:
-    """Matrix of the differential, rows over dst, columns over src."""
-    dst_index = {pk: p for p, pk in enumerate(dst)}
-    rows = [0] * len(dst)
-    for col, (key, k) in enumerate(src):
-        for t, v in _diff_basis(L, key, k).items():
-            for m in bit_indices(v):
-                try:
-                    rows[dst_index[(t, m)]] |= 1 << col
-                except KeyError as exc:  # pragma: no cover - d preserves weight
-                    raise AssertionError(
-                        "differential left the weight block"
-                    ) from exc
-    return GF2Matrix(len(dst), len(src), rows)
+    """Matrix of the differential, columns over src, rows over target_pos."""
+    images = _images(L, src, target_pos)
+    return GF2Matrix(len(src), len(target_pos), images).transpose()
 
 
 @dataclass(frozen=True)
@@ -282,9 +285,8 @@ class WeightBlock:
     mu: Weight
     c1: tuple
     c2: tuple
-    c3: tuple
     d1: GF2Matrix  # C1 -> C2, rows over c2
-    d2: GF2Matrix  # C2 -> C3, rows over c3
+    d2: GF2Matrix  # C2 -> C3, rows over the coordinates its image reaches
 
     def h2_dim(self) -> int:
         return len(self.c2) - self.d2.rank() - self.d1.rank()
@@ -295,18 +297,20 @@ class WeightBlock:
 
 
 def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
-    """The weight-mu block with dense d1 and d2 over canonical bases.
+    """The weight-mu block with dense d1 and d2.
 
-    The dense form exists for callers that need a basis (representatives,
-    coboundary solves, tests); H^2 dimensions go through _image_rank,
-    which never builds the matrices.
+    Columns run over the canonical bases c1 and c2 and d1's rows over
+    c2; d2's rows run over the C^3 coordinates its image reaches, in
+    order of first appearance, so C^3_mu is never listed.  The dense
+    form exists for callers that need a basis (representatives, tests);
+    H^2 dimensions go through _image_rank, which never builds matrices.
     """
+    _require_graded(L)
     c1 = _block_pairs(L, 1, mu)
     c2 = _block_pairs(L, 2, mu)
-    c3 = _block_pairs(L, 3, mu)
-    d1 = _diff_matrix(L, c1, c2)
-    d2 = _diff_matrix(L, c2, c3)
-    return WeightBlock(mu, tuple(c1), tuple(c2), tuple(c3), d1, d2)
+    d1 = _diff_matrix(L, c1, {pk: p for p, pk in enumerate(c2)})
+    d2 = _diff_matrix(L, c2, {})
+    return WeightBlock(mu, tuple(c1), tuple(c2), d1, d2)
 
 
 # -- ranks without materializing the target basis ----------------------
@@ -315,21 +319,11 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
 def _image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
     """Rank of the differential on the basis cochains src.
 
-    Target coordinates are numbered as they first appear.  A rank does
-    not depend on how the target is indexed, so this serves d1 and d2.
+    A rank does not depend on how the target is indexed, so this serves
+    d1 and d2.
     """
-    target_pos: dict[tuple, int] = {}
     basis = PivotBasis()
-    for key, k in src:
-        img = 0
-        for t, v in _diff_basis(L, key, k).items():
-            for m in bit_indices(v):
-                tk = (t, m)
-                pos = target_pos.get(tk)
-                if pos is None:
-                    pos = len(target_pos)
-                    target_pos[tk] = pos
-                img |= 1 << pos
+    for img in _images(L, src, {}):
         basis.add(img)
     return basis.rank
 
@@ -409,20 +403,18 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     """
     if c.degree not in (2, 3):
         raise ValueError("coboundary test supports degrees 2 and 3")
+    _require_graded(L)
     if not differential(L, c).is_zero():
         raise ValueError("input is not a cocycle")
     if c.is_zero():
         return True, Cochain.zero(c.degree - 1, c.dim)
     mu = cochain_weight(L, c)
     src = _block_pairs(L, c.degree - 1, mu)
-    dst = _block_pairs(L, c.degree, mu)
-    dst_index = {pk: p for p, pk in enumerate(dst)}
-    b = 0
-    for key, v in c.data.items():
-        for m in bit_indices(v):
-            b |= 1 << dst_index[(key, m)]
-    mat = _diff_matrix(L, src, dst)
-    x = mat.solve(GF2Vector(len(dst), b))
+    # c's own coordinates come first, so c is the all-ones vector on them;
+    # coordinates only the images reach are numbered after.
+    coords = [(key, m) for key, v in c.items_sorted() for m in bit_indices(v)]
+    mat = _diff_matrix(L, src, {pk: p for p, pk in enumerate(coords)})
+    x = mat.solve(GF2Vector(mat.nrows, (1 << len(coords)) - 1))
     if x is None:
         return False, None
     pre: dict[tuple, int] = {}

@@ -376,16 +376,15 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
             w[i - 1] = 2 * sign
             items.append((tuple(w), sign * i))
     items.sort()
-
-    def one(item) -> ObstructionReport:
-        w, label = item
-        psi = phi(label, model)
-        report = obstruction_verdict(model.algebra, psi)
+    reports = []
+    for w, label in items:
+        report = obstruction_verdict(model.algebra, phi(label, model))
         if report.weight != w:
-            raise AssertionError("representative has the wrong weight")
-        return report
-
-    return [one(item) for item in items]
+            raise ArithmeticError(
+                f"quadratic cocycle {label} has weight {report.weight}, expected {w}"
+            )
+        reports.append(report)
+    return reports
 
 
 def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
@@ -398,9 +397,8 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
     l = chevalley_rank(L)
     if l % 2 or l < 4:
         raise ValueError("integrability scan applies at even rank >= 4")
-    survey = h2_weight_survey(L)
-
-    def one(mu) -> ObstructionReport:
+    reports = []
+    for mu in sorted(h2_weight_survey(L)):
         psi = build_even_cocycle(L, mu)
         cv = central_valued(L, psi)
         vc = vanishes_on_center(L, psi)
@@ -410,12 +408,12 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
             vanishes_on_center=vc,
         )
         if cv and vc and report.verdict != VERDICT_ZERO:
-            raise AssertionError(
-                "central values with vanishing on the centre must kill the cup square"
+            raise ArithmeticError(
+                f"weight {mu}: central values with vanishing on the centre"
+                f" must kill the cup square, got {report.verdict}"
             )
-        return report
-
-    return [one(mu) for mu in sorted(survey)]
+        reports.append(report)
+    return reports
 
 
 def scan_to_json(l: int, kind: str, reports: list[ObstructionReport]) -> dict:

@@ -44,10 +44,21 @@ def test_usage_error_rank_cap(capsys):
     assert "--max-l" in capsys.readouterr().err
 
 
-def test_usage_error_unknown_command(capsys):
+def test_usage_error_unknown_command(tmp_path, capsys):
     assert main(["frobnicate", "--l", "4"]) == EXIT_USAGE
     assert main(["cohomology", "--l", "4", "--jobs", "3"]) == EXIT_USAGE
-    capsys.readouterr()
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["cohomology", "--l", "4", "--out", str(missing)]) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+
+
+def test_library_discrepancy_exits_2(monkeypatch, capsys):
+    def contradiction(L):
+        raise ArithmeticError("weight (0, 0, 2, 0): cup square survived")
+
+    monkeypatch.setattr("d2lie.cli.integrability_scan", contradiction)
+    assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
+    assert "weight (0, 0, 2, 0): cup square survived" in capsys.readouterr().err
 
 
 def test_cohomology_json_report(tmp_path, capsys):

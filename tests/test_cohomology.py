@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from d2lie.algebra import build_chevalley_D
+from d2lie.algebra import LieAlgebra, build_chevalley_D
 from d2lie.cohomology import (
     Cochain,
     basis_cochain_weight,
@@ -238,29 +238,31 @@ def test_weight_block_random_weights(d4):
 # -- coboundary tests ----------------------------------------------------------
 
 
-def _random_block_degree_one(L, mu, rng):
-    pairs = _block_pairs(L, 1, mu)
+def _random_block_cochain(L, n, mu, rng):
+    pairs = _block_pairs(L, n, mu)
     data = {}
     for key, k in pairs:
         if rng.random() < 0.4:
             data[key] = data.get(key, 0) ^ (1 << k)
-    return Cochain(1, L.dim, data)
+    return Cochain(n, L.dim, data)
 
 
 def test_coboundary_detects_differentials(d4):
+    # Degree-1 inputs give coboundaries in C^2, degree-2 inputs in C^3.
     rng = random.Random(24)
     mu = (1, 1, 0, 0)
-    hits = 0
-    for _ in range(10):
-        xi = _random_block_degree_one(d4, mu, rng)
-        img = differential(d4, xi)
-        if img.is_zero():
-            continue
-        hits += 1
-        ok, pre = is_coboundary(d4, img)
-        assert ok
-        assert differential(d4, pre) == img
-    assert hits > 0
+    for n in (1, 2):
+        hits = 0
+        for _ in range(10):
+            xi = _random_block_cochain(d4, n, mu, rng)
+            img = differential(d4, xi)
+            if img.is_zero():
+                continue
+            hits += 1
+            ok, pre = is_coboundary(d4, img)
+            assert ok
+            assert differential(d4, pre) == img
+        assert hits > 0
 
 
 def test_phi_not_coboundary(model5):
@@ -290,6 +292,18 @@ def test_coboundary_rejects_non_cocycle(d4):
 def test_coboundary_degree_guard(d4):
     with pytest.raises(ValueError):
         is_coboundary(d4, Cochain.zero(1, d4.dim))
+
+
+def test_weight_blocks_reject_ungraded_bracket():
+    # [x, y] = z with weights 1 + 1 != 5: d of the weight-3 cochain z -> w
+    # lands at weight 6, outside its block.
+    L = LieAlgebra(["x", "y", "z", "w"], [(1,), (1,), (5,), (8,)], {(0, 1): 0b100})
+    cocycle = Cochain.single(2, L.dim, (0, 1), 0b100)
+    assert differential(L, cocycle).is_zero()
+    with pytest.raises(ValueError, match="does not preserve weight"):
+        weight_block(L, (3,))
+    with pytest.raises(ValueError, match="does not preserve weight"):
+        is_coboundary(L, cocycle)
 
 
 # -- representatives -------------------------------------------------------------

@@ -6,10 +6,22 @@ import d2lie
 SRC = Path(d2lie.__file__).parent
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # Invariants must survive `python -O`, which strips assert statements.
+    # Invariants must survive `python -O`, which strips assert statements,
+    # and a failed invariant raises a typed error the CLI can report
+    # (ArithmeticError for a discrepancy, ValueError for a bad input).
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-    assert not found, f"assert statements in the library: {found}"
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assert)
+            or (isinstance(n, ast.Raise) and n.exc is not None and _raises_assertion_error(n))
+        ]
+    assert not found, f"assert statements or AssertionErrors in the library: {found}"
