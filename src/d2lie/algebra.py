@@ -13,6 +13,7 @@ algebra here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
 from .roots import (
@@ -55,6 +56,7 @@ class LieAlgebra:
         self.brackets = table
         self._pairs_with_support = None
         self._weight_index = None
+        self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
 
     # -- bracket evaluation -------------------------------------------
 
@@ -91,11 +93,22 @@ class LieAlgebra:
     def weight_index(self) -> dict[Weight, tuple[int, ...]]:
         """Weight -> indices of the basis vectors carrying it."""
         if self._weight_index is None:
-            idx: dict[Weight, list[int]] = {}
-            for i, w in enumerate(self.weights):
-                idx.setdefault(w, []).append(i)
-            self._weight_index = {w: tuple(v) for w, v in idx.items()}
+            sums = self.weight_sums(1)
+            self._weight_index = {w: tuple(i for (i,) in keys) for w, keys in sums.items()}
         return self._weight_index
+
+    def weight_sums(self, n: int) -> dict[Weight, tuple[tuple[int, ...], ...]]:
+        """Weight -> the sorted index n-tuples whose weights add up to it, in lex order."""
+        if n not in self._weight_sums:
+            idx: dict[Weight, list[tuple[int, ...]]] = {}
+            weights = self.weights
+            for key in combinations(range(self.dim), n):
+                w = weights[key[0]]
+                for i in key[1:]:
+                    w = wadd(w, weights[i])
+                idx.setdefault(w, []).append(key)
+            self._weight_sums[n] = {w: tuple(v) for w, v in idx.items()}
+        return self._weight_sums[n]
 
     def pairs_with_support(self) -> list[list[tuple[int, int]]]:
         """For each m, the bracket keys (i, j) whose value involves b_m."""

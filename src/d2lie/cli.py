@@ -21,11 +21,10 @@ from .algebra import (
     expected_center_generators,
     format_label,
 )
-from .cohomology import cohomology_dim, h2_survey_rows
+from .cohomology import h2_survey_rows
 from .deformation import (
     VERDICT_NONTRIVIAL,
     VERDICT_ZERO,
-    build_even_cocycle,
     deform_bracket,
     integrability_scan,
     rigidity_scan,
@@ -172,7 +171,7 @@ def cmd_cohomology(args) -> int:
     system = build_root_system(args.l)
     rows = h2_survey_rows(L)
     total = sum(r["dim_h2"] for r in rows)
-    h2_zero = cohomology_dim(L, wzero(args.l))
+    h2_zero = next((r["dim_h2"] for r in rows if r["weight"] == wzero(args.l)), 0)
     print(f"dim H^2 = {total} over {len(rows)} weights; at weight 0: {h2_zero}")
     for r in rows:
         coeffs = express_in_simple_roots(r["weight"], system)
@@ -237,8 +236,7 @@ def cmd_integrability(args) -> int:
     reports = integrability_scan(L)
     deform_ok = True
     for r in reports:
-        psi = build_even_cocycle(L, r.weight)
-        vr = verify_deformation(deform_bracket(L, psi))
+        vr = verify_deformation(deform_bracket(L, r.representative))
         deform_ok = deform_ok and vr.ok
         print(
             f"  weight {list(r.weight)}: {r.verdict}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, check_weight_additivity
 from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
-from .roots import Weight, wadd, wsub
+from .roots import Weight, wsub
 
 
 class Cochain:
@@ -220,24 +220,21 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
 
 
 def _block_pairs(L: LieAlgebra, n: int, mu: Weight) -> list[tuple[tuple, int]]:
-    """Ordered basis of the weight-mu degree-n cochains, as (key, value) pairs."""
-    wt_idx = L.weight_index()
-    weights = L.weights
-    dim = L.dim
-    out: list[tuple[tuple, int]] = []
-    if n == 1:
-        for i in range(dim):
-            for k in wt_idx.get(wadd(mu, weights[i]), ()):
-                out.append(((i,), k))
-    elif n == 2:
-        for i in range(dim):
-            wi = wadd(mu, weights[i])
-            for j in range(i + 1, dim):
-                for k in wt_idx.get(wadd(wi, weights[j]), ()):
-                    out.append(((i, j), k))
-    else:
+    """Ordered basis of the weight-mu degree-n cochains, as (key, value) pairs.
+
+    The basis cochain key -> b_k has weight w_k minus the weight sum of
+    key, so each value weight w takes the keys summing to w - mu.  Keys
+    come in lex order and the values of one key in index order.
+    """
+    if n not in (1, 2):
         raise ValueError(f"no basis enumeration in degree {n}")
-    return out
+    sums = L.weight_sums(n)
+    hits = sorted(
+        (key, ks)
+        for w, ks in L.weight_index().items()
+        for key in sums.get(wsub(w, mu), ())
+    )
+    return [(key, k) for key, ks in hits for k in ks]
 
 
 def cochain_basis(L: LieAlgebra, n: int, mu: Weight) -> list[Cochain]:
@@ -334,8 +331,9 @@ def _require_graded(L: LieAlgebra) -> None:
         raise ValueError("the bracket does not preserve weight; H^2 is not graded")
 
 
-def _block_row(L: LieAlgebra, mu: Weight, c2: list[tuple[tuple, int]]) -> dict:
-    """Survey statistics of the weight-mu block whose C^2 basis is c2."""
+def _block_row(L: LieAlgebra, mu: Weight) -> dict:
+    """Survey statistics of the weight-mu block."""
+    c2 = _block_pairs(L, 2, mu)
     rank2 = _image_rank(L, c2)
     rank1 = _image_rank(L, _block_pairs(L, 1, mu))
     n2 = len(c2)
@@ -351,40 +349,30 @@ def _block_row(L: LieAlgebra, mu: Weight, c2: list[tuple[tuple, int]]) -> dict:
     }
 
 
-def cohomology_dim(L: LieAlgebra, mu: Weight, n: int = 2) -> int:
-    """dim H^2 at weight mu (n is fixed at 2; the complex stops at C^3)."""
-    if n != 2:
-        raise ValueError("only second cohomology is computed")
+def cohomology_dim(L: LieAlgebra, mu: Weight) -> int:
+    """dim H^2 at weight mu."""
     _require_graded(L)
-    return _block_row(L, mu, _block_pairs(L, 2, mu))["dim_h2"]
+    return _block_row(L, mu)["dim_h2"]
 
 
 # -- full weight survey ------------------------------------------------
 
 
+def _c2_weights(L: LieAlgebra) -> list[Weight]:
+    """The weights mu with C^2_mu != 0, sorted."""
+    sums = L.weight_sums(2)
+    return sorted({wsub(w, s) for w in L.weight_index() for s in sums})
+
+
 def _c2_groups(L: LieAlgebra) -> dict[Weight, list[tuple[tuple, int]]]:
     """All degree-2 basis cochains grouped by weight."""
-    weights = L.weights
-    dim = L.dim
-    args2: dict[Weight, list[tuple[int, int]]] = {}
-    for i in range(dim):
-        wi = weights[i]
-        for j in range(i + 1, dim):
-            args2.setdefault(wadd(wi, weights[j]), []).append((i, j))
-    groups: dict[Weight, list[tuple[tuple, int]]] = {}
-    for s, keys in args2.items():
-        for k in range(dim):
-            bucket = groups.setdefault(wsub(weights[k], s), [])
-            for key in keys:
-                bucket.append((key, k))
-    return groups
+    return {mu: _block_pairs(L, 2, mu) for mu in _c2_weights(L)}
 
 
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:
-    """Block statistics for every weight with nonzero H^2, in weight order."""
+    """Rows for the nonzero-H^2 weights in weight order; ranks one block at a time."""
     _require_graded(L)
-    groups = _c2_groups(L)
-    rows = [_block_row(L, mu, groups[mu]) for mu in sorted(groups)]
+    rows = (_block_row(L, mu) for mu in _c2_weights(L))
     return [r for r in rows if r["dim_h2"]]
 
 

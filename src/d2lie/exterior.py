@@ -211,14 +211,6 @@ class QuotientModel:
             out ^= 1 << kept_pos[monos[p]]
         return out
 
-    def lift(self, model_bits: int) -> int:
-        """Model coordinates -> full monomial coordinates (the kept section)."""
-        pos = _monomial_pos(self.space.l)
-        out = 0
-        for p in bit_indices(model_bits):
-            out ^= 1 << pos[self.monomials[p]]
-        return out
-
     def monomial_index(self, sa: int, sb: int) -> int:
         """Model basis index of the monomial with signed labels sa, sb."""
         a, b = self.space.index_of(sa), self.space.index_of(sb)

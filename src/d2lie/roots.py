@@ -10,16 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 Weight = tuple[int, ...]
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"weights {a} and {b} differ in length")
+    return tuple(map(add, a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"weights {a} and {b} differ in length")
+    return tuple(map(sub, a, b))
 
 
 def wneg(a: Weight) -> Weight:

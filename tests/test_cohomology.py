@@ -17,6 +17,7 @@ from d2lie.cohomology import (
     ungraded_h2_dim,
     weight_block,
     _block_pairs,
+    _c2_groups,
 )
 from d2lie.exterior import phi
 from d2lie.gf2 import bit_indices
@@ -70,18 +71,35 @@ def test_c1_weight_zero_d4_dimension(d4):
     assert len(basis) >= 16
 
 
-def test_c2_block_golden_dimension(model5):
-    # Frozen via brute-force enumeration of weight-matching triples.
-    A = model5.algebra
-    mu = e4_weight(2)
-    count = 0
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for k in range(A.dim):
-                if wsub(A.weights[k], wadd(A.weights[i], A.weights[j])) == mu:
-                    count += 1
-    assert count == 120
-    assert len(cochain_basis(A, 2, mu)) == 120
+def _brute_force_blocks(L):
+    """(n, mu) -> the degree-n basis cochains of weight mu, in (key, value)
+    order, from a scan of every key and value index."""
+    keys = [(i,) for i in range(L.dim)]
+    keys += [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    blocks = {}
+    for key in keys:
+        for k in range(L.dim):
+            mu = L.weights[k]
+            for i in key:
+                mu = wsub(mu, L.weights[i])
+            blocks.setdefault((len(key), mu), []).append((key, k))
+    return blocks
+
+
+def test_c2_block_golden_dimension(d4, model5):
+    # The weight-sum lookup against the brute-force scan, order included,
+    # at every weight of C^1 or C^2 and at one weight of neither.
+    for L in (d4, model5.algebra):
+        brute = _brute_force_blocks(L)
+        far = (9,) * len(L.weights[0])
+        for mu in {mu for _, mu in brute} | {far}:
+            for n in (1, 2):
+                assert _block_pairs(L, n, mu) == brute.get((n, mu), [])
+        assert _c2_groups(L) == {mu: b for (n, mu), b in brute.items() if n == 2}
+        with pytest.raises(ValueError):
+            _block_pairs(L, 3, far)
+    assert len(brute[2, e4_weight(2)]) == 120
+    assert len(cochain_basis(model5.algebra, 2, e4_weight(2))) == 120
 
 
 def test_basis_cochains_are_weight_homogeneous(d4):

@@ -25,3 +25,21 @@ def test_library_has_no_assert_statements():
             or (isinstance(n, ast.Raise) and n.exc is not None and _raises_assertion_error(n))
         ]
     assert not found, f"assert statements or AssertionErrors in the library: {found}"
+
+
+def test_library_imports_are_used():
+    # No linter runs on the library, so an import that a refactor left
+    # without a use would stay unnoticed.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but never used in the library: {unused}"
