@@ -47,7 +47,8 @@ class LieAlgebra:
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket key ({i}, {j})")
-            v &= (1 << dim) - 1
+            if v < 0 or v >> dim:
+                raise ValueError(f"bracket ({i}, {j}) has bits outside the basis")
             if v:
                 table[(i, j)] = v
         self.dim = dim
@@ -55,6 +56,7 @@ class LieAlgebra:
         self.weights = weights
         self.brackets = table
         self._pairs_with_support = None
+        self._adjacency = None
         self._weight_index = None
         self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
 
@@ -109,6 +111,17 @@ class LieAlgebra:
                 idx.setdefault(w, []).append(key)
             self._weight_sums[n] = {w: tuple(v) for w, v in idx.items()}
         return self._weight_sums[n]
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """For each k, the pairs (a, [b_a, b_k]) with a nonzero bracket, by a."""
+        if self._adjacency is None:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
+            # In key order each list receives its partners in increasing order.
+            for (i, j), v in sorted(self.brackets.items()):
+                adj[i].append((j, v))
+                adj[j].append((i, v))
+            self._adjacency = adj
+        return self._adjacency
 
     def pairs_with_support(self) -> list[list[tuple[int, int]]]:
         """For each m, the bracket keys (i, j) whose value involves b_m."""

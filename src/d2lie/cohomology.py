@@ -43,9 +43,9 @@ class Cochain:
                 raise ValueError(f"bad key {key} for degree {degree}")
             if not all(0 <= i < dim for i in key):
                 raise ValueError(f"key {key} out of range")
-            v &= (1 << dim) - 1
-            if v:
-                clean[key] = clean.get(key, 0) ^ v
+            if v < 0 or v >> dim:
+                raise ValueError(f"value of key {key} has bits outside the basis")
+            clean[key] = clean.get(key, 0) ^ v
         self.degree = degree
         self.dim = dim
         self.data = {k: v for k, v in clean.items() if v}
@@ -142,62 +142,16 @@ def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
     return w
 
 
+def _cochain(degree: int, dim: int, coords: list | tuple, bits: int) -> Cochain:
+    """The cochain whose coordinates (key, value index) are coords[p] for the set bits p."""
+    data: dict[tuple, int] = {}
+    for p in bit_indices(bits):
+        key, k = coords[p]
+        data[key] = data.get(key, 0) ^ (1 << k)
+    return Cochain(degree, dim, data)
+
+
 # -- differential ------------------------------------------------------
-
-
-def _insert(key: tuple, a: int) -> tuple:
-    n = len(key)
-    if n == 1:
-        i = key[0]
-        return (a, i) if a < i else (i, a)
-    if n == 2:
-        i, j = key
-        if a < i:
-            return (a, i, j)
-        if a < j:
-            return (i, a, j)
-        return (i, j, a)
-    return tuple(sorted((*key, a)))
-
-
-def _merge(rest: tuple, a: int, b: int) -> tuple:
-    if a > b:
-        a, b = b, a
-    if not rest:
-        return (a, b)
-    if len(rest) == 1:
-        c = rest[0]
-        if c < a:
-            return (c, a, b)
-        if c < b:
-            return (a, c, b)
-        return (a, b, c)
-    return tuple(sorted((*rest, a, b)))
-
-
-def _diff_basis(L: LieAlgebra, key: tuple, k: int) -> dict[tuple, int]:
-    """Differential of the basis cochain (key -> b_k), as a sparse dict."""
-    out: dict[tuple, int] = {}
-    table = L.brackets
-    get = table.get
-    dim = L.dim
-    for a in range(dim):
-        if a in key or a == k:
-            continue
-        v = get((a, k) if a < k else (k, a), 0)
-        if v:
-            t = _insert(key, a)
-            out[t] = out.get(t, 0) ^ v
-    kbit = 1 << k
-    pws = L.pairs_with_support()
-    for m in key:
-        rest = tuple(x for x in key if x != m)
-        for a, b in pws[m]:
-            if a in rest or b in rest:
-                continue
-            t = _merge(rest, a, b)
-            out[t] = out.get(t, 0) ^ kbit
-    return {t: v for t, v in out.items() if v}
 
 
 def differential(L: LieAlgebra, c: Cochain) -> Cochain:
@@ -208,12 +162,12 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     """
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
-    acc: dict[tuple, int] = {}
-    for key, bits in c.data.items():
-        for k in bit_indices(bits):
-            for t, v in _diff_basis(L, key, k).items():
-                acc[t] = acc.get(t, 0) ^ v
-    return Cochain(c.degree + 1, c.dim, acc)
+    src = [(key, k) for key, bits in c.data.items() for k in bit_indices(bits)]
+    target_pos: dict[tuple, int] = {}
+    acc = 0
+    for img in _images(L, src, target_pos):
+        acc ^= img
+    return _cochain(c.degree + 1, c.dim, list(target_pos), acc)
 
 
 # -- weight blocks -----------------------------------------------------
@@ -250,17 +204,35 @@ def _images(
     """d of each basis cochain (key, k) in src, packed over target_pos.
 
     target_pos maps a target coordinate (key, value index) to its bit.
-    A coordinate not yet in it gets the next number, in place.
+    A coordinate not yet in it gets the next number, in place, in the
+    order the terms reach it.  Each term toggles its bit, so terms that
+    meet cancel and a numbered coordinate may end up zero in every image.
     """
+    adj = L.adjacency()
+    pws = L.pairs_with_support()
     images = []
     for key, k in src:
+        # sum_i [x_i, c(.. x_i dropped ..)]: x_i = b_a brackets the value b_k.
+        terms = [
+            (tuple(sorted((*key, a))), m)
+            for a, v in adj[k]
+            if a not in key
+            for m in bit_indices(v)
+        ]
+        # sum_{i<j} c([x_i, x_j], ..): [b_a, b_b] meets the argument b_i.
+        for i in key:
+            rest = tuple(x for x in key if x != i)
+            terms += [
+                (tuple(sorted((*rest, a, b))), k)
+                for a, b in pws[i]
+                if a not in rest and b not in rest
+            ]
         img = 0
-        for t, v in _diff_basis(L, key, k).items():
-            for m in bit_indices(v):
-                pos = target_pos.get((t, m))
-                if pos is None:
-                    pos = target_pos[(t, m)] = len(target_pos)
-                img |= 1 << pos
+        for t in terms:
+            pos = target_pos.get(t)
+            if pos is None:
+                pos = target_pos[t] = len(target_pos)
+            img ^= 1 << pos
         images.append(img)
     return images
 
@@ -283,7 +255,7 @@ class WeightBlock:
     c1: tuple
     c2: tuple
     d1: GF2Matrix  # C1 -> C2, rows over c2
-    d2: GF2Matrix  # C2 -> C3, rows over the coordinates its image reaches
+    d2: GF2Matrix  # C2 -> C3, rows over the coordinates its terms reach (some may be zero)
 
     def h2_dim(self) -> int:
         return len(self.c2) - self.d2.rank() - self.d1.rank()
@@ -297,8 +269,9 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     """The weight-mu block with dense d1 and d2.
 
     Columns run over the canonical bases c1 and c2 and d1's rows over
-    c2; d2's rows run over the C^3 coordinates its image reaches, in
-    order of first appearance, so C^3_mu is never listed.  The dense
+    c2; d2's rows run over the C^3 coordinates its terms reach, in term
+    order, so C^3_mu is never listed.  A row whose terms all cancel is
+    zero; ranks, nullspaces and solves do not see it.  The dense
     form exists for callers that need a basis (representatives, tests);
     H^2 dimensions go through _image_rank, which never builds matrices.
     """
@@ -405,11 +378,7 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     x = mat.solve(GF2Vector(mat.nrows, (1 << len(coords)) - 1))
     if x is None:
         return False, None
-    pre: dict[tuple, int] = {}
-    for col in bit_indices(x.bits):
-        key, k = src[col]
-        pre[key] = pre.get(key, 0) ^ (1 << k)
-    return True, Cochain(c.degree - 1, c.dim, pre)
+    return True, _cochain(c.degree - 1, c.dim, src, x.bits)
 
 
 def representative(L: LieAlgebra, mu: Weight) -> Cochain:
@@ -423,11 +392,7 @@ def representative(L: LieAlgebra, mu: Weight) -> Cochain:
     for r in range(kernel.nrows):
         v = kernel.rows[r]
         if block.d1.solve(GF2Vector(len(block.c2), v)) is None:
-            data: dict[tuple, int] = {}
-            for col in bit_indices(v):
-                key, k = block.c2[col]
-                data[key] = data.get(key, 0) ^ (1 << k)
-            return Cochain(2, L.dim, data)
+            return _cochain(2, L.dim, block.c2, v)
     raise ValueError(f"H^2 vanishes at weight {mu}")
 
 

@@ -41,16 +41,6 @@ VERDICT_NONTRIVIAL = "NONTRIVIAL"
 # -- cup square ---------------------------------------------------------
 
 
-def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return (a, b, c)
-
-
 def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
     """The cyclic composition of psi with itself, over all basis triples."""
     if psi.degree != 2:
@@ -63,18 +53,9 @@ def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
                 continue
             w = psi.eval_vec_basis(v, c)
             if w:
-                t = _sorted3(a, b, c)
+                t = tuple(sorted((a, b, c)))
                 out[t] = out.get(t, 0) ^ w
     return Cochain(3, dim, out)
-
-
-def cup_square_at(L: LieAlgebra, psi: Cochain, i: int, j: int, k: int) -> int:
-    """Direct evaluation of the cyclic sum at one basis triple."""
-    return (
-        psi.eval_vec_basis(psi.eval_basis(i, j), k)
-        ^ psi.eval_vec_basis(psi.eval_basis(j, k), i)
-        ^ psi.eval_vec_basis(psi.eval_basis(i, k), j)
-    )
 
 
 # -- verdicts -----------------------------------------------------------

@@ -288,40 +288,6 @@ def phi_eval(
     return out
 
 
-def phi_eval_poisson_form(
-    space: SymplecticSpace,
-    v: int,
-    arg1: tuple[int, int],
-    arg2: tuple[int, int],
-) -> int:
-    """Closed form of the same value through vector-level Poisson brackets:
-
-        {w1w2, v} wedge {w3w4, v} + v wedge {v, (w3,w4) w1w2 + (w1,w2) w3w4}
-
-    with {v1 v2, u} = (v1,u) v2 + (v2,u) v1.  Cross-check only.
-    """
-    w1, w2 = arg1
-    w3, w4 = arg2
-    form = space.form
-
-    def pb_vec(a: int, b: int, u: int) -> int:
-        out = 0
-        if form(a, u):
-            out ^= b
-        if form(b, u):
-            out ^= a
-        return out
-
-    out = wedge_of_vectors(space, pb_vec(w1, w2, v), pb_vec(w3, w4, v))
-    inner = 0
-    if form(w3, w4):
-        inner ^= pb_vec(w1, w2, v)
-    if form(w1, w2):
-        inner ^= pb_vec(w3, w4, v)
-    out ^= wedge_of_vectors(space, v, inner)
-    return out
-
-
 def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
     """Degree-2 cochain of phi at an arbitrary nonzero vector of V."""
     if v == 0:

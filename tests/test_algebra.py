@@ -101,6 +101,22 @@ def test_jacobi_catches_corruption():
     assert report.defect != 0
 
 
+def test_bracket_values_outside_the_basis_rejected():
+    # A bit at or above dim names no basis vector; it is an error, not data
+    # to be masked away.
+    for v in (1 << 3, -1):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            LieAlgebra(["x", "y", "z"], [(0,)] * 3, {(0, 1): v})
+
+
+def test_adjacency_matches_bracket_table(d4, model5):
+    for L in (d4, model5.algebra):
+        adj = L.adjacency()
+        for k in range(L.dim):
+            expected = [(a, L.bracket_basis(a, k)) for a in range(L.dim) if L.bracket_basis(a, k)]
+            assert adj[k] == expected
+
+
 def test_weight_additivity():
     for l in (3, 4, 5):
         assert check_weight_additivity(build_chevalley_D(l))

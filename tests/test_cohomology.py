@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -49,6 +50,12 @@ def test_cochain_addition_cancels():
     a = Cochain(2, 6, {(0, 1): 0b11})
     b = Cochain(2, 6, {(0, 1): 0b11, (1, 2): 1})
     assert (a + b).data == {(1, 2): 1}
+
+
+def test_cochain_values_outside_the_basis_rejected():
+    for v in (1 << 5, 1 << 9 | 1, -1):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            Cochain(2, 5, {(0, 1): v})
 
 
 def test_cochain_degree_bounds():
@@ -181,6 +188,40 @@ def test_differential_matches_bracket_defect_on_degree_one(d4):
             if (d4.bracket_basis(a, b) >> i) & 1:
                 expect ^= 1 << k  # xi([b_a, b_b])
             assert img.eval_basis(a, b) == expect
+
+
+def _differential_oracle(L, c):
+    """(dc)(x_0..x_n) = sum_i [x_i, c(..)] + sum_{i<j} c([x_i, x_j], ..),
+    evaluated at every sorted basis (n+1)-tuple."""
+    out = {}
+    for t in combinations(range(L.dim), c.degree + 1):
+        v = 0
+        for i in range(len(t)):
+            v ^= L.bracket_vec_basis(c.eval_basis(*t[:i], *t[i + 1:]), t[i])
+            for j in range(i + 1, len(t)):
+                rest = t[:i] + t[i + 1:j] + t[j + 1:]
+                for m in bit_indices(L.bracket_basis(t[i], t[j])):
+                    v ^= c.eval_basis(m, *rest)
+        if v:
+            out[t] = v
+    return out
+
+
+def _random_cochain(L, n, rng, density):
+    data = {}
+    for key in combinations(range(L.dim), n):
+        if rng.random() < density:
+            data[key] = rng.getrandbits(L.dim)
+    return Cochain(n, L.dim, data)
+
+
+def test_differential_matches_pointwise_oracle(d3, d4, model3):
+    rng = random.Random(25)
+    cases = [(d4, 1, 1.0), (d4, 1, 0.2), (d4, 2, 0.05), (d4, 2, 0.5)]
+    cases += [(L, 3, density) for L in (d3, model3.algebra) for density in (0.02, 0.3)]
+    for L, n, density in cases:
+        c = _random_cochain(L, n, rng, density)
+        assert differential(L, c).data == _differential_oracle(L, c)
 
 
 # -- cohomology dimensions ---------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2lie.gf2 import GF2Matrix, GF2Vector, PivotBasis
 
@@ -180,3 +182,48 @@ def test_pivot_basis_membership():
     pb.add(0b011)
     assert pb.contains(0b101)
     assert not pb.contains(0b001)
+
+
+# -- properties ---------------------------------------------------------
+
+# No example database: each run draws its examples afresh and stores none.
+properties = settings(database=None, max_examples=150)
+
+
+@st.composite
+def matrices(draw, max_side=12):
+    nrows = draw(st.integers(0, max_side))
+    ncols = draw(st.integers(0, max_side))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=nrows, max_size=nrows))
+    return GF2Matrix(nrows, ncols, rows)
+
+
+@properties
+@given(matrices())
+def test_property_rank_plus_nullity_is_ncols(m):
+    assert m.rank() + m.nullspace().nrows == m.ncols
+
+
+@properties
+@given(matrices(), st.integers(min_value=0))
+def test_property_solution_satisfies_the_system(m, rhs):
+    b = GF2Vector(m.nrows, rhs)
+    x = m.solve(b)
+    if x is not None:
+        assert m.mul_vector(x) == b
+
+
+@properties
+@given(matrices(), st.integers(min_value=0))
+def test_property_image_is_always_solvable(m, bits):
+    x = GF2Vector(m.ncols, bits)
+    assert m.solve(m.mul_vector(x)) is not None
+
+
+@properties
+@given(matrices())
+def test_property_pivot_basis_rank_is_matrix_rank(m):
+    pb = PivotBasis()
+    for r in m.rows:
+        pb.add(r)
+    assert pb.rank == m.rank()

@@ -43,3 +43,40 @@ def test_library_imports_are_used():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"imported but never used in the library: {unused}"
+
+
+def _names_used(tree) -> set[str]:
+    """Every name a module mentions: names, attributes, import aliases and
+    string constants (the benchmark names the functions it spans in strings)."""
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            used.update(n.value.split("."))
+    return used
+
+
+def test_library_has_no_dead_definitions():
+    # A function or class that nothing in the library, the tests or the
+    # benchmark names is dead code left behind by a refactor.
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    used = set()
+    for path in files:
+        used |= _names_used(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        dead += [
+            f"{path.name}:{n.lineno} {n.name}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))
+            and n.name not in used
+        ]
+    assert not dead, f"defined in the library but named nowhere: {dead}"
