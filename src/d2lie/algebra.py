@@ -57,6 +57,7 @@ class LieAlgebra:
         self.brackets = table
         self._pairs_with_support = None
         self._adjacency = None
+        self._center = None
         self._weight_index = None
         self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
 
@@ -115,12 +116,7 @@ class LieAlgebra:
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """For each k, the pairs (a, [b_a, b_k]) with a nonzero bracket, by a."""
         if self._adjacency is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-            # In key order each list receives its partners in increasing order.
-            for (i, j), v in sorted(self.brackets.items()):
-                adj[i].append((j, v))
-                adj[j].append((i, v))
-            self._adjacency = adj
+            self._adjacency = _adjacency(self.brackets, self.dim)
         return self._adjacency
 
     def pairs_with_support(self) -> list[list[tuple[int, int]]]:
@@ -135,6 +131,41 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim})"
+
+
+def _adjacency(table: dict[tuple[int, int], int], dim: int) -> list[list[tuple[int, int]]]:
+    """For each k < dim, the pairs (a, f(b_a, b_k)) of an alternating table, by a."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    # In key order each list receives its partners in increasing order.
+    for (i, j), v in sorted(table.items()):
+        adj[i].append((j, v))
+        adj[j].append((i, v))
+    return adj
+
+
+def jacobiator(table: dict[tuple[int, int], int]) -> dict[tuple[int, int, int], int]:
+    """The cyclic sum f(f(x, y), z) + f(f(y, z), x) + f(f(z, x), y) on basis triples.
+
+    table is an alternating bilinear map {(i, j): packed f(b_i, b_j)}, i < j.
+    The result maps each sorted triple with a nonzero sum to that sum: on a
+    bracket table it is the Jacobi defect, on a degree-2 cochain psi the cup
+    square psi u psi.  Each entry (a, b) -> v meets each c outside {a, b}
+    through the adjacency of the set bits m of v, since f(v, b_c) is the sum
+    of the f(b_m, b_c); a key whose sum cancels to zero is dropped at once.
+    """
+    dim = max((max(j + 1, v.bit_length()) for (_, j), v in table.items()), default=0)
+    adj = _adjacency(table, dim)
+    out: dict[tuple[int, int, int], int] = {}
+    for (a, b), v in table.items():
+        for m in bit_indices(v):
+            for c, w in adj[m]:
+                if c == a or c == b:
+                    continue
+                key = tuple(sorted((a, b, c)))
+                w ^= out.pop(key, 0)
+                if w:
+                    out[key] = w
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,42 +256,27 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint maps z -> [z, b_j]."""
-    dim = L.dim
-    # Row (j, m): coefficient of b_m in [b_i, b_j], as a function of i.
-    row_map: dict[tuple[int, int], int] = {}
-    for (i, j), v in L.brackets.items():
-        for m in bit_indices(v):
-            # [b_i, b_j] contributes to constraint rows of both arguments.
-            row_map[(j, m)] = row_map.get((j, m), 0) | (1 << i)
-            row_map[(i, m)] = row_map.get((i, m), 0) | (1 << j)
-    rows = [row_map[k] for k in sorted(row_map)]
-    mat = GF2Matrix(len(rows), dim, rows)
-    return Subspace(dim, mat.nullspace())
+    """Nullspace of the stacked adjoint maps z -> [z, b_j], computed once per algebra."""
+    if L._center is None:
+        # Row (j, m): coefficient of b_m in [b_i, b_j], as a function of i.
+        row_map: dict[tuple[int, int], int] = {}
+        for (i, j), v in L.brackets.items():
+            for m in bit_indices(v):
+                # [b_i, b_j] contributes to constraint rows of both arguments.
+                row_map[(j, m)] = row_map.get((j, m), 0) | (1 << i)
+                row_map[(i, m)] = row_map.get((i, m), 0) | (1 << j)
+        rows = [row_map[k] for k in sorted(row_map)]
+        L._center = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows).nullspace())
+    return L._center
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
-    """Exhaustive Jacobi check over all basis triples."""
-    dim = L.dim
-    table = L.brackets
-    bvb = L.bracket_vec_basis
-    get = table.get
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vij = get((i, j), 0)
-            for k in range(j + 1, dim):
-                d = 0
-                if vij:
-                    d ^= bvb(vij, k)
-                vjk = get((j, k), 0)
-                if vjk:
-                    d ^= bvb(vjk, i)
-                vik = get((i, k), 0)
-                if vik:
-                    d ^= bvb(vik, j)
-                if d:
-                    return JacobiReport(False, (i, j, k), d)
-    return JacobiReport(True)
+    """Jacobi identity on all basis triples; a failure names the lex-first triple."""
+    defects = jacobiator(L.brackets)
+    if not defects:
+        return JacobiReport(True)
+    triple = min(defects)
+    return JacobiReport(False, triple, defects[triple])
 
 
 def check_weight_additivity(L: LieAlgebra) -> bool:
@@ -413,6 +429,7 @@ __all__ = [
     "build_chevalley_D",
     "center",
     "check_jacobi",
+    "jacobiator",
     "check_weight_additivity",
     "weight_decomposition",
     "quotient_by_center",

@@ -93,16 +93,6 @@ class Cochain:
                 out ^= data.get((m, c) if m < c else (c, m), 0)
         return out
 
-    def eval_pair(self, x: int, y: int) -> int:
-        """Fully bilinear value on two packed vectors; degree 2 only."""
-        if self.degree != 2:
-            raise ValueError("eval_pair needs a degree-2 cochain")
-        out = 0
-        for (i, j), v in self.data.items():
-            if (((x >> i) & (y >> j)) ^ ((x >> j) & (y >> i))) & 1:
-                out ^= v
-        return out
-
     def items_sorted(self):
         return sorted(self.data.items())
 

@@ -1,16 +1,22 @@
 """Cup-square obstructions and first-order deformations.
 
-For a 2-cocycle psi the bracket family f_t = [.,.] + t psi satisfies
-the Jacobi identity over K[t]/(t^3) iff d psi = 0 (the t coefficient)
-and the cup square
+For a degree-2 cochain psi the bracket family f_t = [.,.] + t psi is a
+Lie bracket over K[t] iff it is alternating and its Jacobi sum
 
-    (psi u psi)(x, y, z) = psi(psi(x,y), z) + psi(psi(y,z), x)
-                         + psi(psi(z,x), y)
+    J_t(x, y, z) = f_t(f_t(x, y), z) + f_t(f_t(y, z), x) + f_t(f_t(z, x), y)
 
-vanishes (the t^2 coefficient).  Since the family has no higher terms,
-the truncation at t^3 loses nothing.  Triviality of the cup square in
-H^3 is the first obstruction; a class whose cup square is not even a
-coboundary admits no extension at all.
+vanishes.  f_t is linear in t, so J_t is a polynomial of degree 2 in t
+and splits by power:
+
+    t^0   the Jacobi identity of [.,.]
+    t^1   d psi, the Chevalley-Eilenberg differential
+    t^2   the cup square (psi u psi)(x, y, z) = psi(psi(x, y), z)
+          + psi(psi(y, z), x) + psi(psi(z, x), y)
+
+Because f_t has no t^2 term, no power above t^2 occurs, so working over
+K[t]/(t^3) loses nothing: the three coefficients are the whole identity.
+Triviality of the cup square in H^3 is the first obstruction; a class
+whose cup square is not even a coboundary admits no extension at all.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .algebra import (
     LieAlgebra,
     center,
     chevalley_rank,
+    jacobiator,
 )
 from .cohomology import (
     Cochain,
@@ -45,17 +52,7 @@ def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
     """The cyclic composition of psi with itself, over all basis triples."""
     if psi.degree != 2:
         raise ValueError("cup square needs a degree-2 cochain")
-    out: dict[tuple, int] = {}
-    dim = L.dim
-    for (a, b), v in psi.data.items():
-        for c in range(dim):
-            if c == a or c == b:
-                continue
-            w = psi.eval_vec_basis(v, c)
-            if w:
-                t = tuple(sorted((a, b, c)))
-                out[t] = out.get(t, 0) ^ w
-    return Cochain(3, dim, out)
+    return Cochain(3, L.dim, jacobiator(psi.data))
 
 
 # -- verdicts -----------------------------------------------------------
@@ -206,44 +203,12 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
 # -- the deformed bracket ----------------------------------------------
 
 
-TVec = tuple[int, int, int]  # packed coefficient vectors of 1, t, t^2
-
-
 @dataclass(frozen=True)
 class DeformedAlgebra:
-    """Bracket family f_t(x, y) = [x, y] + t psi(x, y) over K[t]/(t^3)."""
+    """Bracket family f_t(x, y) = [x, y] + t psi(x, y) over K[t]."""
 
     base: LieAlgebra
     cochain: Cochain
-
-    def lift(self, i: int) -> TVec:
-        return (1 << i, 0, 0)
-
-    def bracket_t(self, x: TVec, y: TVec) -> TVec:
-        br = self.base.bracket
-        ps = self.cochain.eval_pair
-        x0, x1, x2 = x
-        y0, y1, y2 = y
-        z0 = br(x0, y0) if x0 and y0 else 0
-        z1 = 0
-        if x0 and y1:
-            z1 ^= br(x0, y1)
-        if x1 and y0:
-            z1 ^= br(x1, y0)
-        if x0 and y0:
-            z1 ^= ps(x0, y0)
-        z2 = 0
-        if x0 and y2:
-            z2 ^= br(x0, y2)
-        if x1 and y1:
-            z2 ^= br(x1, y1)
-        if x2 and y0:
-            z2 ^= br(x2, y0)
-        if x0 and y1:
-            z2 ^= ps(x0, y1)
-        if x1 and y0:
-            z2 ^= ps(x1, y0)
-        return (z0, z1, z2)
 
 
 def deform_bracket(L: LieAlgebra, psi: Cochain) -> DeformedAlgebra:
@@ -267,71 +232,38 @@ class DeformationReport:
 
 
 def verify_deformation(D: DeformedAlgebra) -> DeformationReport:
-    """Alternation plus the truncated-ring Jacobi identity on all triples.
+    """Alternation plus the Jacobi identity of f_t, one power of t at a time.
 
-    The t and t^2 coefficients of the Jacobi sum are reported
-    separately: they are d psi and the cup square.
+    The t^0, t and t^2 coefficients of the Jacobi sum are the Jacobi
+    identity of the base, d psi and the cup square.  A failure names the
+    lex-first failing basis triple, the lowest failing power there and
+    that power's value.
     """
     L = D.base
+    psi = D.cochain
     dim = L.dim
-    bt = D.bracket_t
+    br = L.bracket_basis
+    ev = psi.eval_basis
 
-    # Exact on all of (K[t]/(t^3))^dim: in characteristic 2,
+    # Exact on all of K[t]^dim: in characteristic 2,
     # f(x, x) = sum a_i^2 f(b_i, b_i) + sum_{i<j} a_i a_j (f(b_i, b_j) + f(b_j, b_i)).
-    lifts = [D.lift(i) for i in range(dim)]
-    alternating_ok = not any(any(bt(x, x)) for x in lifts) and all(
-        bt(lifts[i], lifts[j]) == bt(lifts[j], lifts[i])
+    alternating_ok = not any(br(i, i) or ev(i, i) for i in range(dim)) and all(
+        br(i, j) == br(j, i) and ev(i, j) == ev(j, i)
         for i in range(dim)
         for j in range(i + 1, dim)
     )
 
-    base_ok = t1_ok = t2_ok = True
-    failing_triple = None
-    failing_power = None
-    failing_value = 0
-
-    def note(i, j, k, power, value):
-        nonlocal failing_triple, failing_power, failing_value
-        if failing_triple is None:
-            failing_triple = (i, j, k)
-            failing_power = power
-            failing_value = value
-
-    for i in range(dim):
-        x = D.lift(i)
-        for j in range(i + 1, dim):
-            y = D.lift(j)
-            xy = bt(x, y)
-            for k in range(j + 1, dim):
-                z = D.lift(k)
-                a = bt(xy, z)
-                b = bt(bt(y, z), x)
-                c = bt(bt(z, x), y)
-                j0 = a[0] ^ b[0] ^ c[0]
-                j1 = a[1] ^ b[1] ^ c[1]
-                j2 = a[2] ^ b[2] ^ c[2]
-                if j0:
-                    base_ok = False
-                    note(i, j, k, 0, j0)
-                if j1:
-                    t1_ok = False
-                    note(i, j, k, 1, j1)
-                if j2:
-                    t2_ok = False
-                    note(i, j, k, 2, j2)
-            if not (base_ok or t1_ok or t2_ok):
-                break
-    ok = alternating_ok and base_ok and t1_ok and t2_ok
-    return DeformationReport(
-        ok,
-        alternating_ok,
-        base_ok,
-        t1_ok,
-        t2_ok,
-        failing_triple,
-        failing_power,
-        failing_value,
+    coefficients = (
+        jacobiator(L.brackets),
+        differential(L, psi).data,
+        cup_square(L, psi).data,
     )
+    base_ok, t1_ok, t2_ok = (not c for c in coefficients)
+    failures = [(min(c), power) for power, c in enumerate(coefficients) if c]
+    triple, power = min(failures, default=(None, None))
+    value = coefficients[power][triple] if failures else 0
+    ok = alternating_ok and not failures
+    return DeformationReport(ok, alternating_ok, base_ok, t1_ok, t2_ok, triple, power, value)
 
 
 # -- the two theorem scans ------------------------------------------------

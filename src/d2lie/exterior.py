@@ -339,7 +339,9 @@ class Transvection:
 def transvection(space: SymplecticSpace, v: int) -> Transvection:
     if v == 0:
         raise ValueError("transvections need a nonzero direction")
-    return Transvection(space, v & ((1 << space.dim) - 1))
+    if v < 0 or v >> space.dim:
+        raise ValueError("transvection direction has bits outside the space")
+    return Transvection(space, v)
 
 
 # -- graded isomorphism search -----------------------------------------

@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from d2lie.algebra import (
+    JacobiReport,
     LieAlgebra,
     Subspace,
     algebra_to_json,
@@ -12,6 +14,7 @@ from d2lie.algebra import (
     check_jacobi,
     check_weight_additivity,
     expected_center_generators,
+    jacobiator,
     quotient_by_center,
     quotient_with_projection,
     weight_decomposition,
@@ -79,11 +82,51 @@ def test_center_l3():
     Z = center(L)
     assert Z.dim == 1
     assert Z.contains(0b110)  # H2 + H3
+    assert center(L) is Z  # computed once per algebra
+
+
+def jacobi_defects(L):
+    """The Jacobi defect at every basis triple i < j < k, by the exhaustive
+    triple loop; the oracle for jacobiator and check_jacobi."""
+    dim = L.dim
+    get = L.brackets.get
+    bvb = L.bracket_vec_basis
+    out = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vij = get((i, j), 0)
+            for k in range(j + 1, dim):
+                d = 0
+                if vij:
+                    d ^= bvb(vij, k)
+                vjk = get((j, k), 0)
+                if vjk:
+                    d ^= bvb(vjk, i)
+                vik = get((i, k), 0)
+                if vik:
+                    d ^= bvb(vik, j)
+                if d:
+                    out[(i, j, k)] = d
+    return out
 
 
 def test_jacobi_small_ranks():
     for l in (3, 4, 5):
         assert check_jacobi(build_chevalley_D(l)).ok
+
+
+def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
+    rng = random.Random(36)
+    for L in (d3, d4, model5.algebra, d5_quotient):
+        assert jacobiator(L.brackets) == jacobi_defects(L) == {}
+        assert check_jacobi(L) == JacobiReport(True)
+        # One random structure constant flipped.
+        bad = dict(L.brackets)
+        key = tuple(sorted(rng.sample(range(L.dim), 2)))
+        bad[key] = bad.get(key, 0) ^ (1 << rng.randrange(L.dim))
+        broken = LieAlgebra(L.labels, L.weights, bad)
+        oracle = jacobi_defects(broken)
+        assert oracle and jacobiator(broken.brackets) == oracle
 
 
 def test_jacobi_catches_corruption():
@@ -99,6 +142,10 @@ def test_jacobi_catches_corruption():
     assert not report.ok
     assert report.triple is not None
     assert report.defect != 0
+    oracle = jacobi_defects(broken)
+    assert jacobiator(broken.brackets) == oracle
+    first = min(oracle)  # the triple loop meets triples in lex order
+    assert (report.triple, report.defect) == (first, oracle[first])
 
 
 def test_bracket_values_outside_the_basis_rejected():

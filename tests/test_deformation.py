@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
+from oracles import first_truncated_failure, truncated_jacobi
 
-from d2lie.algebra import build_chevalley_D, center
+from d2lie.algebra import LieAlgebra, build_chevalley_D, center
 from d2lie.cohomology import (
     Cochain,
     cochain_weight,
@@ -11,7 +13,6 @@ from d2lie.cohomology import (
     weight_block,
 )
 from d2lie.deformation import (
-    DeformedAlgebra,
     ObstructionReport,
     VERDICT_COBOUNDARY,
     VERDICT_NONTRIVIAL,
@@ -70,11 +71,41 @@ def cup_square_at(psi, i: int, j: int, k: int) -> int:
     )
 
 
-def test_cup_square_agrees_with_direct_cyclic_sum(model5):
+def random_homogeneous_cochains(L, rng, n):
+    """Up to n nonzero degree-2 cochains, each a random part of one weight block."""
+    weights = sorted(set(L.weights))
+    out = []
+    for _ in range(n):
+        block = weight_block(L, wadd(rng.choice(weights), rng.choice(weights)))
+        data = {}
+        for key, k in block.c2:
+            if rng.random() < 0.3:
+                data[key] = data.get(key, 0) ^ (1 << k)
+        psi = Cochain(2, L.dim, data)
+        if not psi.is_zero():
+            out.append(psi)
+    return out
+
+
+def test_cup_square_agrees_with_direct_cyclic_sum(model5, d4):
+    rng = random.Random(31)
+    cases = [(model5.algebra, phi(4, model5))]
+    cases += [(d4, psi) for psi in random_homogeneous_cochains(d4, rng, 12)]
+    nonzero = 0
+    for L, psi in cases:
+        cup = cup_square(L, psi)
+        direct = {}
+        for t in combinations(range(L.dim), 3):
+            v = cup_square_at(psi, *t)
+            if v:
+                direct[t] = v
+        assert cup.data == direct
+        nonzero += bool(direct)
+    assert nonzero > 1
+    # A sampled check with the triple in any order: the cyclic sum is symmetric.
     A = model5.algebra
     psi = phi(4, model5)
     cup = cup_square(A, psi)
-    rng = random.Random(31)
     for _ in range(200):
         i, j, k = rng.sample(range(A.dim), 3)
         assert cup.eval_basis(i, j, k) == cup_square_at(psi, i, j, k)
@@ -209,18 +240,21 @@ def test_even_cocycle_value_is_central(d4):
 
 
 def test_deform_with_zero_cochain_is_base_bracket(d4):
-    D = deform_bracket(d4, Cochain.zero(2, d4.dim))
-    for i in range(0, d4.dim, 5):
-        for j in range(i + 1, d4.dim, 7):
-            out = D.bracket_t(D.lift(i), D.lift(j))
-            assert out == (d4.bracket_basis(i, j), 0, 0)
-    assert verify_deformation(D).ok
+    zero = Cochain.zero(2, d4.dim)
+    D = deform_bracket(d4, zero)
+    assert D.base is d4 and D.cochain == zero
+    report = verify_deformation(D)
+    assert report.ok and report.failing_triple is None and report.failing_value == 0
 
 
 def test_deformation_passes_for_even_cocycle(d4):
     report = verify_deformation(deform_bracket(d4, build_even_cocycle(d4)))
     assert report.ok
     assert report.alternating_ok and report.base_ok and report.t1_ok and report.t2_ok
+
+
+def _failure(report):
+    return report.failing_triple, report.failing_power, report.failing_value
 
 
 def test_deformation_fails_at_t2_for_phi(model5):
@@ -234,37 +268,46 @@ def test_deformation_fails_at_t2_for_phi(model5):
     first_key, first_val = cup.items_sorted()[0]
     assert report.failing_triple == first_key
     assert report.failing_value == first_val
+    assert _failure(report) == first_truncated_failure(A, psi)
+
+
+def test_deformation_fails_at_t0_for_corrupted_base(d4):
+    bad = dict(d4.brackets)
+    bad[(0, 4)] = bad.get((0, 4), 0) ^ (1 << 5)  # flip one structure constant
+    broken = LieAlgebra(d4.labels, d4.weights, bad)
+    for psi in (Cochain.zero(2, d4.dim), build_even_cocycle(d4)):
+        report = verify_deformation(deform_bracket(broken, psi))
+        assert not report.ok and not report.base_ok
+        assert report.failing_power == 0
+        assert _failure(report) == first_truncated_failure(broken, psi)
+
+
+def test_deformation_fails_at_t1_for_non_cocycle(d4):
+    psi = Cochain.single(2, d4.dim, (0, 4), 1 << 5)
+    report = verify_deformation(deform_bracket(d4, psi))
+    assert not report.ok
+    assert report.alternating_ok and report.base_ok and not report.t1_ok
+    assert report.failing_power == 1
+    assert report.failing_value == differential(d4, psi).value(report.failing_triple)
+    assert _failure(report) == first_truncated_failure(d4, psi)
 
 
 def test_jacobi_coefficients_match_d_and_cup_on_random_cochains(d4, model5):
     # The t and t^2 coefficients of the truncated Jacobi sum are d(psi)
     # and the cup square, cocycle or not.
     rng = random.Random(33)
-    for L, model in ((d4, None), (model5.algebra, model5)):
-        weights = sorted({w for w in L.weights})
-        for _ in range(6):
-            mu = wadd(rng.choice(weights), rng.choice(weights))
-            block = weight_block(L, mu)
-            if not block.c2:
-                continue
-            data = {}
-            for key, k in block.c2:
-                if rng.random() < 0.3:
-                    data[key] = data.get(key, 0) ^ (1 << k)
-            psi = Cochain(2, L.dim, data)
-            if psi.is_zero():
-                continue
-            D = DeformedAlgebra(L, psi)
+    for L in (d4, model5.algebra):
+        for psi in random_homogeneous_cochains(L, rng, 6):
             dpsi = differential(L, psi)
             cup = cup_square(L, psi)
             for _ in range(40):
                 i, j, k = sorted(rng.sample(range(L.dim), 3))
-                a = D.bracket_t(D.bracket_t(D.lift(i), D.lift(j)), D.lift(k))
-                b = D.bracket_t(D.bracket_t(D.lift(j), D.lift(k)), D.lift(i))
-                c = D.bracket_t(D.bracket_t(D.lift(k), D.lift(i)), D.lift(j))
-                assert a[0] ^ b[0] ^ c[0] == 0
-                assert a[1] ^ b[1] ^ c[1] == dpsi.eval_basis(i, j, k)
-                assert a[2] ^ b[2] ^ c[2] == cup.eval_basis(i, j, k)
+                j0, j1, j2 = truncated_jacobi(L, psi, i, j, k)
+                assert j0 == 0
+                assert j1 == dpsi.eval_basis(i, j, k)
+                assert j2 == cup.eval_basis(i, j, k)
+            report = verify_deformation(deform_bracket(L, psi))
+            assert _failure(report) == (first_truncated_failure(L, psi) or (None, None, 0))
 
 
 def test_random_cocycles_obstruction_equals_t2(d4):

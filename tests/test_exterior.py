@@ -287,8 +287,12 @@ def test_transvection_is_involution():
 
 
 def test_transvection_rejects_zero():
-    with pytest.raises(ValueError):
-        transvection(SymplecticSpace(3), 0)
+    # Bits at or above dim are an error too, not bits to be masked away:
+    # masked, 1 << dim was the zero direction and -1 the all-ones vector.
+    s = SymplecticSpace(3)
+    for v in (0, 1 << s.dim, -1):
+        with pytest.raises(ValueError):
+            transvection(s, v)
 
 
 def test_transvections_preserve_invariant_line():
