@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
+from .gf2 import GF2Matrix, PivotBasis, bit_indices
 from .roots import (
     Weight,
     build_root_system,
@@ -180,10 +180,7 @@ class Subspace:
         return self.basis.nrows
 
     def contains(self, bits: int) -> bool:
-        pb = PivotBasis()
-        for r in self.basis.rows:
-            pb.add(r)
-        return pb.contains(bits)
+        return PivotBasis(self.basis.rows).contains(bits)
 
     def canonical(self) -> GF2Matrix:
         return self.basis.row_reduce()
@@ -306,10 +303,10 @@ def quotient_with_projection(
 ) -> tuple[LieAlgebra, GF2Matrix]:
     """Quotient by a central subspace plus the old-basis projection matrix.
 
-    Coset representatives drop the highest-index generator of each
-    central basis row; the choice is arbitrary but fixed, and every
-    downstream quantity is representative-independent because Z is
-    central.
+    Coset representatives drop the lowest index of each row of
+    Z.canonical(), its RREF pivot; the choice is arbitrary but fixed,
+    and every downstream quantity is representative-independent because
+    Z is central.
     """
     dim = L.dim
     if Z.ambient != dim:
@@ -322,31 +319,17 @@ def quotient_with_projection(
             if not is_zero_weight(L.weights[m]):
                 raise ValueError("central generators must be weight-0 combinations")
 
-    # Echelonize the generators, pivoting on the highest set bit; keep the
-    # rows fully reduced so each pivot appears in exactly one generator.
-    reduced: list[int] = []
-    for z in Z.basis.rows:
-        progress = True
-        while z and progress:
-            progress = False
-            for r in reduced:
-                if (z >> (r.bit_length() - 1)) & 1:
-                    z ^= r
-                    progress = True
-        if z:
-            p = z.bit_length() - 1
-            reduced = [r ^ z if (r >> p) & 1 else r for r in reduced]
-            reduced.append(z)
-
-    subst = {z.bit_length() - 1: z ^ (1 << (z.bit_length() - 1)) for z in reduced}
-    dropped = set(subst)
+    # An RREF row's pivot appears in no other row, so adding the row
+    # rewrites b_pivot as the rest of the row, modulo Z.
+    pivot_rows = {z & -z: z for z in Z.canonical().rows}
+    dropped = {low.bit_length() - 1 for low in pivot_rows}
     kept = [i for i in range(dim) if i not in dropped]
     new_pos = {old: new for new, old in enumerate(kept)}
 
     def project(bits: int) -> int:
-        for d, rest in subst.items():
-            if (bits >> d) & 1:
-                bits ^= (1 << d) ^ rest
+        for low, z in pivot_rows.items():
+            if bits & low:
+                bits ^= z
         out = 0
         while bits:
             low = bits & -bits
@@ -376,12 +359,11 @@ def quotient_by_center(L: LieAlgebra, Z: Subspace) -> LieAlgebra:
 # -- expected centre generators ---------------------------------------
 
 
-def expected_center_generators(l: int) -> list[GF2Vector]:
-    """H_l + H_(l-1), plus H_(l-1) + H_(l-3) + ... + H_3 + H_1 for even l."""
-    dim = l * (2 * l - 1)
-    gens = [GF2Vector.from_support(dim, [l - 2, l - 1])]
+def expected_center_generators(l: int) -> list[int]:
+    """H_l + H_(l-1), plus H_(l-1) + H_(l-3) + ... + H_3 + H_1 for even l, packed."""
+    gens = [0b11 << (l - 2)]
     if l % 2 == 0:
-        gens.append(GF2Vector.from_support(dim, list(range(0, l - 1, 2))))
+        gens.append(sum(1 << i for i in range(0, l - 1, 2)))
     return gens
 
 

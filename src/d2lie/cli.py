@@ -55,20 +55,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="d2lie", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("verify", cmd_verify),
-        ("cohomology", cmd_cohomology),
-        ("rigidity", cmd_rigidity),
-        ("integrability", cmd_integrability),
+    # rigidity always runs on the wedge-square model and integrability on
+    # the Chevalley algebra, so only verify and cohomology take --model.
+    for name, fn, has_model in (
+        ("verify", cmd_verify, True),
+        ("cohomology", cmd_cohomology, True),
+        ("rigidity", cmd_rigidity, False),
+        ("integrability", cmd_integrability, False),
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--l", type=int, required=True, help="rank (3..max-l)")
-        sp.add_argument(
-            "--model",
-            choices=("chevalley", "exterior"),
-            default="chevalley",
-            help="chevalley: structure-constant algebra; exterior: wedge-square model (odd rank)",
-        )
+        if has_model:
+            sp.add_argument(
+                "--model",
+                choices=("chevalley", "exterior"),
+                default="chevalley",
+                help="chevalley: structure-constant algebra; exterior: wedge-square model (odd rank)",
+            )
         sp.add_argument("--out", default=None, help="write a JSON report here")
         sp.add_argument(
             "--max-l",
@@ -92,7 +95,7 @@ def _validate(args) -> None:
             f"warning: rank {args.l} exceeds the default cap; runtimes grow steeply",
             file=sys.stderr,
         )
-    if args.model == "exterior" and args.l % 2 == 0:
+    if getattr(args, "model", None) == "exterior" and args.l % 2 == 0:
         raise UsageError("the exterior model exists only at odd rank")
     if args.command == "rigidity" and (args.l % 2 == 0 or args.l < 5):
         raise UsageError("rigidity applies at odd rank >= 5")
@@ -138,9 +141,8 @@ def cmd_verify(args) -> int:
 
     ok = jr.ok and additive
     if args.model == "chevalley":
-        expected = Subspace(
-            L.dim, GF2Matrix.from_rows(expected_center_generators(args.l))
-        )
+        rows = expected_center_generators(args.l)
+        expected = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows))
         if not Z.same_space(expected):
             print("centre differs from the expected generators", file=sys.stderr)
             ok = False
@@ -232,7 +234,7 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_integrability(args) -> int:
-    L = _build(args)
+    L = build_chevalley_D(args.l)
     reports = integrability_scan(L)
     deform_ok = True
     for r in reports:

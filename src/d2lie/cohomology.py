@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, check_weight_additivity
-from .gf2 import GF2Matrix, GF2Vector, PivotBasis, bit_indices
+from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
 from .roots import Weight, wsub
 
 
@@ -261,9 +261,10 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     Columns run over the canonical bases c1 and c2 and d1's rows over
     c2; d2's rows run over the C^3 coordinates its terms reach, in term
     order, so C^3_mu is never listed.  A row whose terms all cancel is
-    zero; ranks, nullspaces and solves do not see it.  The dense
-    form exists for callers that need a basis (representatives, tests);
-    H^2 dimensions go through _image_rank, which never builds matrices.
+    zero; ranks, nullspaces and solves do not see it.  The dense form
+    serves representative and the tests; H^2 dimensions go through
+    _image_rank and coboundary solves eliminate the _images columns,
+    so neither builds a matrix.
     """
     _require_graded(L)
     c1 = _block_pairs(L, 1, mu)
@@ -282,10 +283,7 @@ def _image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
     A rank does not depend on how the target is indexed, so this serves
     d1 and d2.
     """
-    basis = PivotBasis()
-    for img in _images(L, src, {}):
-        basis.add(img)
-    return basis.rank
+    return PivotBasis(_images(L, src, {})).rank
 
 
 def _require_graded(L: LieAlgebra) -> None:
@@ -350,7 +348,8 @@ def h2_weight_survey(L: LieAlgebra) -> dict[Weight, int]:
 def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     """Whether c is a differential, plus one preimage when it is.
 
-    Requires a weight-homogeneous cocycle of degree 2 or 3.
+    Requires a weight-homogeneous cocycle of degree 2 or 3.  The preimage
+    uses only basis cochains whose image is independent of the earlier ones.
     """
     if c.degree not in (2, 3):
         raise ValueError("coboundary test supports degrees 2 and 3")
@@ -364,11 +363,12 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     # c's own coordinates come first, so c is the all-ones vector on them;
     # coordinates only the images reach are numbered after.
     coords = [(key, m) for key, v in c.items_sorted() for m in bit_indices(v)]
-    mat = _diff_matrix(L, src, {pk: p for p, pk in enumerate(coords)})
-    x = mat.solve(GF2Vector(mat.nrows, (1 << len(coords)) - 1))
+    target_pos = {pk: p for p, pk in enumerate(coords)}
+    images = _images(L, src, target_pos)
+    x = solve_columns(images, len(target_pos), (1 << len(coords)) - 1)
     if x is None:
         return False, None
-    return True, _cochain(c.degree - 1, c.dim, src, x.bits)
+    return True, _cochain(c.degree - 1, c.dim, src, x)
 
 
 def representative(L: LieAlgebra, mu: Weight) -> Cochain:
@@ -378,10 +378,9 @@ def representative(L: LieAlgebra, mu: Weight) -> Cochain:
     basis order) that is not a coboundary.
     """
     block = weight_block(L, mu)
-    kernel = block.d2.nullspace()
-    for r in range(kernel.nrows):
-        v = kernel.rows[r]
-        if block.d1.solve(GF2Vector(len(block.c2), v)) is None:
+    coboundaries = PivotBasis(block.d1.transpose().rows)
+    for v in block.d2.nullspace().rows:
+        if not coboundaries.contains(v):
             return _cochain(2, L.dim, block.c2, v)
     raise ValueError(f"H^2 vanishes at weight {mu}")
 

@@ -37,7 +37,7 @@ from .cohomology import (
     is_coboundary,
 )
 from .exterior import QuotientModel, phi
-from .gf2 import PivotBasis, bit_indices
+from .gf2 import bit_indices
 from .roots import Weight, build_root_system, wadd, wneg, wsub
 
 VERDICT_ZERO = "ZERO"
@@ -120,10 +120,8 @@ def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
 
 def central_valued(L: LieAlgebra, psi: Cochain) -> bool:
     """Every value of psi on basis pairs lies in the centre."""
-    pb = PivotBasis()
-    for r in center(L).basis.rows:
-        pb.add(r)
-    return all(pb.contains(v) for v in psi.data.values())
+    Z = center(L)
+    return all(Z.contains(v) for v in psi.data.values())
 
 
 def vanishes_on_center(L: LieAlgebra, psi: Cochain) -> bool:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .algebra import LieAlgebra
 from .cohomology import Cochain
-from .gf2 import GF2Matrix, GF2Vector, bit_indices
+from .gf2 import GF2Matrix, bit_indices
 from .roots import Weight, wadd
 
 
@@ -374,7 +374,7 @@ def find_graded_isomorphism(
     b0_pos = {idx: p for p, idx in enumerate(b0)}
     forced = {wa[w][0]: wb[w][0] for w in nonzero}
 
-    def to_positions(bits: int, table: dict[int, int], count: int) -> int | None:
+    def to_positions(bits: int, table: dict[int, int]) -> int | None:
         out = 0
         for m in bit_indices(bits):
             if m not in table:
@@ -382,68 +382,48 @@ def find_graded_isomorphism(
             out |= 1 << table[m]
         return out
 
-    # Unknowns X[p][q]: the image of the p-th weight-0 model vector has
-    # coefficient X[p][q] on the q-th weight-0 target vector.
-    rows: list[int] = []
-    rhs = 0
-    neq = 0
-
-    def add_eq(row: int, r: int):
-        nonlocal rhs, neq
-        rows.append(row)
-        if r:
-            rhs |= 1 << neq
-        neq += 1
-
+    # Unknowns X[p][q], bit p * k + q: the image of the p-th weight-0 model
+    # vector has coefficient X[p][q] on the q-th weight-0 target vector.
+    # Each equation is a (row, right-hand side) pair.
+    equations: list[tuple[int, int]] = []
     for w in nonzero:
         ai, bi = wa[w][0], wb[w][0]
         # Action of the weight-0 part on this weight line must transport.
+        acts = 0
+        for q, b_idx in enumerate(b0):
+            vb = B.bracket_basis(b_idx, bi)
+            if vb and not (vb >> bi) & 1:
+                return None
+            acts |= ((vb >> bi) & 1) << q
         for p, a_idx in enumerate(a0):
             va = A.bracket_basis(a_idx, ai)
-            sa = (va >> ai) & 1
-            if va and not sa:
+            if va and not (va >> ai) & 1:
                 return None
-            row = 0
-            for q, b_idx in enumerate(b0):
-                vb = B.bracket_basis(b_idx, bi)
-                if vb and not ((vb >> bi) & 1):
-                    return None
-                if (vb >> bi) & 1:
-                    row |= 1 << (p * k + q)
-            add_eq(row, sa)
+            equations.append((acts << (p * k), (va >> ai) & 1))
         # Dual weight pairs land in the weight-0 block on both sides.
         nw = tuple(-x for x in w)
         if w < nw:
-            va = A.bracket_basis(ai, wa[nw][0])
-            vb = B.bracket_basis(bi, wb[nw][0])
-            ca = to_positions(va, a0_pos, k)
-            cb = to_positions(vb, b0_pos, k)
+            ca = to_positions(A.bracket_basis(ai, wa[nw][0]), a0_pos)
+            cb = to_positions(B.bracket_basis(bi, wb[nw][0]), b0_pos)
             if ca is None or cb is None:
                 return None
             for q in range(k):
-                row = 0
-                for p in bit_indices(ca):
-                    row |= 1 << (p * k + q)
-                add_eq(row, (cb >> q) & 1)
+                row = sum(1 << (p * k + q) for p in bit_indices(ca))
+                equations.append((row, (cb >> q) & 1))
 
-    mat = GF2Matrix(neq, k * k, rows)
-    x = mat.solve(GF2Vector(neq, rhs))
+    rhs = sum(r << i for i, (_, r) in enumerate(equations))
+    x = GF2Matrix(len(equations), k * k, [row for row, _ in equations]).solve(rhs)
     if x is None:
-        return None
-    xrows = [
-        sum(((x.bits >> (p * k + q)) & 1) << q for q in range(k)) for p in range(k)
-    ]
-    if GF2Matrix(k, k, xrows).rank() != k:
         return None
 
     theta_rows = [0] * A.dim
     for ai, bi in forced.items():
         theta_rows[ai] = 1 << bi
     for p, a_idx in enumerate(a0):
-        img = 0
-        for q in bit_indices(xrows[p]):
-            img |= 1 << b0[q]
-        theta_rows[a_idx] = img
+        xrow = (x >> (p * k)) & ((1 << k) - 1)
+        theta_rows[a_idx] = sum(1 << b0[q] for q in bit_indices(xrow))
+    # The forced rows are distinct unit vectors outside the weight-0
+    # block, so theta is invertible exactly when X is.
     theta = GF2Matrix(A.dim, B.dim, theta_rows)
     if theta.rank() != A.dim:
         return None

@@ -9,7 +9,7 @@ even though all algebra coefficients live in GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from operator import add, sub
 
 Weight = tuple[int, ...]
@@ -121,29 +121,17 @@ def weyl_orbit(w: Weight, system: RootSystem) -> frozenset[Weight]:
 
 
 def express_in_simple_roots(w: Weight, system: RootSystem) -> tuple[int, ...] | None:
-    """Integer coordinates of w over the simple roots, or None outside the lattice."""
+    """Integer coordinates of w over the simple roots, or None outside the lattice.
+
+    For the simple roots of build_root_system and partial sums
+    s_j = w_1 + ... + w_j, w = sum_i c_i alpha_i solves to c_j = s_j for
+    j <= l-2, c_(l-1) = (s_(l-1) - w_l) / 2 and c_l = s_l / 2, so the root
+    lattice is the weights with an even coordinate sum.
+    """
     l = system.l
-    # Exact rational solve of (columns = simple roots) * c = w.
-    rows = [[Fraction(system.simple[j][i]) for j in range(l)] + [Fraction(w[i])]
-            for i in range(l)]
-    col = 0
-    for c in range(l):
-        pivot = None
-        for r in range(col, l):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][c]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(l):
-            if r != col and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        col += 1
-    coeffs = [rows[i][l] for i in range(l)]
-    if any(c.denominator != 1 for c in coeffs):
+    if len(w) != l:
+        raise ValueError(f"weight {w} has length {len(w)}, expected {l}")
+    s = list(accumulate(w))
+    if s[-1] % 2:
         return None
-    return tuple(int(c) for c in coeffs)
+    return (*s[: l - 2], (s[l - 2] - w[-1]) // 2, s[-1] // 2)

@@ -1,7 +1,11 @@
-"""The truncated-ring Jacobi sum, a slow reference shared by the test modules.
+"""Slow references shared by the test modules.
 
-f_t = [,] + t psi over K[t]/(t^3), evaluated at one basis triple at a
-time; verify_deformation must agree with it coefficient by coefficient.
+- The truncated-ring Jacobi sum: f_t = [,] + t psi over K[t]/(t^3),
+  evaluated at one basis triple at a time; verify_deformation must agree
+  with it coefficient by coefficient.
+- The dense column-sweep reduced row echelon form over GF(2); the
+  library's rank, row_reduce, nullspace and solve must equal what it
+  gives, bit for bit.
 """
 
 from itertools import combinations
@@ -31,3 +35,75 @@ def first_truncated_failure(L, psi):
             if value:
                 return triple, power, value
     return None
+
+
+# -- GF(2) reduced row echelon form -------------------------------------
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form of packed rows, in place; returns (rows, pivot columns)."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pivot = None
+        for k in range(r, nrows):
+            if (rows[k] >> c) & 1:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for k in range(nrows):
+            if k != r and (rows[k] >> c) & 1:
+                rows[k] ^= rows[r]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def rref_rank(m):
+    return len(rref(list(m.rows), m.ncols)[1])
+
+
+def rref_row_reduce(m):
+    """The nonzero RREF rows of m."""
+    rows, pivots = rref(list(m.rows), m.ncols)
+    return tuple(rows[: len(pivots)])
+
+
+def rref_nullspace(m):
+    """One kernel vector per free column f: e_f plus the pivot columns whose row has bit f."""
+    rows, pivots = rref(list(m.rows), m.ncols)
+    basis = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        v = 1 << f
+        for r, c in enumerate(pivots):
+            if (rows[r] >> f) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return tuple(basis)
+
+
+def rref_solve(m, b):
+    """The solution of m x = b with free coordinates 0, or None."""
+    aug = [r | (((b >> i) & 1) << m.ncols) for i, r in enumerate(m.rows)]
+    aug, pivots = rref(aug, m.ncols)
+    if any(aug[r] >> m.ncols for r in range(len(pivots), m.nrows)):
+        return None
+    x = 0
+    for r, c in enumerate(pivots):
+        if aug[r] >> m.ncols:
+            x |= 1 << c
+    return x
+
+
+def mul_vector(m, x):
+    """m x for a packed vector x over the columns of m, packed over its rows."""
+    bits = 0
+    for i, r in enumerate(m.rows):
+        if (r & x).bit_count() & 1:
+            bits |= 1 << i
+    return bits

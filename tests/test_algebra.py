@@ -73,7 +73,7 @@ def test_center_dimensions_and_generators():
         Z = center(L)
         gens = expected_center_generators(l)
         assert Z.dim == (1 if l % 2 else 2)
-        expected = Subspace(L.dim, GF2Matrix.from_rows(gens))
+        expected = Subspace(L.dim, GF2Matrix(len(gens), L.dim, gens))
         assert Z.same_space(expected)
 
 

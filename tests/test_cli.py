@@ -4,6 +4,7 @@ from pathlib import Path
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference"
 
 
 def test_verify_l5_reports_centre(capsys):
@@ -108,3 +109,18 @@ def test_integrability_command(tmp_path, capsys):
     assert doc["deformations_verified"] is True
     assert doc["verdicts"] == ["ZERO"]
     assert out.read_bytes() == (GOLDEN / "integrability_l4.json").read_bytes()
+
+
+def test_model_option_only_on_verify_and_cohomology(tmp_path, capsys):
+    # rigidity always runs on the wedge-square model and integrability on
+    # the Chevalley algebra; an option that changed nothing is now refused.
+    assert main(["rigidity", "--model", "exterior", "--l", "5"]) == EXIT_USAGE
+    assert main(["rigidity", "--model", "chevalley", "--l", "5"]) == EXIT_USAGE
+    assert main(["integrability", "--model", "chevalley", "--l", "4"]) == EXIT_USAGE
+    assert "--model" in capsys.readouterr().err
+    # Without it the reports are unchanged (integrability --l 4 is
+    # test_integrability_command).
+    out = tmp_path / "rigidity_l7.json"
+    assert main(["rigidity", "--l", "7", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert out.read_bytes() == (BENCH_REFERENCE / "rigidity_l7.json").read_bytes()
