@@ -58,6 +58,7 @@ class LieAlgebra:
         self._pairs_with_support = None
         self._adjacency = None
         self._center = None
+        self._graded = None
         self._weight_index = None
         self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
 
@@ -277,13 +278,15 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
 
 
 def check_weight_additivity(L: LieAlgebra) -> bool:
-    """Every stored bracket entry lands in the weight-(mu+nu) subspace."""
-    for (i, j), v in L.brackets.items():
-        w = wadd(L.weights[i], L.weights[j])
-        for m in bit_indices(v):
-            if L.weights[m] != w:
-                return False
-    return True
+    """Every stored bracket entry lands in the weight-(mu+nu) subspace; checked once per algebra."""
+    if L._graded is None:
+        weights = L.weights
+        L._graded = all(
+            weights[m] == wadd(weights[i], weights[j])
+            for (i, j), v in L.brackets.items()
+            for m in bit_indices(v)
+        )
+    return L._graded
 
 
 def weight_decomposition(L: LieAlgebra) -> dict[Weight, Subspace]:

@@ -58,6 +58,11 @@ def model7():
 
 
 @pytest.fixture(scope="session")
+def model9():
+    return build_quotient_model(9)
+
+
+@pytest.fixture(scope="session")
 def timed_survey():
     """Session cache of (survey, elapsed seconds) keyed on the algebra."""
     cache = {}

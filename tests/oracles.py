@@ -6,9 +6,14 @@
 - The dense column-sweep reduced row echelon form over GF(2); the
   library's rank, row_reduce, nullspace and solve must equal what it
   gives, bit for bit.
+- The unpruned H^2 survey, which ranks every weight block of C^2, and
+  the ungraded H^2, which ranks the whole complex at once; the pruned
+  survey must give the same rows and the same total.
 """
 
 from itertools import combinations
+
+from d2lie.cohomology import _block_row, _c2_weights, _image_rank
 
 
 def truncated_jacobi(L, psi, i, j, k):
@@ -107,3 +112,23 @@ def mul_vector(m, x):
         if (r & x).bit_count() & 1:
             bits |= 1 << i
     return bits
+
+
+# -- second cohomology --------------------------------------------------
+
+
+def unpruned_survey_rows(L):
+    """h2_survey_rows without torus pruning: every C^2 weight block is ranked."""
+    rows = (_block_row(L, mu) for mu in _c2_weights(L))
+    return [r for r in rows if r["dim_h2"]]
+
+
+def ungraded_h2_dim(L):
+    """dim H^2 computed on the whole complex, ignoring the grading.
+
+    Quadratically larger than the graded path; for small algebras only.
+    """
+    dim = L.dim
+    c1 = [((i,), k) for i in range(dim) for k in range(dim)]
+    c2 = [((i, j), k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
+    return len(c2) - _image_rank(L, c2) - _image_rank(L, c1)

@@ -8,7 +8,7 @@ comparison is bit-exact equality.
 import random
 import time
 
-from oracles import truncated_jacobi
+from oracles import truncated_jacobi, ungraded_h2_dim
 
 from d2lie.algebra import (
     Subspace,
@@ -25,7 +25,6 @@ from d2lie.cohomology import (
     differential,
     h2_weight_survey,
     is_coboundary,
-    ungraded_h2_dim,
     weight_block,
 )
 from d2lie.deformation import (
@@ -89,13 +88,15 @@ def test_criterion_2_centre_claims():
     _stamp(2, "centre claims", t0)
 
 
-def test_criterion_3_cohomology_dimensions(model5, model7, d4, d6, timed_survey):
+def test_criterion_3_cohomology_dimensions(model5, model7, model9, d4, d6, d8, timed_survey):
     t0 = time.time()
     cases = [
         ("model rank 5", model5.algebra, 10),
         ("model rank 7", model7.algebra, 14),
+        ("model rank 9", model9.algebra, 18),
         ("D4", d4, 24),
         ("D6", d6, 12),
+        ("D8", d8, 16),
     ]
     for name, L, expected in cases:
         survey, elapsed = timed_survey(L)
@@ -107,9 +108,10 @@ def test_criterion_3_cohomology_dimensions(model5, model7, d4, d6, timed_survey)
     _stamp(3, "cohomology dimensions", t0)
 
 
-def test_criterion_4_weight_lists(model5, model7, d4, d6, timed_survey):
+def test_criterion_4_weight_lists(model5, model7, model9, d4, d6, d8, timed_survey):
     t0 = time.time()
-    for L, l in ((model5.algebra, 5), (d6, 6), (model7.algebra, 7)):
+    ranks = ((model5.algebra, 5), (d6, 6), (model7.algebra, 7), (d8, 8), (model9.algebra, 9))
+    for L, l in ranks:
         assert set(timed_survey(L)[0]) == _eps2(l), f"weights differ at rank {l}"
     # Rank 4: the three stated orbits.
     sys4 = build_root_system(4)
@@ -123,7 +125,7 @@ def test_criterion_4_weight_lists(model5, model7, d4, d6, timed_survey):
     assert weights4 == set(orbits)
     assert len(weights4) == 24
     # Every supported weight splits as an orthogonal pair of roots.
-    for L, l in ((model5.algebra, 5), (d6, 6), (model7.algebra, 7), (d4, 4)):
+    for L, l in (*ranks, (d4, 4)):
         system = build_root_system(l)
         for mu in timed_survey(L)[0]:
             found = any(

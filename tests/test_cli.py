@@ -124,3 +124,11 @@ def test_model_option_only_on_verify_and_cohomology(tmp_path, capsys):
     assert main(["rigidity", "--l", "7", "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
     assert out.read_bytes() == (BENCH_REFERENCE / "rigidity_l7.json").read_bytes()
+
+
+def test_rank_6_reports_match_goldens(tmp_path, capsys):
+    for command, expected in (("cohomology", "12 weights"), ("integrability", "12 classes")):
+        out = tmp_path / f"{command}_l6.json"
+        assert main([command, "--l", "6", "--out", str(out)]) == EXIT_OK
+        assert expected in capsys.readouterr().out
+        assert out.read_bytes() == (GOLDEN / f"{command}_l6.json").read_bytes()

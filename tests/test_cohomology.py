@@ -2,8 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import ungraded_h2_dim, unpruned_survey_rows
 
-from d2lie.algebra import LieAlgebra, build_chevalley_D
+from d2lie.algebra import LieAlgebra, build_chevalley_D, check_jacobi, check_weight_additivity
 from d2lie.cohomology import (
     Cochain,
     basis_cochain_weight,
@@ -15,14 +16,15 @@ from d2lie.cohomology import (
     h2_weight_survey,
     is_coboundary,
     representative,
-    ungraded_h2_dim,
     weight_block,
     _block_pairs,
     _c2_groups,
+    _c2_weights,
+    _torus_functionals,
 )
 from d2lie.exterior import phi
 from d2lie.gf2 import bit_indices
-from d2lie.roots import wadd, wsub, wzero
+from d2lie.roots import build_root_system, is_zero_weight, wadd, wdot, wsub, wzero
 
 
 def e4_weight(c):
@@ -264,6 +266,83 @@ def test_survey_rows_structure(d4):
 def test_graded_matches_ungraded_d3(d3):
     graded = sum(h2_weight_survey(d3).values())
     assert graded == ungraded_h2_dim(d3)
+
+
+# -- torus pruning -------------------------------------------------------------
+
+
+def test_pruned_survey_equals_unpruned_oracle(d4, d5, d6, model5):
+    for L in (d4, d5, d6, model5.algebra):
+        assert h2_survey_rows(L) == unpruned_survey_rows(L)
+
+
+def test_torus_functionals_and_block_counts(d4, d5, d6, model5):
+    # (algebra, functionals, C^2 blocks, blocks left to rank)
+    cases = ((d4, 4, 601, 145), (d5, 5, 2011, 131), (d6, 6, 5517, 297), (model5.algebra, 4, 2011, 131))
+    for L, n_functionals, n_blocks, n_ranked in cases:
+        functionals = _torus_functionals(L)
+        assert len(functionals) == n_functionals
+        assert len(_c2_groups(L)) == n_blocks
+        assert len(_c2_weights(L, functionals)) == n_ranked
+    # H_i scales E_a by <a, alpha_i> mod 2, the parity lambda_i gives a.
+    simple = build_root_system(4).simple
+    for lam, alpha in zip(_torus_functionals(d4), simple, strict=True):
+        for w in d4.weights:
+            assert sum(w[i] for i in bit_indices(lam)) % 2 == wdot(w, alpha) % 2
+
+
+def _lie_derivative_is_one(L, ad, pre, n, mu):
+    """Whether L_h c = c for every basis cochain c of C^n_mu.
+
+    ad[m] = [h, b_m] from the bracket table and pre[j] lists the m with b_j
+    in ad[m].  For c = key -> b_k, (L_h c)(x) = [h, c(x)] + sum_i c(.., [h, x_i], ..):
+    the first term is ad[k] at key, and the slot of key's argument i takes
+    each b_m with b_i in [h, b_m], at the key with i replaced by m.
+    """
+    for key, k in _block_pairs(L, n, mu):
+        image = {key: ad[k]}
+        for i in key:
+            rest = tuple(x for x in key if x != i)
+            for m in pre[i]:
+                if m not in rest:
+                    t = tuple(sorted((*rest, m)))
+                    image[t] = image.get(t, 0) ^ (1 << k)
+        if {t: v for t, v in image.items() if v} != {key: 1 << k}:
+            return False
+    return True
+
+
+def test_pruned_blocks_are_acyclic_by_torus_action(d4, model5):
+    # Checked from bracket_basis alone: on every block the survey skips,
+    # some diagonal weight-0 h acts on C^1_mu and C^2_mu by the scalar 1.
+    for L in (d4, model5.algebra):
+        actions = []
+        for h in range(L.dim):
+            ad = [L.bracket_basis(h, m) for m in range(L.dim)]
+            if is_zero_weight(L.weights[h]) and all(v in (0, 1 << m) for m, v in enumerate(ad)):
+                pre = [[m for m in range(L.dim) if ad[m] >> j & 1] for j in range(L.dim)]
+                actions.append((ad, pre))
+        every, kept = set(_c2_groups(L)), set(_c2_weights(L, _torus_functionals(L)))
+        assert kept < every
+        for mu in sorted(every - kept):
+            assert any(
+                all(_lie_derivative_is_one(L, ad, pre, n, mu) for n in (1, 2))
+                for ad, pre in actions
+            ), f"no torus element acts by 1 at weight {mu}"
+
+
+def test_survey_drops_torus_elements_without_a_functional():
+    # In A, h sends x and y to x + y: nilpotent, yet every vector of odd
+    # weight meets it, so reading its bracket support as a character would
+    # prune the odd weight -1, where H^2 has dimension 2.  In B, h scales x
+    # but not y of the same weight: diagonal, but no functional of the weights.
+    A = LieAlgebra(["h", "x", "y"], [(0,), (1,), (1,)], {(0, 1): 0b110, (0, 2): 0b110})
+    B = LieAlgebra(["h", "x", "y"], [(0,), (1,), (1,)], {(0, 1): 0b10})
+    for L in (A, B):
+        assert check_jacobi(L).ok and check_weight_additivity(L)
+        assert _torus_functionals(L) == ()
+        assert h2_survey_rows(L) == unpruned_survey_rows(L)
+    assert {r["weight"]: r["dim_h2"] for r in h2_survey_rows(A)}[(-1,)] == 2
 
 
 # -- weight blocks ------------------------------------------------------------
