@@ -57,7 +57,9 @@ class LieAlgebra:
         self.brackets = table
         self._pairs_with_support = None
         self._adjacency = None
+        self._term_codes = None
         self._center = None
+        self._jacobiator = None
         self._graded = None
         self._weight_index = None
         self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
@@ -120,13 +122,16 @@ class LieAlgebra:
             self._adjacency = _adjacency(self.brackets, self.dim)
         return self._adjacency
 
-    def pairs_with_support(self) -> list[list[tuple[int, int]]]:
-        """For each m, the bracket keys (i, j) whose value involves b_m."""
+    def pairs_with_support(self) -> list[list[int]]:
+        """For each m, the bracket keys (i, j) whose value involves b_m, as masks (1 << i) | (1 << j).
+
+        The masks serve the packed coordinates of cohomology._images.
+        """
         if self._pairs_with_support is None:
-            pws: list[list[tuple[int, int]]] = [[] for _ in range(self.dim)]
-            for key, v in self.brackets.items():
+            pws: list[list[int]] = [[] for _ in range(self.dim)]
+            for (i, j), v in self.brackets.items():
                 for m in bit_indices(v):
-                    pws[m].append(key)
+                    pws[m].append((1 << i) | (1 << j))
             self._pairs_with_support = pws
         return self._pairs_with_support
 
@@ -268,9 +273,16 @@ def center(L: LieAlgebra) -> Subspace:
     return L._center
 
 
+def bracket_jacobiator(L: LieAlgebra) -> dict[tuple[int, int, int], int]:
+    """jacobiator(L.brackets), the Jacobi defect of L, computed once per algebra."""
+    if L._jacobiator is None:
+        L._jacobiator = jacobiator(L.brackets)
+    return L._jacobiator
+
+
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Jacobi identity on all basis triples; a failure names the lex-first triple."""
-    defects = jacobiator(L.brackets)
+    defects = bracket_jacobiator(L)
     if not defects:
         return JacobiReport(True)
     triple = min(defects)
@@ -414,6 +426,7 @@ __all__ = [
     "build_chevalley_D",
     "center",
     "check_jacobi",
+    "bracket_jacobiator",
     "jacobiator",
     "check_weight_additivity",
     "weight_decomposition",

@@ -103,6 +103,8 @@ def _validate(args) -> None:
         raise UsageError("integrability applies at even rank")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError(f"no directory for --out {args.out}")
+    if args.out and os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out} is a directory, not a file")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -182,9 +184,11 @@ def cmd_cohomology(args) -> int:
             f" : dim {r['dim_h2']}"
         )
 
+    # The exterior count 2l is the claim for odd l > 3; rank 3 has no
+    # expected total, so only H^2_0 = 0 decides it.
     expected: int | None = None
     if args.model == "exterior":
-        expected = 2 * args.l
+        expected = 2 * args.l if args.l >= 5 else None
     elif args.l % 2 == 0:
         expected = 24 if args.l == 4 else 2 * args.l
     ok = h2_zero == 0 and (expected is None or total == expected)

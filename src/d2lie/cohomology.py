@@ -29,6 +29,7 @@ every functional; _c2_groups is the unpruned view, every C^2 block.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, check_weight_additivity
@@ -145,13 +146,39 @@ def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
     return w
 
 
-def _cochain(degree: int, dim: int, coords: list | tuple, bits: int) -> Cochain:
+def _cochain(degree: int, dim: int, coords: Sequence | Mapping, bits: int) -> Cochain:
     """The cochain whose coordinates (key, value index) are coords[p] for the set bits p."""
     data: dict[tuple, int] = {}
     for p in bit_indices(bits):
         key, k = coords[p]
         data[key] = data.get(key, 0) ^ (1 << k)
     return Cochain(degree, dim, data)
+
+
+def _coord_code(key, k: int, dim: int) -> int:
+    """The packed coordinate (key, value index k): bit i for each i in key, and bit dim + k."""
+    code = 1 << (dim + k)
+    for i in key:
+        code |= 1 << i
+    return code
+
+
+def _coord_of_code(code: int, dim: int) -> tuple[tuple[int, ...], int]:
+    """The (key, value index) a packed coordinate codes, inverse to _coord_code."""
+    return tuple(bit_indices(code & ((1 << dim) - 1))), (code >> dim).bit_length() - 1
+
+
+def _term_codes(L: LieAlgebra) -> list[list[int]]:
+    """For each k, the code of ((a,), m) for each b_m in a nonzero [b_a, b_k], by a then m.
+
+    The adjacency of L in packed coordinates, built once per algebra.
+    """
+    if L._term_codes is None:
+        L._term_codes = [
+            [_coord_code((a,), m, L.dim) for a, v in row for m in bit_indices(v)]
+            for row in L.adjacency()
+        ]
+    return L._term_codes
 
 
 # -- differential ------------------------------------------------------
@@ -166,11 +193,14 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
     src = [(key, k) for key, bits in c.data.items() for k in bit_indices(bits)]
-    target_pos: dict[tuple, int] = {}
+    target_pos: dict[int, int] = {}
     acc = 0
     for img in _images(L, src, target_pos):
         acc ^= img
-    return _cochain(c.degree + 1, c.dim, list(target_pos), acc)
+    # Decode only the coordinates that survive the cancellations.
+    codes = list(target_pos)
+    survivors = {p: _coord_of_code(codes[p], L.dim) for p in bit_indices(acc)}
+    return _cochain(c.degree + 1, c.dim, survivors, acc)
 
 
 # -- weight blocks -----------------------------------------------------
@@ -201,35 +231,34 @@ def cochain_basis(L: LieAlgebra, n: int, mu: Weight) -> list[Cochain]:
     ]
 
 
-def _images(
-    L: LieAlgebra, src: list[tuple[tuple, int]], target_pos: dict[tuple, int]
-) -> list[int]:
+def _images(L: LieAlgebra, src: list[tuple[tuple, int]], target_pos: dict[int, int]) -> list[int]:
     """d of each basis cochain (key, k) in src, packed over target_pos.
 
-    target_pos maps a target coordinate (key, value index) to its bit.
-    A coordinate not yet in it gets the next number, in place, in the
-    order the terms reach it.  Each term toggles its bit, so terms that
-    meet cancel and a numbered coordinate may end up zero in every image.
+    A target coordinate (key, value index m) is coded as one int, the
+    mask of the key's indices with bit dim + m set (_coord_code), so a
+    term is a mask union and "a not in key" a mask test: no key is
+    sorted and no tuple built.  target_pos maps a coded coordinate to its
+    bit.  A coordinate not yet in it gets the next number, in place, in
+    the order the terms reach it.  Each term toggles its bit, so terms
+    that meet cancel and a numbered coordinate may end up zero in every
+    image.
     """
-    adj = L.adjacency()
+    dim = L.dim
+    codes = _term_codes(L)
     pws = L.pairs_with_support()
     images = []
     for key, k in src:
-        # sum_i [x_i, c(.. x_i dropped ..)]: x_i = b_a brackets the value b_k.
-        terms = [
-            (tuple(sorted((*key, a))), m)
-            for a, v in adj[k]
-            if a not in key
-            for m in bit_indices(v)
-        ]
-        # sum_{i<j} c([x_i, x_j], ..): [b_a, b_b] meets the argument b_i.
+        mask = 0
         for i in key:
-            rest = tuple(x for x in key if x != i)
-            terms += [
-                (tuple(sorted((*rest, a, b))), k)
-                for a, b in pws[i]
-                if a not in rest and b not in rest
-            ]
+            mask |= 1 << i
+        # sum_i [x_i, c(.. x_i dropped ..)]: x_i = b_a brackets the value b_k
+        # into b_m; the code of (a, m) has bit a, so it meets the key there.
+        terms = [mask | t for t in codes[k] if not t & mask]
+        # sum_{i<j} c([x_i, x_j], ..): [b_a, b_b] meets the argument b_i.
+        value = 1 << (dim + k)
+        for i in key:
+            rest = (mask ^ (1 << i)) | value
+            terms += [rest | pair for pair in pws[i] if not pair & rest]
         img = 0
         for t in terms:
             pos = target_pos.get(t)
@@ -243,7 +272,7 @@ def _images(
 def _diff_matrix(
     L: LieAlgebra,
     src: list[tuple[tuple, int]],
-    target_pos: dict[tuple, int],
+    target_pos: dict[int, int],
 ) -> GF2Matrix:
     """Matrix of the differential, columns over src, rows over target_pos."""
     images = _images(L, src, target_pos)
@@ -282,7 +311,7 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     _require_graded(L)
     c1 = _block_pairs(L, 1, mu)
     c2 = _block_pairs(L, 2, mu)
-    d1 = _diff_matrix(L, c1, {pk: p for p, pk in enumerate(c2)})
+    d1 = _diff_matrix(L, c1, {_coord_code(key, k, L.dim): p for p, (key, k) in enumerate(c2)})
     d2 = _diff_matrix(L, c2, {})
     return WeightBlock(mu, tuple(c1), tuple(c2), d1, d2)
 
@@ -408,8 +437,8 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     src = _block_pairs(L, c.degree - 1, mu)
     # c's own coordinates come first, so c is the all-ones vector on them;
     # coordinates only the images reach are numbered after.
-    coords = [(key, m) for key, v in c.items_sorted() for m in bit_indices(v)]
-    target_pos = {pk: p for p, pk in enumerate(coords)}
+    coords = [_coord_code(key, m, L.dim) for key, v in c.items_sorted() for m in bit_indices(v)]
+    target_pos = {code: p for p, code in enumerate(coords)}
     images = _images(L, src, target_pos)
     x = solve_columns(images, len(target_pos), (1 << len(coords)) - 1)
     if x is None:

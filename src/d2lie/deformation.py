@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import (
     LieAlgebra,
+    bracket_jacobiator,
     center,
     chevalley_rank,
     jacobiator,
@@ -252,7 +253,7 @@ def verify_deformation(D: DeformedAlgebra) -> DeformationReport:
     )
 
     coefficients = (
-        jacobiator(L.brackets),
+        bracket_jacobiator(L),
         differential(L, psi).data,
         cup_square(L, psi).data,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .algebra import LieAlgebra
 from .cohomology import Cochain
@@ -289,19 +290,31 @@ def phi_eval(
 
 
 def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
-    """Degree-2 cochain of phi at an arbitrary nonzero vector of V."""
+    """Degree-2 cochain of phi at an arbitrary nonzero vector of V.
+
+    Every term of the eight-term formula pairs v with an argument vector,
+    so a value vanishes unless one monomial is touched, meaning v pairs
+    with one of its vectors, and the other is touched or a dual pair
+    e_c e_-c.  Only those pairs are evaluated: O(l^2) of them at a basis
+    vector, against the C(n, 2) pairs of all n model monomials.
+    """
     if v == 0:
         raise ValueError("phi is defined at nonzero vectors")
     space = model.space
-    kept = model.monomials
-    n = len(kept)
-    units = [
-        (1 << a, 1 << b) for a, b in kept
-    ]
+    form = space.form
+    touched = set()
+    candidates = []
+    for i, (a, b) in enumerate(model.monomials):
+        if form(v, 1 << a) or form(v, 1 << b):
+            touched.add(i)
+            candidates.append(i)
+        elif b == space.partner(a):
+            candidates.append(i)
     data: dict[tuple, int] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = phi_eval(space, v, units[i], units[j])
+    for i, j in combinations(candidates, 2):
+        if i in touched or j in touched:
+            (a, b), (c, d) = model.monomials[i], model.monomials[j]
+            val = phi_eval(space, v, (1 << a, 1 << b), (1 << c, 1 << d))
             if val:
                 reduced = model.reduce(val)
                 if reduced:

@@ -9,11 +9,15 @@
 - The unpruned H^2 survey, which ranks every weight block of C^2, and
   the ungraded H^2, which ranks the whole complex at once; the pruned
   survey must give the same rows and the same total.
+- The dense quadratic cocycle, which evaluates the eight-term formula on
+  every pair of model monomials; phi_of_vector, which evaluates only the
+  pairs where v can pair with an argument, must give the same cochain.
 """
 
 from itertools import combinations
 
-from d2lie.cohomology import _block_row, _c2_weights, _image_rank
+from d2lie.cohomology import Cochain, _block_row, _c2_weights, _image_rank
+from d2lie.exterior import phi_eval
 
 
 def truncated_jacobi(L, psi, i, j, k):
@@ -132,3 +136,19 @@ def ungraded_h2_dim(L):
     c1 = [((i,), k) for i in range(dim) for k in range(dim)]
     c2 = [((i, j), k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
     return len(c2) - _image_rank(L, c2) - _image_rank(L, c1)
+
+
+# -- the quadratic cocycle of the wedge-square model ---------------------
+
+
+def dense_phi_of_vector(v, model):
+    """phi at a nonzero vector v of V, evaluated on all C(n, 2) monomial pairs."""
+    units = [(1 << a, 1 << b) for a, b in model.monomials]
+    data = {}
+    for i, j in combinations(range(len(units)), 2):
+        val = phi_eval(model.space, v, units[i], units[j])
+        if val:
+            reduced = model.reduce(val)
+            if reduced:
+                data[(i, j)] = reduced
+    return Cochain(2, model.algebra.dim, data)

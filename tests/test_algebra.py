@@ -9,6 +9,7 @@ from d2lie.algebra import (
     LieAlgebra,
     Subspace,
     algebra_to_json,
+    bracket_jacobiator,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -129,6 +130,20 @@ def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
         assert oracle and jacobiator(broken.brackets) == oracle
 
 
+def test_bracket_jacobiator_is_computed_once(d4):
+    defects = bracket_jacobiator(d4)
+    assert defects == jacobiator(d4.brackets) == {}
+    assert bracket_jacobiator(d4) is defects
+    bad = dict(d4.brackets)
+    bad[(0, 4)] = bad.get((0, 4), 0) ^ (1 << 5)
+    broken = LieAlgebra(d4.labels, d4.weights, bad)
+    defects = bracket_jacobiator(broken)
+    assert defects == jacobi_defects(broken)
+    assert bracket_jacobiator(broken) is defects
+    report = check_jacobi(broken)
+    assert (report.triple, report.defect) == (min(defects), defects[min(defects)])
+
+
 def test_jacobi_catches_corruption():
     L = build_chevalley_D(3)
     sys = build_root_system(3)
@@ -162,6 +177,13 @@ def test_adjacency_matches_bracket_table(d4, model5):
         for k in range(L.dim):
             expected = [(a, L.bracket_basis(a, k)) for a in range(L.dim) if L.bracket_basis(a, k)]
             assert adj[k] == expected
+
+
+def test_pairs_with_support_are_masks(d4, model5):
+    for L in (d4, model5.algebra):
+        pws = L.pairs_with_support()
+        for k in range(L.dim):
+            assert pws[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
 
 
 def test_weight_additivity():

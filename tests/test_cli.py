@@ -53,6 +53,27 @@ def test_usage_error_unknown_command(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+def test_usage_error_out_is_a_directory(tmp_path, monkeypatch, capsys):
+    def no_work(l):
+        raise RuntimeError("the algebra was built before --out was checked")
+
+    monkeypatch.setattr("d2lie.cli.build_chevalley_D", no_work)
+    assert main(["verify", "--l", "4", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_exterior_rank_3_has_no_expected_total(tmp_path, capsys):
+    # The 2l count is the claim for odd l > 3; at rank 3 only H^2_0 = 0 is checked.
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "--model", "exterior", "--l", "3", "--out", str(out)]) == EXIT_OK
+    assert "expected total" not in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["total_dim_h2"] == 20
+    assert doc["expected_total"] is None
+    assert doc["dim_h2_at_zero"] == 0
+    assert doc["pass"] is True
+
+
 def test_library_discrepancy_exits_2(monkeypatch, capsys):
     def contradiction(L):
         raise ArithmeticError("weight (0, 0, 2, 0): cup square survived")

@@ -20,6 +20,9 @@ from d2lie.cohomology import (
     _block_pairs,
     _c2_groups,
     _c2_weights,
+    _coord_code,
+    _coord_of_code,
+    _term_codes,
     _torus_functionals,
 )
 from d2lie.exterior import phi
@@ -217,13 +220,42 @@ def _random_cochain(L, n, rng, density):
     return Cochain(n, L.dim, data)
 
 
-def test_differential_matches_pointwise_oracle(d3, d4, model3):
+def test_differential_matches_pointwise_oracle(d3, d4, d5, model3, model5):
     rng = random.Random(25)
     cases = [(d4, 1, 1.0), (d4, 1, 0.2), (d4, 2, 0.05), (d4, 2, 0.5)]
     cases += [(L, 3, density) for L in (d3, model3.algebra) for density in (0.02, 0.3)]
+    # D_5 and the rank-5 model have 45 and 44 basis vectors, so the packed
+    # target coordinates of _images (key mask plus bit dim + k) pass 64 bits.
+    cases += [(L, n, density) for L in (d5, model5.algebra) for n, density in ((1, 0.5), (2, 0.03))]
     for L, n, density in cases:
         c = _random_cochain(L, n, rng, density)
         assert differential(L, c).data == _differential_oracle(L, c)
+
+
+def test_coordinate_code_round_trips(d4):
+    dim = d4.dim
+    for n in (1, 2, 3, 4):
+        codes = set()
+        for key in combinations(range(dim), n):
+            for k in range(dim):
+                code = _coord_code(key, k, dim)
+                assert _coord_of_code(code, dim) == (key, k)
+                codes.add(code)
+        assert len(codes) == len(list(combinations(range(dim), n))) * dim
+
+
+def test_term_codes_match_bracket_table(d4, model5):
+    for L in (d4, model5.algebra):
+        dim = L.dim
+        codes = _term_codes(L)
+        assert _term_codes(L) is codes  # built once per algebra
+        for k in range(dim):
+            assert codes[k] == [
+                (1 << a) | (1 << (dim + m))
+                for a in range(dim)
+                for m in range(dim)
+                if (L.bracket_basis(a, k) >> m) & 1
+            ]
 
 
 # -- cohomology dimensions ---------------------------------------------------

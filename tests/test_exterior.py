@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import dense_phi_of_vector
 
 from d2lie.algebra import (
     build_chevalley_D,
@@ -245,6 +246,17 @@ def test_phi_closed_form_cross_check(model5):
                 assert phi_eval(s, v, units[i], units[j]) == phi_eval_poisson_form(
                     s, v, units[i], units[j]
                 )
+
+
+def test_phi_of_vector_matches_dense_oracle(model3, model5, model7):
+    rng = random.Random(91)
+    for model in (model3, model5, model7):
+        dim = model.space.dim
+        vectors = [1 << i for i in range(dim)] + [rng.randrange(1, 1 << dim) for _ in range(10)]
+        for v in vectors:
+            sparse, dense = phi_of_vector(v, model), dense_phi_of_vector(v, model)
+            assert sparse == dense
+            assert list(sparse.data) == list(dense.data)  # same keys, in the same order
 
 
 def test_phi_rejects_zero_vector(model5):
