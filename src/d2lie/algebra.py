@@ -55,7 +55,6 @@ class LieAlgebra:
         self.labels = labels
         self.weights = weights
         self.brackets = table
-        self._pairs_with_support = None
         self._adjacency = None
         self._term_codes = None
         self._center = None
@@ -121,19 +120,6 @@ class LieAlgebra:
         if self._adjacency is None:
             self._adjacency = _adjacency(self.brackets, self.dim)
         return self._adjacency
-
-    def pairs_with_support(self) -> list[list[int]]:
-        """For each m, the bracket keys (i, j) whose value involves b_m, as masks (1 << i) | (1 << j).
-
-        The masks serve the packed coordinates of cohomology._images.
-        """
-        if self._pairs_with_support is None:
-            pws: list[list[int]] = [[] for _ in range(self.dim)]
-            for (i, j), v in self.brackets.items():
-                for m in bit_indices(v):
-                    pws[m].append((1 << i) | (1 << j))
-            self._pairs_with_support = pws
-        return self._pairs_with_support
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim})"
@@ -301,15 +287,6 @@ def check_weight_additivity(L: LieAlgebra) -> bool:
     return L._graded
 
 
-def weight_decomposition(L: LieAlgebra) -> dict[Weight, Subspace]:
-    """Partition of the basis by weight label."""
-    out = {}
-    for w, idxs in L.weight_index().items():
-        rows = [1 << i for i in idxs]
-        out[w] = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows))
-    return out
-
-
 # -- central quotients ------------------------------------------------
 
 
@@ -399,19 +376,6 @@ def format_label(label: Label) -> str:
     return str(label)
 
 
-def algebra_to_json(L: LieAlgebra) -> dict:
-    """JSON document: dim, labels, weights, sparse bracket triples."""
-    return {
-        "dim": L.dim,
-        "labels": [format_label(x) for x in L.labels],
-        "weights": [list(w) for w in L.weights],
-        "brackets": [
-            [i, j, sorted(bit_indices(v))]
-            for (i, j), v in sorted(L.brackets.items())
-        ],
-    }
-
-
 def chevalley_rank(L: LieAlgebra) -> int:
     """Recover l from a build_chevalley_D result (weight-vector length)."""
     if not L.weights:
@@ -429,11 +393,9 @@ __all__ = [
     "bracket_jacobiator",
     "jacobiator",
     "check_weight_additivity",
-    "weight_decomposition",
     "quotient_by_center",
     "quotient_with_projection",
     "expected_center_generators",
-    "algebra_to_json",
     "format_label",
     "chevalley_rank",
 ]

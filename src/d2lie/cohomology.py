@@ -25,11 +25,17 @@ that is not diagonal or whose character is not linear gives no
 functional; that only prunes fewer blocks, so dropping it is always
 safe.  The survey enumerates just the weights with lambda . mu even for
 every functional; _c2_groups is the unpruned view, every C^2 block.
+
+Inside this module a basis cochain key -> b_k is one int, its packed
+coordinate (_coord_code): the mask of the key's indices with bit dim + k
+set.  Weight blocks are listed, differentiated, ranked and solved in
+that form; Cochain is the type at the module's boundary, and _cochain
+is the one place a set of packed coordinates becomes one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, check_weight_additivity
@@ -146,11 +152,11 @@ def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
     return w
 
 
-def _cochain(degree: int, dim: int, coords: Sequence | Mapping, bits: int) -> Cochain:
-    """The cochain whose coordinates (key, value index) are coords[p] for the set bits p."""
+def _cochain(degree: int, dim: int, codes: Sequence[int], bits: int) -> Cochain:
+    """The cochain with the packed coordinates codes[p] for the set bits p of bits."""
     data: dict[tuple, int] = {}
     for p in bit_indices(bits):
-        key, k = coords[p]
+        key, k = _coord_of_code(codes[p], dim)
         data[key] = data.get(key, 0) ^ (1 << k)
     return Cochain(degree, dim, data)
 
@@ -168,16 +174,25 @@ def _coord_of_code(code: int, dim: int) -> tuple[tuple[int, ...], int]:
     return tuple(bit_indices(code & ((1 << dim) - 1))), (code >> dim).bit_length() - 1
 
 
-def _term_codes(L: LieAlgebra) -> list[list[int]]:
-    """For each k, the code of ((a,), m) for each b_m in a nonzero [b_a, b_k], by a then m.
+def _term_codes(L: LieAlgebra) -> tuple[list[list[int]], list[list[int]]]:
+    """The two term tables of _images, built once per algebra.
 
-    The adjacency of L in packed coordinates, built once per algebra.
+    codes[k] lists the code of ((a,), m) for each b_m in a nonzero
+    [b_a, b_k], by a then m: the adjacency of L in packed coordinates.
+    pairs[m] lists the key mask (1 << i) | (1 << j) of each bracket
+    [b_i, b_j] that involves b_m, in table order.
     """
     if L._term_codes is None:
-        L._term_codes = [
-            [_coord_code((a,), m, L.dim) for a, v in row for m in bit_indices(v)]
+        dim = L.dim
+        pairs: list[list[int]] = [[] for _ in range(dim)]
+        for (i, j), v in L.brackets.items():
+            for m in bit_indices(v):
+                pairs[m].append((1 << i) | (1 << j))
+        codes = [
+            [_coord_code((a,), m, dim) for a, v in row for m in bit_indices(v)]
             for row in L.adjacency()
         ]
+        L._term_codes = codes, pairs
     return L._term_codes
 
 
@@ -192,22 +207,20 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     """
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
-    src = [(key, k) for key, bits in c.data.items() for k in bit_indices(bits)]
+    src = [_coord_code(key, k, L.dim) for key, bits in c.data.items() for k in bit_indices(bits)]
     target_pos: dict[int, int] = {}
     acc = 0
     for img in _images(L, src, target_pos):
         acc ^= img
-    # Decode only the coordinates that survive the cancellations.
-    codes = list(target_pos)
-    survivors = {p: _coord_of_code(codes[p], L.dim) for p in bit_indices(acc)}
-    return _cochain(c.degree + 1, c.dim, survivors, acc)
+    # Only the coordinates that survive the cancellations are decoded.
+    return _cochain(c.degree + 1, L.dim, list(target_pos), acc)
 
 
 # -- weight blocks -----------------------------------------------------
 
 
-def _block_pairs(L: LieAlgebra, n: int, mu: Weight) -> list[tuple[tuple, int]]:
-    """Ordered basis of the weight-mu degree-n cochains, as (key, value) pairs.
+def _block_coords(L: LieAlgebra, n: int, mu: Weight) -> list[int]:
+    """Ordered basis of the weight-mu degree-n cochains, as packed coordinates.
 
     The basis cochain key -> b_k has weight w_k minus the weight sum of
     key, so each value weight w takes the keys summing to w - mu.  Keys
@@ -221,44 +234,32 @@ def _block_pairs(L: LieAlgebra, n: int, mu: Weight) -> list[tuple[tuple, int]]:
         for w, ks in L.weight_index().items()
         for key in sums.get(wsub(w, mu), ())
     )
-    return [(key, k) for key, ks in hits for k in ks]
+    return [_coord_code(key, k, L.dim) for key, ks in hits for k in ks]
 
 
-def cochain_basis(L: LieAlgebra, n: int, mu: Weight) -> list[Cochain]:
-    """Basis cochains of weight mu in canonical (key, value) order."""
-    return [
-        Cochain.single(n, L.dim, key, 1 << k) for key, k in _block_pairs(L, n, mu)
-    ]
+def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[int]:
+    """d of each basis cochain in src, packed over target_pos.
 
-
-def _images(L: LieAlgebra, src: list[tuple[tuple, int]], target_pos: dict[int, int]) -> list[int]:
-    """d of each basis cochain (key, k) in src, packed over target_pos.
-
-    A target coordinate (key, value index m) is coded as one int, the
-    mask of the key's indices with bit dim + m set (_coord_code), so a
-    term is a mask union and "a not in key" a mask test: no key is
-    sorted and no tuple built.  target_pos maps a coded coordinate to its
-    bit.  A coordinate not yet in it gets the next number, in place, in
-    the order the terms reach it.  Each term toggles its bit, so terms
-    that meet cancel and a numbered coordinate may end up zero in every
-    image.
+    Sources and targets are packed coordinates, so a term is a mask
+    union and "a not in key" a mask test: no key is sorted and no tuple
+    built.  target_pos maps a target coordinate to its bit.  A coordinate
+    not yet in it gets the next number, in place, in the order the terms
+    reach it.  Each term toggles its bit, so terms that meet cancel and a
+    numbered coordinate may end up zero in every image.
     """
     dim = L.dim
-    codes = _term_codes(L)
-    pws = L.pairs_with_support()
+    low = (1 << dim) - 1
+    codes, pairs = _term_codes(L)
     images = []
-    for key, k in src:
-        mask = 0
-        for i in key:
-            mask |= 1 << i
+    for code in src:
+        mask = code & low
         # sum_i [x_i, c(.. x_i dropped ..)]: x_i = b_a brackets the value b_k
         # into b_m; the code of (a, m) has bit a, so it meets the key there.
-        terms = [mask | t for t in codes[k] if not t & mask]
+        terms = [mask | t for t in codes[(code >> dim).bit_length() - 1] if not t & mask]
         # sum_{i<j} c([x_i, x_j], ..): [b_a, b_b] meets the argument b_i.
-        value = 1 << (dim + k)
-        for i in key:
-            rest = (mask ^ (1 << i)) | value
-            terms += [rest | pair for pair in pws[i] if not pair & rest]
+        for i in bit_indices(mask):
+            rest = code ^ (1 << i)
+            terms += [rest | pair for pair in pairs[i] if not pair & rest]
         img = 0
         for t in terms:
             pos = target_pos.get(t)
@@ -269,11 +270,7 @@ def _images(L: LieAlgebra, src: list[tuple[tuple, int]], target_pos: dict[int, i
     return images
 
 
-def _diff_matrix(
-    L: LieAlgebra,
-    src: list[tuple[tuple, int]],
-    target_pos: dict[int, int],
-) -> GF2Matrix:
+def _diff_matrix(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> GF2Matrix:
     """Matrix of the differential, columns over src, rows over target_pos."""
     images = _images(L, src, target_pos)
     return GF2Matrix(len(src), len(target_pos), images).transpose()
@@ -284,8 +281,8 @@ class WeightBlock:
     """One weight's slice of the complex with its two differentials."""
 
     mu: Weight
-    c1: tuple
-    c2: tuple
+    c1: tuple[int, ...]  # packed coordinates, canonical order
+    c2: tuple[int, ...]
     d1: GF2Matrix  # C1 -> C2, rows over c2
     d2: GF2Matrix  # C2 -> C3, rows over the coordinates its terms reach (some may be zero)
 
@@ -309,9 +306,9 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     so neither builds a matrix.
     """
     _require_graded(L)
-    c1 = _block_pairs(L, 1, mu)
-    c2 = _block_pairs(L, 2, mu)
-    d1 = _diff_matrix(L, c1, {_coord_code(key, k, L.dim): p for p, (key, k) in enumerate(c2)})
+    c1 = _block_coords(L, 1, mu)
+    c2 = _block_coords(L, 2, mu)
+    d1 = _diff_matrix(L, c1, {code: p for p, code in enumerate(c2)})
     d2 = _diff_matrix(L, c2, {})
     return WeightBlock(mu, tuple(c1), tuple(c2), d1, d2)
 
@@ -319,7 +316,7 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
 # -- ranks without materializing the target basis ----------------------
 
 
-def _image_rank(L: LieAlgebra, src: list[tuple[tuple, int]]) -> int:
+def _image_rank(L: LieAlgebra, src: list[int]) -> int:
     """Rank of the differential on the basis cochains src.
 
     A rank does not depend on how the target is indexed, so this serves
@@ -336,9 +333,9 @@ def _require_graded(L: LieAlgebra) -> None:
 
 def _block_row(L: LieAlgebra, mu: Weight) -> dict:
     """Survey statistics of the weight-mu block."""
-    c2 = _block_pairs(L, 2, mu)
+    c2 = _block_coords(L, 2, mu)
     rank2 = _image_rank(L, c2)
-    rank1 = _image_rank(L, _block_pairs(L, 1, mu))
+    rank1 = _image_rank(L, _block_coords(L, 1, mu))
     n2 = len(c2)
     h2 = n2 - rank2 - rank1
     if h2 < 0:
@@ -397,9 +394,9 @@ def _c2_weights(L: LieAlgebra, functionals: tuple[int, ...] = ()) -> list[Weight
     return sorted({wsub(w, s) for w in L.weight_index() for s in sums.get(parity(w), ())})
 
 
-def _c2_groups(L: LieAlgebra) -> dict[Weight, list[tuple[tuple, int]]]:
+def _c2_groups(L: LieAlgebra) -> dict[Weight, list[int]]:
     """All degree-2 basis cochains grouped by weight, the unpruned view of the survey."""
-    return {mu: _block_pairs(L, 2, mu) for mu in _c2_weights(L)}
+    return {mu: _block_coords(L, 2, mu) for mu in _c2_weights(L)}
 
 
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:
@@ -434,7 +431,7 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     if c.is_zero():
         return True, Cochain.zero(c.degree - 1, c.dim)
     mu = cochain_weight(L, c)
-    src = _block_pairs(L, c.degree - 1, mu)
+    src = _block_coords(L, c.degree - 1, mu)
     # c's own coordinates come first, so c is the all-ones vector on them;
     # coordinates only the images reach are numbered after.
     coords = [_coord_code(key, m, L.dim) for key, v in c.items_sorted() for m in bit_indices(v)]
@@ -443,7 +440,7 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     x = solve_columns(images, len(target_pos), (1 << len(coords)) - 1)
     if x is None:
         return False, None
-    return True, _cochain(c.degree - 1, c.dim, src, x)
+    return True, _cochain(c.degree - 1, L.dim, src, x)
 
 
 def representative(L: LieAlgebra, mu: Weight) -> Cochain:

@@ -89,43 +89,6 @@ def _monomial_pos(l: int) -> dict[tuple[int, int], int]:
     return {m: p for p, m in enumerate(_monomials(l))}
 
 
-@lru_cache(maxsize=None)
-def _kept_monomials(l: int) -> tuple[tuple[int, int], ...]:
-    return tuple(m for m in _monomials(l) if m != (l - 1, l))
-
-
-@lru_cache(maxsize=None)
-def _kept_pos(l: int) -> dict[tuple[int, int], int]:
-    return {m: p for p, m in enumerate(_kept_monomials(l))}
-
-
-@dataclass(frozen=True)
-class Wedge2Element:
-    """GF(2) combination of wedge monomials, packed over the lex order."""
-
-    space: SymplecticSpace
-    bits: int
-
-    @classmethod
-    def from_monomials(cls, space: SymplecticSpace, monos) -> Wedge2Element:
-        pos = _monomial_pos(space.l)
-        bits = 0
-        for sa, sb in monos:
-            a, b = space.index_of(sa), space.index_of(sb)
-            if a == b:
-                raise ValueError(f"degenerate monomial e_{sa} e_{sb}")
-            bits ^= 1 << pos[(a, b) if a < b else (b, a)]
-        return cls(space, bits)
-
-    def __add__(self, other: Wedge2Element) -> Wedge2Element:
-        if self.space != other.space:
-            raise ValueError("mismatched spaces")
-        return Wedge2Element(self.space, self.bits ^ other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
 def wedge_of_vectors(space: SymplecticSpace, x: int, y: int) -> int:
     """x wedge y expanded over monomial coordinates."""
     pos = _monomial_pos(space.l)
@@ -154,22 +117,6 @@ def _poisson_mono(space: SymplecticSpace, m1, m2, pos) -> int:
     return out
 
 
-def poisson_bracket(x: Wedge2Element, y: Wedge2Element) -> Wedge2Element:
-    """Bilinear extension of the four-term monomial bracket."""
-    if x.space != y.space:
-        raise ValueError("mismatched spaces")
-    space = x.space
-    monos = _monomials(space.l)
-    pos = _monomial_pos(space.l)
-    xm = [monos[p] for p in bit_indices(x.bits)]
-    out = 0
-    for q in bit_indices(y.bits):
-        m2 = monos[q]
-        for m1 in xm:
-            out ^= _poisson_mono(space, m1, m2, pos)
-    return Wedge2Element(space, out)
-
-
 def omega_bits(space: SymplecticSpace) -> int:
     """The invariant element e_1 e_-1 + ... + e_l e_-l in monomial coordinates."""
     pos = _monomial_pos(space.l)
@@ -177,6 +124,20 @@ def omega_bits(space: SymplecticSpace) -> int:
     for i in range(space.l):
         bits |= 1 << pos[(i, space.partner(i))]
     return bits
+
+
+def _reduce(space: SymplecticSpace, wedge_bits: int) -> int:
+    """Full monomial coordinates -> model coordinates.
+
+    The model keeps the lex order without e_l e_-l, which omega rewrites
+    as the sum of the other dual pairs; the positions above it shift
+    down by one.
+    """
+    l = space.l
+    dropped = _monomial_pos(l)[(l - 1, l)]
+    if (wedge_bits >> dropped) & 1:
+        wedge_bits ^= omega_bits(space)
+    return (wedge_bits & ((1 << dropped) - 1)) | (wedge_bits >> (dropped + 1) << dropped)
 
 
 @dataclass(frozen=True)
@@ -198,19 +159,7 @@ class QuotientModel:
 
     def reduce(self, wedge_bits: int) -> int:
         """Full monomial coordinates -> model coordinates."""
-        l = self.space.l
-        pos = _monomial_pos(l)
-        dropped = pos[(l - 1, l)]
-        if (wedge_bits >> dropped) & 1:
-            wedge_bits ^= 1 << dropped
-            for i in range(l - 1):
-                wedge_bits ^= 1 << pos[(i, self.space.partner(i))]
-        out = 0
-        kept_pos = _kept_pos(l)
-        monos = _monomials(l)
-        for p in bit_indices(wedge_bits):
-            out ^= 1 << kept_pos[monos[p]]
-        return out
+        return _reduce(self.space, wedge_bits)
 
     def monomial_index(self, sa: int, sb: int) -> int:
         """Model basis index of the monomial with signed labels sa, sb."""
@@ -232,7 +181,7 @@ def build_quotient_model(l: int) -> QuotientModel:
         raise ValueError("the quotient is a Lie-algebra model only at odd rank")
     space = SymplecticSpace(l)
     pos = _monomial_pos(l)
-    kept = _kept_monomials(l)  # e_l e_-l eliminated
+    kept = tuple(m for m in _monomials(l) if m != (l - 1, l))  # e_l e_-l eliminated
 
     labels = []
     weights = []
@@ -240,11 +189,10 @@ def build_quotient_model(l: int) -> QuotientModel:
         labels.append(("MONO", (space.label_of(a), space.label_of(b))))
         weights.append(wadd(space.weight_of_index(a), space.weight_of_index(b)))
 
-    shell = QuotientModel(space, LieAlgebra(labels, weights, {}), kept)
     brackets = {}
     for i, m1 in enumerate(kept):
         for j in range(i + 1, len(kept)):
-            v = shell.reduce(_poisson_mono(space, m1, kept[j], pos))
+            v = _reduce(space, _poisson_mono(space, m1, kept[j], pos))
             if v:
                 brackets[(i, j)] = v
     return QuotientModel(space, LieAlgebra(labels, weights, brackets), kept)
@@ -301,6 +249,8 @@ def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
     if v == 0:
         raise ValueError("phi is defined at nonzero vectors")
     space = model.space
+    if v < 0 or v >> space.dim:
+        raise ValueError("phi vector has bits outside V")
     form = space.form
     touched = set()
     candidates = []
@@ -325,36 +275,6 @@ def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
 def phi(v: int, model: QuotientModel) -> Cochain:
     """Cochain of a basis vector given by its signed label (e.g. 4 or -4)."""
     return phi_of_vector(model.space.basis_vector(v), model)
-
-
-# -- symplectic transvections ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Transvection:
-    """x -> x + (x, v) v; an involution preserving the form."""
-
-    space: SymplecticSpace
-    v: int
-
-    def __call__(self, x: int) -> int:
-        return x ^ (self.v if self.space.form(x, self.v) else 0)
-
-    def apply_to_wedge(self, wedge_bits: int) -> int:
-        monos = _monomials(self.space.l)
-        out = 0
-        for p in bit_indices(wedge_bits):
-            a, b = monos[p]
-            out ^= wedge_of_vectors(self.space, self(1 << a), self(1 << b))
-        return out
-
-
-def transvection(space: SymplecticSpace, v: int) -> Transvection:
-    if v == 0:
-        raise ValueError("transvections need a nonzero direction")
-    if v < 0 or v >> space.dim:
-        raise ValueError("transvection direction has bits outside the space")
-    return Transvection(space, v)
 
 
 # -- graded isomorphism search -----------------------------------------

@@ -87,39 +87,6 @@ def build_root_system(l: int) -> RootSystem:
     return RootSystem(l, tuple(roots), tuple(simple), frozenset(roots))
 
 
-def cartan_number(alpha: Weight, beta: Weight) -> int:
-    """Cartan pairing 2(alpha,beta)/(beta,beta); beta must be a root."""
-    den = wdot(beta, beta)
-    if den == 0:
-        raise ValueError("Cartan number undefined for isotropic second argument")
-    num = 2 * wdot(alpha, beta)
-    if num % den:
-        raise ValueError(f"non-integer Cartan number for {alpha}, {beta}")
-    return num // den
-
-
-def reflect(x: Weight, alpha: Weight) -> Weight:
-    """Reflection of x in the hyperplane orthogonal to the root alpha."""
-    c = cartan_number(x, alpha)
-    return tuple(xi - c * ai for xi, ai in zip(x, alpha))
-
-
-def weyl_orbit(w: Weight, system: RootSystem) -> frozenset[Weight]:
-    """Closure of {w} under the simple reflections (breadth-first)."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in system.simple:
-                y = reflect(x, a)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def express_in_simple_roots(w: Weight, system: RootSystem) -> tuple[int, ...] | None:
     """Integer coordinates of w over the simple roots, or None outside the lattice.
 

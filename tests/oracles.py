@@ -12,12 +12,29 @@
 - The dense quadratic cocycle, which evaluates the eight-term formula on
   every pair of model monomials; phi_of_vector, which evaluates only the
   pairs where v can pair with an argument, must give the same cochain.
+- The per-bit reduction of wedge coordinates to model coordinates, which
+  looks up each monomial's kept position; QuotientModel.reduce, a closed
+  form, must agree with it.
+
+It also holds helpers that more than one test module uses: the basis
+cochains of a weight block, symplectic transvections and Weyl orbits.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
-from d2lie.cohomology import Cochain, _block_row, _c2_weights, _image_rank
-from d2lie.exterior import phi_eval
+from d2lie.cohomology import (
+    Cochain,
+    _block_coords,
+    _block_row,
+    _c2_weights,
+    _coord_code,
+    _coord_of_code,
+    _image_rank,
+)
+from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
+from d2lie.gf2 import bit_indices
+from d2lie.roots import RootSystem, Weight, wdot
 
 
 def truncated_jacobi(L, psi, i, j, k):
@@ -133,9 +150,18 @@ def ungraded_h2_dim(L):
     Quadratically larger than the graded path; for small algebras only.
     """
     dim = L.dim
-    c1 = [((i,), k) for i in range(dim) for k in range(dim)]
-    c2 = [((i, j), k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim)]
+    c1 = [_coord_code((i,), k, dim) for i in range(dim) for k in range(dim)]
+    c2 = [_coord_code(key, k, dim) for key in combinations(range(dim), 2) for k in range(dim)]
     return len(c2) - _image_rank(L, c2) - _image_rank(L, c1)
+
+
+def cochain_basis(L, n, mu):
+    """Basis cochains of weight mu in canonical (key, value) order."""
+    out = []
+    for code in _block_coords(L, n, mu):
+        key, k = _coord_of_code(code, L.dim)
+        out.append(Cochain.single(n, L.dim, key, 1 << k))
+    return out
 
 
 # -- the quadratic cocycle of the wedge-square model ---------------------
@@ -152,3 +178,86 @@ def dense_phi_of_vector(v, model):
             if reduced:
                 data[(i, j)] = reduced
     return Cochain(2, model.algebra.dim, data)
+
+
+def per_bit_reduce(model, wedge_bits):
+    """model.reduce one bit at a time: rewrite e_l e_-l as the other dual
+    pairs, then move each monomial to its position among the kept ones."""
+    l, space = model.l, model.space
+    monos, pos = _monomials(l), _monomial_pos(l)
+    dropped = pos[(l - 1, l)]
+    if (wedge_bits >> dropped) & 1:
+        wedge_bits ^= 1 << dropped
+        for i in range(l - 1):
+            wedge_bits ^= 1 << pos[(i, space.partner(i))]
+    kept_pos = {m: p for p, m in enumerate(m for m in monos if m != (l - 1, l))}
+    out = 0
+    for p in bit_indices(wedge_bits):
+        out ^= 1 << kept_pos[monos[p]]
+    return out
+
+
+# -- symplectic transvections --------------------------------------------
+
+
+@dataclass(frozen=True)
+class Transvection:
+    """x -> x + (x, v) v; an involution preserving the form."""
+
+    space: SymplecticSpace
+    v: int
+
+    def __call__(self, x: int) -> int:
+        return x ^ (self.v if self.space.form(x, self.v) else 0)
+
+    def apply_to_wedge(self, wedge_bits: int) -> int:
+        monos = _monomials(self.space.l)
+        out = 0
+        for p in bit_indices(wedge_bits):
+            a, b = monos[p]
+            out ^= wedge_of_vectors(self.space, self(1 << a), self(1 << b))
+        return out
+
+
+def transvection(space: SymplecticSpace, v: int) -> Transvection:
+    if v == 0:
+        raise ValueError("transvections need a nonzero direction")
+    if v < 0 or v >> space.dim:
+        raise ValueError("transvection direction has bits outside the space")
+    return Transvection(space, v)
+
+
+# -- Weyl group -------------------------------------------------------------
+
+
+def cartan_number(alpha: Weight, beta: Weight) -> int:
+    """Cartan pairing 2(alpha,beta)/(beta,beta); beta must be a root."""
+    den = wdot(beta, beta)
+    if den == 0:
+        raise ValueError("Cartan number undefined for isotropic second argument")
+    num = 2 * wdot(alpha, beta)
+    if num % den:
+        raise ValueError(f"non-integer Cartan number for {alpha}, {beta}")
+    return num // den
+
+
+def reflect(x: Weight, alpha: Weight) -> Weight:
+    """Reflection of x in the hyperplane orthogonal to the root alpha."""
+    c = cartan_number(x, alpha)
+    return tuple(xi - c * ai for xi, ai in zip(x, alpha))
+
+
+def weyl_orbit(w: Weight, system: RootSystem) -> frozenset[Weight]:
+    """Closure of {w} under the simple reflections (breadth-first)."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a in system.simple:
+                y = reflect(x, a)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)

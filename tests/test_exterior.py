@@ -1,8 +1,9 @@
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
-from oracles import dense_phi_of_vector
+from oracles import dense_phi_of_vector, per_bit_reduce, transvection
 
 from d2lie.algebra import (
     build_chevalley_D,
@@ -13,20 +14,54 @@ from d2lie.algebra import (
 from d2lie.cohomology import cochain_weight, differential
 from d2lie.exterior import (
     SymplecticSpace,
-    Transvection,
-    Wedge2Element,
     build_quotient_model,
     find_graded_isomorphism,
     omega_bits,
     phi,
     phi_eval,
     phi_of_vector,
-    poisson_bracket,
-    transvection,
     wedge_of_vectors,
+    _monomial_pos,
     _monomials,
+    _poisson_mono,
 )
 from d2lie.gf2 import bit_indices
+
+
+@dataclass(frozen=True)
+class Wedge2Element:
+    """GF(2) combination of wedge monomials, packed over the lex order."""
+
+    space: SymplecticSpace
+    bits: int
+
+    @classmethod
+    def from_monomials(cls, space, monos):
+        pos = _monomial_pos(space.l)
+        bits = 0
+        for sa, sb in monos:
+            a, b = space.index_of(sa), space.index_of(sb)
+            if a == b:
+                raise ValueError(f"degenerate monomial e_{sa} e_{sb}")
+            bits ^= 1 << pos[(a, b) if a < b else (b, a)]
+        return cls(space, bits)
+
+    def is_zero(self):
+        return self.bits == 0
+
+
+def poisson_bracket(x, y):
+    """Bilinear extension of the four-term monomial bracket: the oracle for
+    the model's bracket table."""
+    space = x.space
+    monos = _monomials(space.l)
+    pos = _monomial_pos(space.l)
+    xm = [monos[p] for p in bit_indices(x.bits)]
+    out = 0
+    for q in bit_indices(y.bits):
+        for m1 in xm:
+            out ^= _poisson_mono(space, m1, monos[q], pos)
+    return Wedge2Element(space, out)
 
 
 def wedge(space, *monos):
@@ -124,13 +159,31 @@ def test_model_rank3_for_testing(model3):
 
 
 def test_reduce_rewrites_dropped_monomial(model5):
-    from d2lie.exterior import _monomial_pos
-
     pos = _monomial_pos(5)
     dropped_bit = 1 << pos[(4, 5)]  # e_5 e_-5
     reduced = model5.reduce(dropped_bit)
     labels = {model5.monomials[p] for p in bit_indices(reduced)}
     assert labels == {(i, model5.space.partner(i)) for i in range(4)}
+
+
+def test_reduce_matches_per_bit_oracle(model5, model7):
+    # Every single monomial, then 50 seeded random wedge vectors per rank.
+    rng = random.Random(41)
+    for model in (model5, model7):
+        n = len(_monomials(model.l))
+        inputs = [1 << p for p in range(n)] + [rng.getrandbits(n) for _ in range(50)]
+        for bits in inputs:
+            assert model.reduce(bits) == per_bit_reduce(model, bits)
+
+
+def test_model_bracket_matches_poisson_oracle(model3, model5):
+    # The model's bracket of two kept monomials is their Poisson bracket, reduced.
+    for model in (model3, model5):
+        s, pos = model.space, _monomial_pos(model.l)
+        units = [Wedge2Element(s, 1 << pos[m]) for m in model.monomials]
+        for i, j in combinations(range(len(units)), 2):
+            expected = per_bit_reduce(model, poisson_bracket(units[i], units[j]).bits)
+            assert model.algebra.bracket_basis(i, j) == expected
 
 
 # -- the quadratic cocycle map --------------------------------------------
@@ -141,8 +194,6 @@ def test_phi_paper_values(model5):
     i1 = model5.monomial_index(-4, -5)
     i2 = model5.monomial_index(-4, 5)
     i3 = model5.monomial_index(3, -4)
-    from d2lie.exterior import _monomial_pos
-
     e5em5 = model5.reduce(1 << _monomial_pos(5)[(4, 5)])
     assert psi.eval_basis(i1, i2) == e5em5
     e3e4 = 1 << model5.monomials.index((2, 3))
@@ -262,6 +313,14 @@ def test_phi_of_vector_matches_dense_oracle(model3, model5, model7):
 def test_phi_rejects_zero_vector(model5):
     with pytest.raises(ValueError):
         phi_of_vector(0, model5)
+
+
+def test_phi_rejects_vector_outside_v(model5):
+    # Bits at or above 2l, or a negative int, would reach the form as a
+    # negative shift count; they are rejected up front.
+    for v in (1 << 10, 1 << 10 | 1, -1, -(1 << 3)):
+        with pytest.raises(ValueError, match="outside V"):
+            phi_of_vector(v, model5)
 
 
 # -- transvections -------------------------------------------------------

@@ -1,16 +1,7 @@
 import pytest
+from oracles import cartan_number, reflect, weyl_orbit
 
-from d2lie.roots import (
-    build_root_system,
-    cartan_number,
-    eps,
-    express_in_simple_roots,
-    reflect,
-    wadd,
-    weyl_orbit,
-    wneg,
-    wzero,
-)
+from d2lie.roots import build_root_system, eps, express_in_simple_roots, wadd, wneg, wzero
 
 
 def test_root_count_l4():

@@ -1,9 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import d2lie
 
 SRC = Path(d2lie.__file__).parent
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def _raises_assertion_error(node) -> bool:
@@ -25,6 +29,22 @@ def test_library_has_no_assert_statements():
             or (isinstance(n, ast.Raise) and n.exc is not None and _raises_assertion_error(n))
         ]
     assert not found, f"assert statements or AssertionErrors in the library: {found}"
+
+
+def test_reports_survive_python_O(tmp_path):
+    # The run-time side of the check above: with asserts stripped, verify
+    # and integrability still exit 0 with the reference reports.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    for command in ("verify", "integrability"):
+        out = tmp_path / f"{command}_l4.json"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "d2lie.cli", command, "--l", "4", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (BENCH_REFERENCE / f"{command}_l4.json").read_bytes()
 
 
 def test_library_imports_are_used():
