@@ -19,6 +19,7 @@ from d2lie.algebra import (
     quotient_by_center,
     quotient_with_projection,
 )
+from d2lie.cohomology import _term_codes
 from d2lie.gf2 import GF2Matrix, bit_indices
 from d2lie.roots import build_root_system, wadd, wzero
 
@@ -198,6 +199,15 @@ def test_adjacency_matches_bracket_table(d4, model5):
         for k in range(L.dim):
             expected = [(a, L.bracket_basis(a, k)) for a in range(L.dim) if L.bracket_basis(a, k)]
             assert adj[k] == expected
+
+
+def test_pairs_with_support_are_masks(d4, model5):
+    # The pair-mask table lives in cohomology's term tables; for each m it
+    # lists the bracket keys whose value involves b_m, in table order.
+    for L in (d4, model5.algebra):
+        pairs = _term_codes(L)[1]
+        for k in range(L.dim):
+            assert pairs[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
 
 
 def test_weight_additivity():
