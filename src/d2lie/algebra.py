@@ -344,10 +344,6 @@ def quotient_with_projection(
     return LieAlgebra(labels, weights, brackets), proj
 
 
-def quotient_by_center(L: LieAlgebra, Z: Subspace) -> LieAlgebra:
-    return quotient_with_projection(L, Z)[0]
-
-
 # -- expected centre generators ---------------------------------------
 
 
@@ -393,7 +389,6 @@ __all__ = [
     "bracket_jacobiator",
     "jacobiator",
     "check_weight_additivity",
-    "quotient_by_center",
     "quotient_with_projection",
     "expected_center_generators",
     "format_label",

@@ -3,6 +3,9 @@
 Subcommands: verify, cohomology, rigidity, integrability.  Exit codes:
 0 = expected structure reproduced, 1 = usage error, 2 = mathematical
 discrepancy (reported, never silently reconciled).
+
+Each command returns its report and verdict; main writes the report to
+--out with the verdict as "pass" and turns the verdict into the exit code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .cohomology import h2_survey_rows
 from .deformation import (
     VERDICT_NONTRIVIAL,
     VERDICT_ZERO,
-    deform_bracket,
+    DeformedAlgebra,
     integrability_scan,
     rigidity_scan,
     scan_to_json,
@@ -127,7 +130,7 @@ def _weight_row(system, w) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     L = _build(args)
     jr = check_jacobi(L)
     additive = check_weight_additivity(L)
@@ -152,25 +155,19 @@ def cmd_verify(args) -> int:
         if Z.dim != 0:
             print("exterior model should be centreless", file=sys.stderr)
             ok = False
-    if args.out:
-        _write_json(
-            args.out,
-            {
-                "command": "verify",
-                "l": args.l,
-                "model": args.model,
-                "dim": L.dim,
-                "jacobi": jr.ok,
-                "weight_additivity": additive,
-                "centre_dim": Z.dim,
-                "centre_generators": gens,
-                "pass": ok,
-            },
-        )
-    return EXIT_OK if ok else EXIT_DISCREPANCY
+    return {
+        "command": "verify",
+        "l": args.l,
+        "model": args.model,
+        "dim": L.dim,
+        "jacobi": jr.ok,
+        "weight_additivity": additive,
+        "centre_dim": Z.dim,
+        "centre_generators": gens,
+    }, ok
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> tuple[dict, bool]:
     L = _build(args)
     system = build_root_system(args.l)
     rows = h2_survey_rows(L)
@@ -194,33 +191,27 @@ def cmd_cohomology(args) -> int:
     ok = h2_zero == 0 and (expected is None or total == expected)
     if expected is not None and total != expected:
         print(f"expected total {expected}, computed {total}", file=sys.stderr)
-    if args.out:
-        _write_json(
-            args.out,
+    return {
+        "command": "cohomology",
+        "l": args.l,
+        "model": args.model,
+        "total_dim_h2": total,
+        "dim_h2_at_zero": h2_zero,
+        "expected_total": expected,
+        "weights": [
             {
-                "command": "cohomology",
-                "l": args.l,
-                "model": args.model,
-                "total_dim_h2": total,
-                "dim_h2_at_zero": h2_zero,
-                "expected_total": expected,
-                "weights": [
-                    {
-                        **_weight_row(system, r["weight"]),
-                        "dim_c2": r["dim_c2"],
-                        "dim_z2": r["dim_z2"],
-                        "dim_b2": r["dim_b2"],
-                        "dim_h2": r["dim_h2"],
-                    }
-                    for r in rows
-                ],
-                "pass": ok,
-            },
-        )
-    return EXIT_OK if ok else EXIT_DISCREPANCY
+                **_weight_row(system, r["weight"]),
+                "dim_c2": r["dim_c2"],
+                "dim_z2": r["dim_z2"],
+                "dim_b2": r["dim_b2"],
+                "dim_h2": r["dim_h2"],
+            }
+            for r in rows
+        ],
+    }, ok
 
 
-def cmd_rigidity(args) -> int:
+def cmd_rigidity(args) -> tuple[dict, bool]:
     model = build_quotient_model(args.l)
     reports = rigidity_scan(model)
     ok = bool(reports) and all(r.verdict == VERDICT_NONTRIVIAL for r in reports)
@@ -230,19 +221,15 @@ def cmd_rigidity(args) -> int:
         f"{len(reports)} classes; "
         + ("all obstructed: rigid" if ok else "unobstructed classes found")
     )
-    if args.out:
-        doc = scan_to_json(args.l, "rigidity", reports)
-        doc["pass"] = ok
-        _write_json(args.out, doc)
-    return EXIT_OK if ok else EXIT_DISCREPANCY
+    return scan_to_json(args.l, "rigidity", reports), ok
 
 
-def cmd_integrability(args) -> int:
+def cmd_integrability(args) -> tuple[dict, bool]:
     L = build_chevalley_D(args.l)
     reports = integrability_scan(L)
     deform_ok = True
     for r in reports:
-        vr = verify_deformation(deform_bracket(L, r.representative))
+        vr = verify_deformation(DeformedAlgebra(L, r.representative))
         deform_ok = deform_ok and vr.ok
         print(
             f"  weight {list(r.weight)}: {r.verdict}"
@@ -257,12 +244,9 @@ def cmd_integrability(args) -> int:
         f"{len(reports)} classes; "
         + ("all integrable" if ok else "obstructions or deformation failures found")
     )
-    if args.out:
-        doc = scan_to_json(args.l, "integrability", reports)
-        doc["deformations_verified"] = deform_ok
-        doc["pass"] = ok
-        _write_json(args.out, doc)
-    return EXIT_OK if ok else EXIT_DISCREPANCY
+    doc = scan_to_json(args.l, "integrability", reports)
+    doc["deformations_verified"] = deform_ok
+    return doc, ok
 
 
 def main(argv=None) -> int:
@@ -274,10 +258,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        doc, ok = args.func(args)
     except ArithmeticError as exc:
         print(f"discrepancy: {exc}", file=sys.stderr)
         return EXIT_DISCREPANCY
+    if args.out:
+        _write_json(args.out, {**doc, "pass": ok})
+    return EXIT_OK if ok else EXIT_DISCREPANCY
 
 
 if __name__ == "__main__":

@@ -74,13 +74,6 @@ class Cochain:
     def zero(cls, degree: int, dim: int) -> Cochain:
         return cls(degree, dim, {})
 
-    @classmethod
-    def single(cls, degree: int, dim: int, key, value_bits: int) -> Cochain:
-        return cls(degree, dim, {tuple(key): value_bits})
-
-    def value(self, key) -> int:
-        return self.data.get(tuple(sorted(key)), 0)
-
     def __add__(self, other: Cochain) -> Cochain:
         if (self.degree, self.dim) != (other.degree, other.dim):
             raise ValueError("cochain shape mismatch")
@@ -207,6 +200,8 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     """
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
+    if c.dim != L.dim:
+        raise ValueError(f"cochain of dimension {c.dim} on an algebra of dimension {L.dim}")
     src = [_coord_code(key, k, L.dim) for key, bits in c.data.items() for k in bit_indices(bits)]
     target_pos: dict[int, int] = {}
     acc = 0
@@ -286,13 +281,6 @@ class WeightBlock:
     d1: GF2Matrix  # C1 -> C2, rows over c2
     d2: GF2Matrix  # C2 -> C3, rows over the coordinates its terms reach (some may be zero)
 
-    def h2_dim(self) -> int:
-        return len(self.c2) - self.d2.rank() - self.d1.rank()
-
-    def composite_is_zero(self) -> bool:
-        product = self.d2 @ self.d1
-        return all(r == 0 for r in product.rows)
-
 
 def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     """The weight-mu block with dense d1 and d2.
@@ -301,9 +289,9 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     c2; d2's rows run over the C^3 coordinates its terms reach, in term
     order, so C^3_mu is never listed.  A row whose terms all cancel is
     zero; ranks, nullspaces and solves do not see it.  The dense form
-    serves representative and the tests; H^2 dimensions go through
-    _image_rank and coboundary solves eliminate the _images columns,
-    so neither builds a matrix.
+    serves the test oracles and the benchmark's probe; H^2 dimensions
+    go through _image_rank and coboundary solves eliminate the _images
+    columns, so neither builds a matrix.
     """
     _require_graded(L)
     c1 = _block_coords(L, 1, mu)
@@ -441,17 +429,3 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     if x is None:
         return False, None
     return True, _cochain(c.degree - 1, L.dim, src, x)
-
-
-def representative(L: LieAlgebra, mu: Weight) -> Cochain:
-    """A cocycle generating a complement of the coboundaries at weight mu.
-
-    Deterministic: first kernel vector of the block's d2 (in canonical
-    basis order) that is not a coboundary.
-    """
-    block = weight_block(L, mu)
-    coboundaries = PivotBasis(block.d1.transpose().rows)
-    for v in block.d2.nullspace().rows:
-        if not coboundaries.contains(v):
-            return _cochain(2, L.dim, block.c2, v)
-    raise ValueError(f"H^2 vanishes at weight {mu}")

@@ -124,27 +124,12 @@ class GF2Matrix:
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, (1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> GF2Matrix:
-        return cls(nrows, ncols, (0,) * nrows)
-
     def transpose(self) -> GF2Matrix:
         cols = [0] * self.ncols
         for i, r in enumerate(self.rows):
             for c in bit_indices(r):
                 cols[c] |= 1 << i
         return GF2Matrix(self.ncols, self.nrows, cols)
-
-    def __matmul__(self, other: GF2Matrix) -> GF2Matrix:
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        out = []
-        for r in self.rows:
-            acc = 0
-            for j in bit_indices(r):
-                acc ^= other.rows[j]
-            out.append(acc)
-        return GF2Matrix(self.nrows, other.ncols, out)
 
     def rank(self) -> int:
         return PivotBasis(self.rows).rank

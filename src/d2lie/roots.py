@@ -64,9 +64,6 @@ class RootSystem:
     simple: tuple[Weight, ...]
     root_set: frozenset[Weight]
 
-    def root_index(self, r: Weight) -> int:
-        return self.roots.index(r)
-
 
 def build_root_system(l: int) -> RootSystem:
     """All 2l(l-1) roots {±eps_i ± eps_j, i < j} with the fixed enumeration."""

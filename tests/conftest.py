@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from d2lie.algebra import build_chevalley_D, center, quotient_by_center
+from d2lie.algebra import build_chevalley_D, center, quotient_with_projection
 from d2lie.cohomology import h2_weight_survey
 from d2lie.exterior import build_quotient_model
 
@@ -39,7 +39,7 @@ def d8():
 
 @pytest.fixture(scope="session")
 def d5_quotient(d5):
-    return quotient_by_center(d5, center(d5))
+    return quotient_with_projection(d5, center(d5))[0]
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@
 - The unpruned H^2 survey, which ranks every weight block of C^2, and
   the ungraded H^2, which ranks the whole complex at once; the pruned
   survey must give the same rows and the same total.
+- The dense product d2 d1 of a weight block, which must vanish, and a
+  representative cocycle from the block's dense matrices.
 - The dense quadratic cocycle, which evaluates the eight-term formula on
   every pair of model monomials; phi_of_vector, which evaluates only the
   pairs where v can pair with an argument, must give the same cochain.
@@ -28,12 +30,14 @@ from d2lie.cohomology import (
     _block_coords,
     _block_row,
     _c2_weights,
+    _cochain,
     _coord_code,
     _coord_of_code,
     _image_rank,
+    weight_block,
 )
 from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
-from d2lie.gf2 import bit_indices
+from d2lie.gf2 import PivotBasis, bit_indices
 from d2lie.roots import RootSystem, Weight, wdot
 
 
@@ -155,12 +159,38 @@ def ungraded_h2_dim(L):
     return len(c2) - _image_rank(L, c2) - _image_rank(L, c1)
 
 
+def composite_is_zero(block):
+    """d2 d1 = 0 on a weight block, by the dense matrix product: row r of
+    d2 d1 is the sum of the rows j of d1 for the set bits j of row r of d2."""
+    for r in block.d2.rows:
+        acc = 0
+        for j in bit_indices(r):
+            acc ^= block.d1.rows[j]
+        if acc:
+            return False
+    return True
+
+
+def representative(L, mu):
+    """A cocycle generating a complement of the coboundaries at weight mu.
+
+    Deterministic: first kernel vector of the block's d2 (in canonical
+    basis order) that is not a coboundary.
+    """
+    block = weight_block(L, mu)
+    coboundaries = PivotBasis(block.d1.transpose().rows)
+    for v in block.d2.nullspace().rows:
+        if not coboundaries.contains(v):
+            return _cochain(2, L.dim, block.c2, v)
+    raise ValueError(f"H^2 vanishes at weight {mu}")
+
+
 def cochain_basis(L, n, mu):
     """Basis cochains of weight mu in canonical (key, value) order."""
     out = []
     for code in _block_coords(L, n, mu):
         key, k = _coord_of_code(code, L.dim)
-        out.append(Cochain.single(n, L.dim, key, 1 << k))
+        out.append(Cochain(n, L.dim, {key: 1 << k}))
     return out
 
 

@@ -16,7 +16,6 @@ from d2lie.algebra import (
     expected_center_generators,
     format_label,
     jacobiator,
-    quotient_by_center,
     quotient_with_projection,
 )
 from d2lie.cohomology import _term_codes
@@ -193,6 +192,15 @@ def test_bracket_values_outside_the_basis_rejected():
             LieAlgebra(["x", "y", "z"], [(0,)] * 3, {(0, 1): v})
 
 
+def test_bracket_keys_outside_the_upper_triangle_rejected():
+    # The table stores [b_i, b_j] only for i < j < dim, so a diagonal,
+    # reversed or out-of-range key is an error: alternation of every
+    # LieAlgebra rests on it.
+    for key in ((1, 1), (2, 1), (0, 3)):
+        with pytest.raises(ValueError, match="bad bracket key"):
+            LieAlgebra(["x", "y", "z"], [(0,)] * 3, {key: 1})
+
+
 def test_adjacency_matches_bracket_table(d4, model5):
     for L in (d4, model5.algebra):
         adj = L.adjacency()
@@ -226,7 +234,7 @@ def test_weight_decomposition_d4():
 
 def test_quotient_dimension_l5():
     L = build_chevalley_D(5)
-    Q = quotient_by_center(L, center(L))
+    Q, _ = quotient_with_projection(L, center(L))
     assert Q.dim == 44
     assert check_jacobi(Q).ok
     assert check_weight_additivity(Q)
@@ -243,7 +251,7 @@ def test_quotient_identifies_h5_with_h4():
 
 def test_quotient_by_zero_subspace_is_identity():
     L = build_chevalley_D(4)
-    Q = quotient_by_center(L, Subspace(L.dim, GF2Matrix.zeros(0, L.dim)))
+    Q, _ = quotient_with_projection(L, Subspace(L.dim, GF2Matrix(0, L.dim, ())))
     assert Q.dim == L.dim
     assert Q.labels == L.labels
     assert Q.brackets == L.brackets
@@ -253,12 +261,12 @@ def test_quotient_rejects_noncentral_subspace():
     L = build_chevalley_D(4)
     not_central = Subspace(L.dim, GF2Matrix(1, L.dim, [1]))  # H1 alone
     with pytest.raises(ValueError):
-        quotient_by_center(L, not_central)
+        quotient_with_projection(L, not_central)
 
 
 def test_quotient_even_rank():
     L = build_chevalley_D(4)
-    Q = quotient_by_center(L, center(L))
+    Q, _ = quotient_with_projection(L, center(L))
     assert Q.dim == 26
     assert check_jacobi(Q).ok
     # Quotient representatives are weight-graded like the parent.

@@ -2,7 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import cochain_basis, ungraded_h2_dim, unpruned_survey_rows
+from oracles import (
+    cochain_basis,
+    composite_is_zero,
+    representative,
+    ungraded_h2_dim,
+    unpruned_survey_rows,
+)
 
 from d2lie.algebra import LieAlgebra, build_chevalley_D, check_jacobi, check_weight_additivity
 from d2lie.cohomology import (
@@ -14,7 +20,6 @@ from d2lie.cohomology import (
     h2_survey_rows,
     h2_weight_survey,
     is_coboundary,
-    representative,
     weight_block,
     _block_coords,
     _c2_groups,
@@ -40,7 +45,7 @@ def e4_weight(c):
 
 def test_cochain_keys_are_canonical_sets():
     c = Cochain(2, 6, {(3, 1): 0b100})
-    assert c.value((1, 3)) == 0b100
+    assert c.data == {(1, 3): 0b100}
     assert c.eval_basis(3, 1) == 0b100
     assert c.eval_basis(1, 1) == 0
 
@@ -137,7 +142,7 @@ def test_differential_squares_to_zero_random_degree_one(d4):
     for _ in range(15):
         i = rng.randrange(d4.dim)
         k = rng.randrange(d4.dim)
-        xi = Cochain.single(1, d4.dim, (i,), 1 << k)
+        xi = Cochain(1, d4.dim, {(i,): 1 << k})
         assert differential(d4, differential(d4, xi)).is_zero()
     # linear combinations too
     for _ in range(5):
@@ -169,7 +174,7 @@ def test_differential_preserves_weight(d4):
         k = rng.randrange(d4.dim)
         key = (min(i, j), max(i, j))
         mu = basis_cochain_weight(d4, key, k)
-        img = differential(d4, Cochain.single(2, d4.dim, key, 1 << k))
+        img = differential(d4, Cochain(2, d4.dim, {key: 1 << k}))
         for t, v in img.data.items():
             for m in bit_indices(v):
                 assert basis_cochain_weight(d4, t, m) == mu
@@ -182,7 +187,7 @@ def test_differential_matches_bracket_defect_on_degree_one(d4):
     for _ in range(20):
         i = rng.randrange(d4.dim)
         k = rng.randrange(d4.dim)
-        xi = Cochain.single(1, d4.dim, (i,), 1 << k)
+        xi = Cochain(1, d4.dim, {(i,): 1 << k})
         img = differential(d4, xi)
         for _ in range(10):
             a = rng.randrange(d4.dim)
@@ -391,13 +396,13 @@ def test_weight_block_composite_is_zero(d4, model5):
     mu4 = wadd(d4.weights[d4.dim - 1], d4.weights[d4.dim - 2])
     for L, mu in ((d4, (0, 0, 2, 0)), (d4, mu4), (model5.algebra, e4_weight(2))):
         block = weight_block(L, mu)
-        assert block.composite_is_zero()
-        assert block.h2_dim() == cohomology_dim(L, mu)
+        assert composite_is_zero(block)
+        assert len(block.c2) - block.d2.rank() - block.d1.rank() == cohomology_dim(L, mu)
     # Every H^2-carrying block of D_4: the survey's lazy ranks of d2 and of
     # d1, each against the dense matrices.
     for row in h2_survey_rows(d4):
         block = weight_block(d4, row["weight"])
-        assert block.composite_is_zero()
+        assert composite_is_zero(block)
         assert row["dim_c2"] == len(block.c2)
         assert row["dim_z2"] == len(block.c2) - block.d2.rank()
         assert row["dim_b2"] == block.d1.rank()
@@ -409,7 +414,7 @@ def test_weight_block_random_weights(d4):
     for w in rng.sample(weights, 4):
         mu = wadd(w, rng.choice(weights))
         block = weight_block(d4, mu)
-        assert block.composite_is_zero()
+        assert composite_is_zero(block)
 
 
 # -- coboundary tests ----------------------------------------------------------
@@ -458,7 +463,7 @@ def test_cup_square_weight_block_empty_makes_nontrivial(model5):
 
 def test_coboundary_rejects_non_cocycle(d4):
     # A single dual-basis cochain at a generic key is not a cocycle.
-    c = Cochain.single(2, d4.dim, (0, 4), 1 << 5)
+    c = Cochain(2, d4.dim, {(0, 4): 1 << 5})
     if differential(d4, c).is_zero():
         pytest.skip("accidental cocycle")
     with pytest.raises(ValueError):
@@ -474,7 +479,7 @@ def test_weight_blocks_reject_ungraded_bracket():
     # [x, y] = z with weights 1 + 1 != 5: d of the weight-3 cochain z -> w
     # lands at weight 6, outside its block.
     L = LieAlgebra(["x", "y", "z", "w"], [(1,), (1,), (5,), (8,)], {(0, 1): 0b100})
-    cocycle = Cochain.single(2, L.dim, (0, 1), 0b100)
+    cocycle = Cochain(2, L.dim, {(0, 1): 0b100})
     assert differential(L, cocycle).is_zero()
     with pytest.raises(ValueError, match="does not preserve weight"):
         weight_block(L, (3,))

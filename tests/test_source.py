@@ -1,5 +1,6 @@
 import ast
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import d2lie
 
 SRC = Path(d2lie.__file__).parent
-BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _raises_assertion_error(node) -> bool:
@@ -32,19 +33,20 @@ def test_library_has_no_assert_statements():
 
 
 def test_reports_survive_python_O(tmp_path):
-    # The run-time side of the check above: with asserts stripped, verify
-    # and integrability still exit 0 with the reference reports.
+    # The run-time side of the check above: with asserts stripped, every
+    # benchmark command still exits 0 and main writes its reference report.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    for command in ("verify", "integrability"):
-        out = tmp_path / f"{command}_l4.json"
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+    for cmd in (cmd for w in workloads.values() for cmd in w.commands):
+        out = tmp_path / f"{cmd.name}.json"
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "d2lie.cli", command, "--l", "4", "--out", str(out)],
+            [sys.executable, "-O", "-m", "d2lie.cli", *cmd.argv, "--out", str(out)],
             env=env,
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert out.read_bytes() == (BENCH_REFERENCE / f"{command}_l4.json").read_bytes()
+        assert proc.returncode == 0, (cmd.name, proc.stderr)
+        assert out.read_bytes() == (BENCH / "reference" / f"{cmd.name}.json").read_bytes(), cmd.name
 
 
 def test_library_imports_are_used():
