@@ -35,9 +35,13 @@ class LieAlgebra:
     labels   -- one opaque tag per basis vector, e.g. ("CARTAN", 3)
     weights  -- one integer weight tuple per basis vector
     brackets -- {(i, j): packed vector} for i < j, nonzero entries only
+    symmetry -- optional: symmetry(g), for g a signed permutation of the
+                eps coordinates given as a map of weights, lists the packed
+                images theta(b_i) of an automorphism that should move each
+                weight w to g(w); the H^2 survey verifies it before use
     """
 
-    def __init__(self, labels, weights, brackets):
+    def __init__(self, labels, weights, brackets, symmetry=None):
         labels = tuple(labels)
         weights = tuple(tuple(w) for w in weights)
         if len(labels) != len(weights):
@@ -55,6 +59,8 @@ class LieAlgebra:
         self.labels = labels
         self.weights = weights
         self.brackets = table
+        self.symmetry = symmetry
+        self._automorphisms = None
         self._adjacency = None
         self._term_codes = None
         self._center = None
@@ -203,7 +209,8 @@ def build_chevalley_D(l: int) -> LieAlgebra:
       [E_a, E_-a] = H_a, the mod-2 simple-root coordinates of a
       [E_a, E_b] = E_(a+b) when a+b is a root, else 0
     Coefficients of 2 in H_a vanish; that is correct behaviour, not data
-    loss.
+    loss.  A signed permutation g of the eps coordinates maps roots to
+    roots; its symmetry sends E_a to E_(g a) and H_i to H_(g alpha_i).
     """
     system = build_root_system(l)
     roots = system.roots
@@ -238,7 +245,11 @@ def build_chevalley_D(l: int) -> LieAlgebra:
                     brackets[(ia, ib)] = h_alpha[a]
             elif s in system.root_set:
                 brackets[(ia, ib)] = 1 << idx_of_root[s]
-    return LieAlgebra(labels, weights, brackets)
+
+    def symmetry(g) -> list[int]:
+        return [h_alpha[g(a)] for a in system.simple] + [1 << idx_of_root[g(r)] for r in roots]
+
+    return LieAlgebra(labels, weights, brackets, symmetry)
 
 
 # -- structural queries -----------------------------------------------

@@ -26,6 +26,18 @@ functional; that only prunes fewer blocks, so dropping it is always
 safe.  The survey enumerates just the weights with lambda . mu even for
 every functional; _c2_groups is the unpruned view, every C^2 block.
 
+The survey then ranks one block per orbit of the signed permutations of
+the eps coordinates.  An automorphism theta of L that moves each weight
+w to g(w) acts on cochains by c -> theta c (theta^-1 x, ..), a
+bijection C^n_mu -> C^n_(g mu) that commutes with d, since d is built
+from the bracket alone; so the rows of mu and g(mu) agree.  The eps_i <->
+eps_(i+1) and eps_l -> -eps_l generate every signed permutation, so once
+theta is verified for each of them, two weights lie in one orbit exactly
+when their sorted absolute coordinates agree, and that is the orbit key.
+On the Chevalley algebra these theta come from W(D_l) and the graph
+automorphism, which act on the Chevalley Z-form (Chevalley 1955;
+Steinberg 1967) with signs that vanish mod 2.
+
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (_coord_code): the mask of the key's indices with bit dim + k
 set.  Weight blocks are listed, differentiated, ranked and solved in
@@ -38,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, check_weight_additivity
+from .algebra import LieAlgebra, check_weight_additivity, format_label
 from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
 from .roots import Weight, is_zero_weight, wsub
 
@@ -319,15 +331,18 @@ def _require_graded(L: LieAlgebra) -> None:
         raise ValueError("the bracket does not preserve weight; H^2 is not graded")
 
 
-def _block_row(L: LieAlgebra, mu: Weight) -> dict:
-    """Survey statistics of the weight-mu block."""
+def _block_row(L: LieAlgebra, mu: Weight, orbit: Weight | None = None) -> dict:
+    """Survey statistics of the weight-mu block; orbit is the orbit key when mu represents one."""
     c2 = _block_coords(L, 2, mu)
     rank2 = _image_rank(L, c2)
     rank1 = _image_rank(L, _block_coords(L, 1, mu))
     n2 = len(c2)
     h2 = n2 - rank2 - rank1
     if h2 < 0:
-        raise ArithmeticError(f"rank d1 exceeds dim ker d2 at weight {mu}: d^2 != 0")
+        rep = "" if orbit is None else f", the representative of the orbit {orbit}"
+        raise ArithmeticError(
+            f"d^2 != 0 at weight {mu}{rep}: rank d1 = {rank1} exceeds dim ker d2 = {n2 - rank2}"
+        )
     return {
         "weight": mu,
         "dim_c2": n2,
@@ -387,14 +402,97 @@ def _c2_groups(L: LieAlgebra) -> dict[Weight, list[int]]:
     return {mu: _block_coords(L, 2, mu) for mu in _c2_weights(L)}
 
 
+def _signed_permutation_generators(l: int) -> dict:
+    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name."""
+    gens = {
+        f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
+        for i in range(1, l)
+    }
+    gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
+    return gens
+
+
+def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
+    """The verified basis images of L.symmetry at each generator, built once per algebra.
+
+    Empty when L has no symmetry, and then the survey ranks every weight.
+    """
+    if L._automorphisms is None:
+        gens = _signed_permutation_generators(len(L.weights[0])) if L.symmetry else {}
+        L._automorphisms = {name: _verified(L, name, g, L.symmetry(g)) for name, g in gens.items()}
+    return L._automorphisms
+
+
+def _verified(L: LieAlgebra, name: str, g, theta: list[int]) -> list[int]:
+    """theta if it is invertible, keeps the bracket of every basis pair and
+    moves each weight w to g(w); else ArithmeticError with a witness.
+
+    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
+    and b_b in theta b_j, so each bracket entry is spread over the pairs
+    whose images meet it, and the pairs that none meets bracket to 0.
+    """
+    dim = L.dim
+
+    def label(v: int) -> str:
+        return "+".join(format_label(L.labels[m]) for m in bit_indices(v)) or "0"
+
+    def image(v: int) -> int:
+        out = 0
+        for m in bit_indices(v):
+            out ^= theta[m]
+        return out
+
+    if len(theta) != dim or PivotBasis(theta).rank != dim:
+        raise ArithmeticError(f"automorphism {name} is not invertible")
+    preimages: list[list[int]] = [[] for _ in range(dim)]
+    for i, t in enumerate(theta):
+        for m in bit_indices(t):
+            preimages[m].append(i)
+    lhs = {key: image(v) for key, v in L.brackets.items()}
+    rhs: dict[tuple[int, int], int] = {}
+    for (a, b), v in L.brackets.items():
+        for i in preimages[a]:
+            for j in preimages[b]:
+                if i != j:
+                    key = (i, j) if i < j else (j, i)
+                    rhs[key] = rhs.get(key, 0) ^ v
+    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0)]
+    if bad:
+        key = min(bad)
+        x, y = (label(1 << i) for i in key)
+        raise ArithmeticError(
+            f"automorphism {name} breaks the bracket of {x} and {y}: theta([{x}, {y}])"
+            f" = {label(lhs.get(key, 0))}, but [theta {x}, theta {y}] = {label(rhs.get(key, 0))}"
+        )
+    for i, t in enumerate(theta):
+        w = g(L.weights[i])
+        if any(L.weights[m] != w for m in bit_indices(t)):
+            raise ArithmeticError(
+                f"automorphism {name} sends {label(1 << i)} to {label(t)}, not of weight {w}"
+            )
+    return theta
+
+
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:
     """Rows for the nonzero-H^2 weights in weight order; ranks one block at a time.
 
-    Only the blocks no torus functional makes acyclic are ranked.
+    Only the blocks no torus functional makes acyclic are ranked.  When L
+    has a symmetry, its verified automorphisms let one block serve its
+    whole orbit: the first admissible weight with a given sorted
+    |coordinates| is ranked and its row, with each weight's own mu, is
+    copied to the rest.  Without one every admissible block is ranked.
     """
     _require_graded(L)
-    rows = (_block_row(L, mu) for mu in _c2_weights(L, _torus_functionals(L)))
-    return [r for r in rows if r["dim_h2"]]
+    orbits = bool(_automorphisms(L))
+    ranked: dict[Weight, dict] = {}
+    rows = []
+    for mu in _c2_weights(L, _torus_functionals(L)):
+        key = tuple(sorted(map(abs, mu))) if orbits else mu
+        if key not in ranked:
+            ranked[key] = _block_row(L, mu, key if orbits else None)
+        if ranked[key]["dim_h2"]:
+            rows.append({**ranked[key], "weight": mu})
+    return rows
 
 
 def h2_weight_survey(L: LieAlgebra) -> dict[Weight, int]:

@@ -173,7 +173,9 @@ def build_quotient_model(l: int) -> QuotientModel:
     """Model algebra at odd rank; even rank is rejected.
 
     Rank 3 is admitted for testing even though the interesting range
-    starts at 5.
+    starts at 5.  A signed permutation g of the eps coordinates permutes
+    the basis of V by weight, preserving the form and omega; its symmetry
+    sends e_a e_b to the reduced image monomial.
     """
     if l < 3:
         raise ValueError(f"rank must be at least 3, got {l}")
@@ -195,7 +197,13 @@ def build_quotient_model(l: int) -> QuotientModel:
             v = _reduce(space, _poisson_mono(space, m1, kept[j], pos))
             if v:
                 brackets[(i, j)] = v
-    return QuotientModel(space, LieAlgebra(labels, weights, brackets), kept)
+
+    def symmetry(g) -> list[int]:
+        by_weight = {space.weight_of_index(a): a for a in range(space.dim)}
+        img = [by_weight[g(space.weight_of_index(a))] for a in range(space.dim)]
+        return [_reduce(space, wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in kept]
+
+    return QuotientModel(space, LieAlgebra(labels, weights, brackets, symmetry), kept)
 
 
 # -- the quadratic cocycle map -----------------------------------------

@@ -6,8 +6,9 @@
 - The dense column-sweep reduced row echelon form over GF(2); the
   library's rank, row_reduce, nullspace and solve must equal what it
   gives, bit for bit.
-- The unpruned H^2 survey, which ranks every weight block of C^2, and
-  the ungraded H^2, which ranks the whole complex at once; the pruned
+- The unpruned H^2 survey, which ranks every weight block of C^2, the
+  per-weight survey, which ranks every block torus pruning keeps, and
+  the ungraded H^2, which ranks the whole complex at once; the orbit
   survey must give the same rows and the same total.
 - The dense product d2 d1 of a weight block, which must vanish, and a
   representative cocycle from the block's dense matrices.
@@ -34,6 +35,7 @@ from d2lie.cohomology import (
     _coord_code,
     _coord_of_code,
     _image_rank,
+    _torus_functionals,
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
@@ -145,6 +147,12 @@ def mul_vector(m, x):
 def unpruned_survey_rows(L):
     """h2_survey_rows without torus pruning: every C^2 weight block is ranked."""
     rows = (_block_row(L, mu) for mu in _c2_weights(L))
+    return [r for r in rows if r["dim_h2"]]
+
+
+def per_weight_survey_rows(L):
+    """h2_survey_rows without orbits: every block torus pruning keeps is ranked."""
+    rows = (_block_row(L, mu) for mu in _c2_weights(L, _torus_functionals(L)))
     return [r for r in rows if r["dim_h2"]]
 
 

@@ -5,12 +5,19 @@ import pytest
 from oracles import (
     cochain_basis,
     composite_is_zero,
+    per_weight_survey_rows,
     representative,
     ungraded_h2_dim,
     unpruned_survey_rows,
 )
 
-from d2lie.algebra import LieAlgebra, build_chevalley_D, check_jacobi, check_weight_additivity
+from d2lie.algebra import (
+    LieAlgebra,
+    build_chevalley_D,
+    center,
+    check_jacobi,
+    check_weight_additivity,
+)
 from d2lie.cohomology import (
     Cochain,
     basis_cochain_weight,
@@ -21,7 +28,9 @@ from d2lie.cohomology import (
     h2_weight_survey,
     is_coboundary,
     weight_block,
+    _automorphisms,
     _block_coords,
+    _block_row,
     _c2_groups,
     _c2_weights,
     _coord_code,
@@ -29,7 +38,8 @@ from d2lie.cohomology import (
     _term_codes,
     _torus_functionals,
 )
-from d2lie.exterior import phi
+from d2lie.deformation import rigidity_scan
+from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import bit_indices
 from d2lie.roots import build_root_system, is_zero_weight, wadd, wdot, wsub, wzero
 
@@ -320,14 +330,30 @@ def test_pruned_survey_equals_unpruned_oracle(d4, d5, d6, model5):
         assert h2_survey_rows(L) == unpruned_survey_rows(L)
 
 
-def test_torus_functionals_and_block_counts(d4, d5, d6, model5):
-    # (algebra, functionals, C^2 blocks, blocks left to rank)
-    cases = ((d4, 4, 601, 145), (d5, 5, 2011, 131), (d6, 6, 5517, 297), (model5.algebra, 4, 2011, 131))
-    for L, n_functionals, n_blocks, n_ranked in cases:
+def test_torus_functionals_and_block_counts(d4, d5, d6, model5, model7, monkeypatch):
+    # (algebra, functionals, C^2 blocks, blocks torus pruning keeps, orbits ranked)
+    cases = (
+        (d4, 4, 601, 145, 6),
+        (d5, 5, 2011, 131, 4),
+        (d6, 6, 5517, 297, 5),
+        (model5.algebra, 4, 2011, 131, 4),
+        (model7.algebra, 6, 13119, 379, 4),
+    )
+    ranked = []
+
+    def spy(L, mu, orbit=None):
+        ranked.append(mu)
+        return _block_row(L, mu, orbit)
+
+    monkeypatch.setattr("d2lie.cohomology._block_row", spy)
+    for L, n_functionals, n_blocks, n_kept, n_ranked in cases:
         functionals = _torus_functionals(L)
         assert len(functionals) == n_functionals
         assert len(_c2_groups(L)) == n_blocks
-        assert len(_c2_weights(L, functionals)) == n_ranked
+        assert len(_c2_weights(L, functionals)) == n_kept
+        ranked.clear()
+        h2_survey_rows(L)
+        assert len(ranked) == n_ranked
     # H_i scales E_a by <a, alpha_i> mod 2, the parity lambda_i gives a.
     simple = build_root_system(4).simple
     for lam, alpha in zip(_torus_functionals(d4), simple, strict=True):
@@ -387,6 +413,86 @@ def test_survey_drops_torus_elements_without_a_functional():
         assert _torus_functionals(L) == ()
         assert h2_survey_rows(L) == unpruned_survey_rows(L)
     assert {r["weight"]: r["dim_h2"] for r in h2_survey_rows(A)}[(-1,)] == 2
+
+
+# -- orbit survey ---------------------------------------------------------------
+
+
+def test_orbit_survey_equals_per_weight_oracle(d4, d5, d6, d7, d8, model5, model7, model9):
+    for L in (d4, d5, d6, d7, d8, model5.algebra, model7.algebra, model9.algebra):
+        assert len(_automorphisms(L)) == len(L.weights[0])
+        assert h2_survey_rows(L) == per_weight_survey_rows(L)
+
+
+def test_only_the_survey_builds_the_automorphisms():
+    # Building, the Jacobi check, the centre and the rigidity scan never
+    # pay for the generators; the first survey builds all l of them.
+    L, model = build_chevalley_D(4), build_quotient_model(5)
+    for A in (L, model.algebra):
+        check_jacobi(A)
+        center(A)
+    rigidity_scan(model)
+    assert L._automorphisms is None and model.algebra._automorphisms is None
+    h2_survey_rows(L)
+    assert list(L._automorphisms) == ["eps_1<->eps_2", "eps_2<->eps_3", "eps_3<->eps_4", "eps_4->-eps_4"]
+    assert model.algebra._automorphisms is None
+
+
+def _with_symmetry(L, symmetry):
+    return LieAlgebra(L.labels, L.weights, L.brackets, symmetry)
+
+
+def _swap_root_images(L, theta):
+    theta[4], theta[5] = theta[5], theta[4]
+    return theta
+
+
+def _merge_cartan_images(L, theta):
+    theta[1] = theta[0]
+    return theta
+
+
+def _images_of_eps_1_eps_2(L, theta):
+    # An automorphism, but over the wrong signed permutation.
+    return L.symmetry(lambda w: (w[1], w[0], *w[2:]))
+
+
+@pytest.mark.parametrize(
+    "corrupt, witness",
+    [
+        (
+            _swap_root_images,
+            "automorphism eps_2<->eps_3 breaks the bracket of H1 and E(-1,-1,0,0):"
+            " theta([H1, E(-1,-1,0,0)]) = 0, but [theta H1, theta E(-1,-1,0,0)] = E(-1,-1,0,0)",
+        ),
+        (_merge_cartan_images, "automorphism eps_2<->eps_3 is not invertible"),
+        (
+            _images_of_eps_1_eps_2,
+            "automorphism eps_2<->eps_3 sends E(-1,-1,0,0) to E(-1,-1,0,0), not of weight (-1, 0, -1, 0)",
+        ),
+    ],
+)
+def test_corrupted_automorphism_raises_with_witness(corrupt, witness):
+    # The corruption touches only the images at eps_2 <-> eps_3.
+    L = build_chevalley_D(4)
+
+    def corrupted(g):
+        theta = L.symmetry(g)
+        return corrupt(L, theta) if g((1, 2, 3, 4)) == (1, 3, 2, 4) else theta
+
+    with pytest.raises(ArithmeticError) as exc:
+        h2_survey_rows(_with_symmetry(L, corrupted))
+    assert str(exc.value) == witness
+
+
+def test_d2_failure_names_the_ranked_representative(monkeypatch):
+    monkeypatch.setattr("d2lie.cohomology._image_rank", lambda L, src: len(src))
+    with pytest.raises(ArithmeticError) as exc:
+        h2_survey_rows(build_chevalley_D(4))
+    assert str(exc.value) == (
+        "d^2 != 0 at weight (-2, -2, 0, 0), the representative of the orbit (0, 0, 2, 2):"
+        " rank d1 = 1 exceeds dim ker d2 = 0"
+    )
 
 
 # -- weight blocks ------------------------------------------------------------
