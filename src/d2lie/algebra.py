@@ -23,6 +23,7 @@ from .roots import (
     is_zero_weight,
     wadd,
     wdot,
+    wneg,
     wzero,
 )
 
@@ -35,13 +36,9 @@ class LieAlgebra:
     labels   -- one opaque tag per basis vector, e.g. ("CARTAN", 3)
     weights  -- one integer weight tuple per basis vector
     brackets -- {(i, j): packed vector} for i < j, nonzero entries only
-    symmetry -- optional: symmetry(g), for g a signed permutation of the
-                eps coordinates given as a map of weights, lists the packed
-                images theta(b_i) of an automorphism that should move each
-                weight w to g(w); the H^2 survey verifies it before use
     """
 
-    def __init__(self, labels, weights, brackets, symmetry=None):
+    def __init__(self, labels, weights, brackets):
         labels = tuple(labels)
         weights = tuple(tuple(w) for w in weights)
         if len(labels) != len(weights):
@@ -59,7 +56,6 @@ class LieAlgebra:
         self.labels = labels
         self.weights = weights
         self.brackets = table
-        self.symmetry = symmetry
         self._automorphisms = None
         self._adjacency = None
         self._term_codes = None
@@ -209,8 +205,7 @@ def build_chevalley_D(l: int) -> LieAlgebra:
       [E_a, E_-a] = H_a, the mod-2 simple-root coordinates of a
       [E_a, E_b] = E_(a+b) when a+b is a root, else 0
     Coefficients of 2 in H_a vanish; that is correct behaviour, not data
-    loss.  A signed permutation g of the eps coordinates maps roots to
-    roots; its symmetry sends E_a to E_(g a) and H_i to H_(g alpha_i).
+    loss.
     """
     system = build_root_system(l)
     roots = system.roots
@@ -246,10 +241,7 @@ def build_chevalley_D(l: int) -> LieAlgebra:
             elif s in system.root_set:
                 brackets[(ia, ib)] = 1 << idx_of_root[s]
 
-    def symmetry(g) -> list[int]:
-        return [h_alpha[g(a)] for a in system.simple] + [1 << idx_of_root[g(r)] for r in roots]
-
-    return LieAlgebra(labels, weights, brackets, symmetry)
+    return LieAlgebra(labels, weights, brackets)
 
 
 # -- structural queries -----------------------------------------------
@@ -296,6 +288,83 @@ def check_weight_additivity(L: LieAlgebra) -> bool:
             for m in bit_indices(v)
         )
     return L._graded
+
+
+# -- graded isomorphisms ----------------------------------------------
+
+
+def is_homomorphism(A: LieAlgebra, B: LieAlgebra, theta: list[int]) -> bool:
+    """Whether b_i -> theta[i], packed over the basis of B, keeps the bracket of every basis pair.
+
+    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
+    and b_b in theta b_j, so each bracket entry of B is spread over the pairs
+    whose images meet it, and the pairs that none meets bracket to 0.
+    """
+    preimages: list[list[int]] = [[] for _ in range(B.dim)]
+    for i, t in enumerate(theta):
+        for m in bit_indices(t):
+            preimages[m].append(i)
+    lhs = {}
+    for key, v in A.brackets.items():
+        image = 0
+        for m in bit_indices(v):
+            image ^= theta[m]
+        lhs[key] = image
+    rhs: dict[tuple[int, int], int] = {}
+    for (a, b), v in B.brackets.items():
+        for i in preimages[a]:
+            for j in preimages[b]:
+                if i != j:
+                    key = (i, j) if i < j else (j, i)
+                    rhs[key] = rhs.get(key, 0) ^ v
+    return all(lhs.get(k, 0) == rhs.get(k, 0) for k in lhs.keys() | rhs.keys())
+
+
+def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
+    """The packed images theta(b_i) of an isomorphism A -> B that keeps every weight, or None.
+
+    Each nonzero weight space must be a line on both sides, which forces
+    theta(b_w) = b'_w.  At weight 0, theta [b_w, b_-w] = [b'_w, b'_-w] for
+    every dual pair: one row reduction of these equations, the image of
+    each bracket tagged above bit dim, must leave a unit row on every
+    weight-0 basis vector, its image in the tag.  The candidate is returned
+    only if it has full rank and is_homomorphism accepts it.
+
+    None does not prove that no isomorphism exists: a nonzero weight space
+    of dimension above 1, or a weight-0 part that the dual pairs leave
+    undetermined, gives None as well.
+    """
+    dim = A.dim
+    wa, wb = A.weight_index(), B.weight_index()
+    if B.dim != dim or wa.keys() != wb.keys() or any(len(wa[w]) != len(wb[w]) for w in wa):
+        return None
+    theta = [0] * dim
+    rows = []
+    zero_a = zero_b = 0
+    for w, ia in wa.items():
+        if is_zero_weight(w):
+            zero_a, zero_b = sum(1 << i for i in ia), sum(1 << i for i in wb[w])
+        elif len(ia) != 1:
+            return None
+        else:
+            theta[ia[0]] = 1 << wb[w][0]
+            nw = wneg(w)
+            # A weight whose negative is absent has no dual pair.
+            if w < nw and nw in wa:
+                pair = A.bracket_basis(ia[0], wa[nw][0])
+                rows.append(pair | B.bracket_basis(wb[w][0], wb[nw][0]) << dim)
+    solved = 0
+    for v in GF2Matrix(len(rows), 2 * dim, rows).row_reduce().rows:
+        low, image = v & ((1 << dim) - 1), v >> dim
+        # Any row but a unit row on a weight-0 vector with a weight-0 image
+        # leaves theta undetermined, off weight or inconsistent.
+        if low & (low - 1) or not low & zero_a or image & ~zero_b:
+            return None
+        theta[low.bit_length() - 1] = image
+        solved |= low
+    if solved != zero_a or PivotBasis(theta).rank != dim or not is_homomorphism(A, B, theta):
+        return None
+    return theta
 
 
 # -- central quotients ------------------------------------------------
@@ -400,6 +469,8 @@ __all__ = [
     "bracket_jacobiator",
     "jacobiator",
     "check_weight_additivity",
+    "is_homomorphism",
+    "find_graded_isomorphism",
     "quotient_with_projection",
     "expected_center_generators",
     "format_label",

@@ -32,11 +32,17 @@ w to g(w) acts on cochains by c -> theta c (theta^-1 x, ..), a
 bijection C^n_mu -> C^n_(g mu) that commutes with d, since d is built
 from the bracket alone; so the rows of mu and g(mu) agree.  The eps_i <->
 eps_(i+1) and eps_l -> -eps_l generate every signed permutation, so once
-theta is verified for each of them, two weights lie in one orbit exactly
-when their sorted absolute coordinates agree, and that is the orbit key.
-On the Chevalley algebra these theta come from W(D_l) and the graph
-automorphism, which act on the Chevalley Z-form (Chevalley 1955;
-Steinberg 1967) with signs that vanish mod 2.
+each of them has a theta, two weights lie in one orbit exactly when
+their sorted absolute coordinates agree, and that is the orbit key.
+theta is derived from the algebra, not supplied: on the one-dimensional
+nonzero weight spaces it must send b_w to b_(g w), and at weight 0 the
+brackets of the dual pairs fix it; the candidate is kept only if it has
+full rank and keeps every bracket (find_graded_isomorphism).  It exists
+on D_l because W(D_l) and the graph automorphism act on the Chevalley
+Z-form (Chevalley 1955; Steinberg 1967) with signs that vanish mod 2,
+and on the model because a signed permutation of the basis of V keeps
+the form and omega.  Where a generator gets no theta, every weight is
+ranked.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (_coord_code): the mask of the key's indices with bit dim + k
@@ -50,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, check_weight_additivity, format_label
+from .algebra import LieAlgebra, check_weight_additivity, find_graded_isomorphism
 from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
 from .roots import Weight, is_zero_weight, wsub
 
@@ -413,74 +419,30 @@ def _signed_permutation_generators(l: int) -> dict:
 
 
 def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
-    """The verified basis images of L.symmetry at each generator, built once per algebra.
+    """The basis images of an automorphism of L over each generator, found once per algebra.
 
-    Empty when L has no symmetry, and then the survey ranks every weight.
+    theta_g is find_graded_isomorphism from L with every weight w relabelled
+    g(w) onto L.  Empty unless every generator gets one, and then the
+    survey ranks every weight.
     """
     if L._automorphisms is None:
-        gens = _signed_permutation_generators(len(L.weights[0])) if L.symmetry else {}
-        L._automorphisms = {name: _verified(L, name, g, L.symmetry(g)) for name, g in gens.items()}
+        gens = _signed_permutation_generators(len(L.weights[0])) if L.weights else {}
+        found = {
+            name: find_graded_isomorphism(LieAlgebra(L.labels, map(g, L.weights), L.brackets), L)
+            for name, g in gens.items()
+        }
+        L._automorphisms = found if None not in found.values() else {}
     return L._automorphisms
-
-
-def _verified(L: LieAlgebra, name: str, g, theta: list[int]) -> list[int]:
-    """theta if it is invertible, keeps the bracket of every basis pair and
-    moves each weight w to g(w); else ArithmeticError with a witness.
-
-    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
-    and b_b in theta b_j, so each bracket entry is spread over the pairs
-    whose images meet it, and the pairs that none meets bracket to 0.
-    """
-    dim = L.dim
-
-    def label(v: int) -> str:
-        return "+".join(format_label(L.labels[m]) for m in bit_indices(v)) or "0"
-
-    def image(v: int) -> int:
-        out = 0
-        for m in bit_indices(v):
-            out ^= theta[m]
-        return out
-
-    if len(theta) != dim or PivotBasis(theta).rank != dim:
-        raise ArithmeticError(f"automorphism {name} is not invertible")
-    preimages: list[list[int]] = [[] for _ in range(dim)]
-    for i, t in enumerate(theta):
-        for m in bit_indices(t):
-            preimages[m].append(i)
-    lhs = {key: image(v) for key, v in L.brackets.items()}
-    rhs: dict[tuple[int, int], int] = {}
-    for (a, b), v in L.brackets.items():
-        for i in preimages[a]:
-            for j in preimages[b]:
-                if i != j:
-                    key = (i, j) if i < j else (j, i)
-                    rhs[key] = rhs.get(key, 0) ^ v
-    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, 0) != rhs.get(k, 0)]
-    if bad:
-        key = min(bad)
-        x, y = (label(1 << i) for i in key)
-        raise ArithmeticError(
-            f"automorphism {name} breaks the bracket of {x} and {y}: theta([{x}, {y}])"
-            f" = {label(lhs.get(key, 0))}, but [theta {x}, theta {y}] = {label(rhs.get(key, 0))}"
-        )
-    for i, t in enumerate(theta):
-        w = g(L.weights[i])
-        if any(L.weights[m] != w for m in bit_indices(t)):
-            raise ArithmeticError(
-                f"automorphism {name} sends {label(1 << i)} to {label(t)}, not of weight {w}"
-            )
-    return theta
 
 
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:
     """Rows for the nonzero-H^2 weights in weight order; ranks one block at a time.
 
-    Only the blocks no torus functional makes acyclic are ranked.  When L
-    has a symmetry, its verified automorphisms let one block serve its
-    whole orbit: the first admissible weight with a given sorted
-    |coordinates| is ranked and its row, with each weight's own mu, is
-    copied to the rest.  Without one every admissible block is ranked.
+    Only the blocks no torus functional makes acyclic are ranked.  When
+    _automorphisms finds all the generators, one block serves its whole
+    orbit: the first admissible weight with a given sorted |coordinates|
+    is ranked and its row, with each weight's own mu, is copied to the
+    rest.  Otherwise every admissible block is ranked.
     """
     _require_graded(L)
     orbits = bool(_automorphisms(L))

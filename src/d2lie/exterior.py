@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .algebra import LieAlgebra
 from .cohomology import Cochain
-from .gf2 import GF2Matrix, bit_indices
+from .gf2 import bit_indices
 from .roots import Weight, wadd
 
 
@@ -173,9 +173,7 @@ def build_quotient_model(l: int) -> QuotientModel:
     """Model algebra at odd rank; even rank is rejected.
 
     Rank 3 is admitted for testing even though the interesting range
-    starts at 5.  A signed permutation g of the eps coordinates permutes
-    the basis of V by weight, preserving the form and omega; its symmetry
-    sends e_a e_b to the reduced image monomial.
+    starts at 5.
     """
     if l < 3:
         raise ValueError(f"rank must be at least 3, got {l}")
@@ -197,13 +195,7 @@ def build_quotient_model(l: int) -> QuotientModel:
             v = _reduce(space, _poisson_mono(space, m1, kept[j], pos))
             if v:
                 brackets[(i, j)] = v
-
-    def symmetry(g) -> list[int]:
-        by_weight = {space.weight_of_index(a): a for a in range(space.dim)}
-        img = [by_weight[g(space.weight_of_index(a))] for a in range(space.dim)]
-        return [_reduce(space, wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in kept]
-
-    return QuotientModel(space, LieAlgebra(labels, weights, brackets, symmetry), kept)
+    return QuotientModel(space, LieAlgebra(labels, weights, brackets), kept)
 
 
 # -- the quadratic cocycle map -----------------------------------------
@@ -283,102 +275,3 @@ def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
 def phi(v: int, model: QuotientModel) -> Cochain:
     """Cochain of a basis vector given by its signed label (e.g. 4 or -4)."""
     return phi_of_vector(model.space.basis_vector(v), model)
-
-
-# -- graded isomorphism search -----------------------------------------
-
-
-def find_graded_isomorphism(
-    model: QuotientModel, target: LieAlgebra
-) -> GF2Matrix | None:
-    """Weight-compatible isomorphism from the model onto target, or None.
-
-    Nonzero weight spaces are one-dimensional on both sides, which
-    forces the map there; the remaining weight-0 block is the solution
-    of a GF(2) linear system, then the homomorphism property is checked
-    exhaustively.
-    """
-    A = model.algebra
-    B = target
-    if A.dim != B.dim:
-        return None
-    wa, wb = A.weight_index(), B.weight_index()
-    if set(wa) != set(wb) or any(len(wa[w]) != len(wb[w]) for w in wa):
-        return None
-    zero = tuple([0] * model.l)
-    nonzero = [w for w in wa if w != zero]
-    if any(len(wa[w]) != 1 for w in nonzero):
-        return None
-    a0, b0 = list(wa.get(zero, ())), list(wb.get(zero, ()))
-    k = len(a0)
-    a0_pos = {idx: p for p, idx in enumerate(a0)}
-    b0_pos = {idx: p for p, idx in enumerate(b0)}
-    forced = {wa[w][0]: wb[w][0] for w in nonzero}
-
-    def to_positions(bits: int, table: dict[int, int]) -> int | None:
-        out = 0
-        for m in bit_indices(bits):
-            if m not in table:
-                return None
-            out |= 1 << table[m]
-        return out
-
-    # Unknowns X[p][q], bit p * k + q: the image of the p-th weight-0 model
-    # vector has coefficient X[p][q] on the q-th weight-0 target vector.
-    # Each equation is a (row, right-hand side) pair.
-    equations: list[tuple[int, int]] = []
-    for w in nonzero:
-        ai, bi = wa[w][0], wb[w][0]
-        # Action of the weight-0 part on this weight line must transport.
-        acts = 0
-        for q, b_idx in enumerate(b0):
-            vb = B.bracket_basis(b_idx, bi)
-            if vb and not (vb >> bi) & 1:
-                return None
-            acts |= ((vb >> bi) & 1) << q
-        for p, a_idx in enumerate(a0):
-            va = A.bracket_basis(a_idx, ai)
-            if va and not (va >> ai) & 1:
-                return None
-            equations.append((acts << (p * k), (va >> ai) & 1))
-        # Dual weight pairs land in the weight-0 block on both sides.
-        nw = tuple(-x for x in w)
-        if w < nw:
-            ca = to_positions(A.bracket_basis(ai, wa[nw][0]), a0_pos)
-            cb = to_positions(B.bracket_basis(bi, wb[nw][0]), b0_pos)
-            if ca is None or cb is None:
-                return None
-            for q in range(k):
-                row = sum(1 << (p * k + q) for p in bit_indices(ca))
-                equations.append((row, (cb >> q) & 1))
-
-    rhs = sum(r << i for i, (_, r) in enumerate(equations))
-    x = GF2Matrix(len(equations), k * k, [row for row, _ in equations]).solve(rhs)
-    if x is None:
-        return None
-
-    theta_rows = [0] * A.dim
-    for ai, bi in forced.items():
-        theta_rows[ai] = 1 << bi
-    for p, a_idx in enumerate(a0):
-        xrow = (x >> (p * k)) & ((1 << k) - 1)
-        theta_rows[a_idx] = sum(1 << b0[q] for q in bit_indices(xrow))
-    # The forced rows are distinct unit vectors outside the weight-0
-    # block, so theta is invertible exactly when X is.
-    theta = GF2Matrix(A.dim, B.dim, theta_rows)
-    if theta.rank() != A.dim:
-        return None
-
-    def apply(bits: int) -> int:
-        out = 0
-        for m in bit_indices(bits):
-            out ^= theta_rows[m]
-        return out
-
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            if apply(A.bracket_basis(i, j)) != B.bracket(
-                theta_rows[i], theta_rows[j]
-            ):
-                return None
-    return theta

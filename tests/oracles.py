@@ -18,6 +18,10 @@
 - The per-bit reduction of wedge coordinates to model coordinates, which
   looks up each monomial's kept position; QuotientModel.reduce, a closed
   form, must agree with it.
+- The closed formulas for the automorphism over a signed permutation g:
+  E_a -> E_(g a) and H_i -> H_(g alpha_i) on D_l, and e_a e_b ->
+  reduce(e_(g a) e_(g b)) on the model; the automorphisms the survey
+  derives from the algebra must equal them.
 
 It also holds helpers that more than one test module uses: the basis
 cochains of a weight block, symplectic transvections and Weyl orbits.
@@ -40,7 +44,7 @@ from d2lie.cohomology import (
 )
 from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
 from d2lie.gf2 import PivotBasis, bit_indices
-from d2lie.roots import RootSystem, Weight, wdot
+from d2lie.roots import RootSystem, Weight, build_root_system, express_in_simple_roots, wdot
 
 
 def truncated_jacobi(L, psi, i, j, k):
@@ -233,6 +237,31 @@ def per_bit_reduce(model, wedge_bits):
     for p in bit_indices(wedge_bits):
         out ^= 1 << kept_pos[monos[p]]
     return out
+
+
+# -- automorphisms over signed permutations ------------------------------
+
+
+def chevalley_automorphism(l, g):
+    """Basis images of the automorphism of build_chevalley_D(l) over g:
+    E_a -> E_(g a), and H_i -> H_(g alpha_i), the mod-2 simple-root
+    coordinates of g alpha_i."""
+    system = build_root_system(l)
+    idx_of_root = {r: l + k for k, r in enumerate(system.roots)}
+
+    def h(beta):
+        return sum((c & 1) << i for i, c in enumerate(express_in_simple_roots(beta, system)))
+
+    return [h(g(a)) for a in system.simple] + [1 << idx_of_root[g(r)] for r in system.roots]
+
+
+def model_automorphism(model, g):
+    """Basis images of the automorphism of the model over g: g permutes the
+    basis of V by weight, and e_a e_b -> reduce(e_(g a) e_(g b))."""
+    space = model.space
+    by_weight = {space.weight_of_index(a): a for a in range(space.dim)}
+    img = [by_weight[g(space.weight_of_index(a))] for a in range(space.dim)]
+    return [model.reduce(wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in model.monomials]
 
 
 # -- symplectic transvections --------------------------------------------

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-from d2lie.algebra import LieAlgebra, build_chevalley_D
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -82,18 +81,6 @@ def test_library_discrepancy_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("d2lie.cli.integrability_scan", contradiction)
     assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
     assert "weight (0, 0, 2, 0): cup square survived" in capsys.readouterr().err
-
-
-def test_failed_automorphism_exits_2(monkeypatch, capsys):
-    # Every generator's basis images come back reversed.
-    def reversed_symmetry(l):
-        L = build_chevalley_D(l)
-        return LieAlgebra(L.labels, L.weights, L.brackets, lambda g: L.symmetry(g)[::-1])
-
-    monkeypatch.setattr("d2lie.cli.build_chevalley_D", reversed_symmetry)
-    assert main(["cohomology", "--l", "4"]) == EXIT_DISCREPANCY
-    err = capsys.readouterr().err
-    assert err.startswith("discrepancy: automorphism eps_1<->eps_2 breaks the bracket of H1 and E(-1,0,-1,0)")
 
 
 def test_cohomology_json_report(tmp_path, capsys):

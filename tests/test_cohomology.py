@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    chevalley_automorphism,
     cochain_basis,
     composite_is_zero,
+    model_automorphism,
     per_weight_survey_rows,
     representative,
     ungraded_h2_dim,
@@ -17,6 +19,8 @@ from d2lie.algebra import (
     center,
     check_jacobi,
     check_weight_additivity,
+    find_graded_isomorphism,
+    is_homomorphism,
 )
 from d2lie.cohomology import (
     Cochain,
@@ -35,6 +39,7 @@ from d2lie.cohomology import (
     _c2_weights,
     _coord_code,
     _coord_of_code,
+    _signed_permutation_generators,
     _term_codes,
     _torus_functionals,
 )
@@ -411,6 +416,7 @@ def test_survey_drops_torus_elements_without_a_functional():
     for L in (A, B):
         assert check_jacobi(L).ok and check_weight_additivity(L)
         assert _torus_functionals(L) == ()
+        assert _automorphisms(L) == {}
         assert h2_survey_rows(L) == unpruned_survey_rows(L)
     assert {r["weight"]: r["dim_h2"] for r in h2_survey_rows(A)}[(-1,)] == 2
 
@@ -438,51 +444,35 @@ def test_only_the_survey_builds_the_automorphisms():
     assert model.algebra._automorphisms is None
 
 
-def _with_symmetry(L, symmetry):
-    return LieAlgebra(L.labels, L.weights, L.brackets, symmetry)
+def test_automorphisms_equal_the_closed_formulas(d4, d5, d6, d7, d8, model5, model7, model9):
+    cases = [(L, lambda g, l=len(L.weights[0]): chevalley_automorphism(l, g)) for L in (d4, d5, d6, d7, d8)]
+    cases += [(m.algebra, lambda g, m=m: model_automorphism(m, g)) for m in (model5, model7, model9)]
+    for L, formula in cases:
+        gens = _signed_permutation_generators(len(L.weights[0]))
+        assert _automorphisms(L) == {name: formula(g) for name, g in gens.items()}
 
 
-def _swap_root_images(L, theta):
-    theta[4], theta[5] = theta[5], theta[4]
-    return theta
-
-
-def _merge_cartan_images(L, theta):
-    theta[1] = theta[0]
-    return theta
-
-
-def _images_of_eps_1_eps_2(L, theta):
-    # An automorphism, but over the wrong signed permutation.
-    return L.symmetry(lambda w: (w[1], w[0], *w[2:]))
-
-
-@pytest.mark.parametrize(
-    "corrupt, witness",
-    [
-        (
-            _swap_root_images,
-            "automorphism eps_2<->eps_3 breaks the bracket of H1 and E(-1,-1,0,0):"
-            " theta([H1, E(-1,-1,0,0)]) = 0, but [theta H1, theta E(-1,-1,0,0)] = E(-1,-1,0,0)",
-        ),
-        (_merge_cartan_images, "automorphism eps_2<->eps_3 is not invertible"),
-        (
-            _images_of_eps_1_eps_2,
-            "automorphism eps_2<->eps_3 sends E(-1,-1,0,0) to E(-1,-1,0,0), not of weight (-1, 0, -1, 0)",
-        ),
-    ],
-)
-def test_corrupted_automorphism_raises_with_witness(corrupt, witness):
-    # The corruption touches only the images at eps_2 <-> eps_3.
+def test_is_homomorphism_rejects_swapped_root_images():
     L = build_chevalley_D(4)
+    theta = list(_automorphisms(L)["eps_2<->eps_3"])
+    assert is_homomorphism(L, L, theta)
+    theta[4], theta[5] = theta[5], theta[4]
+    assert not is_homomorphism(L, L, theta)
+    # One bracket entry of the target changed: [E_a, E_b] = E_(a+b) dropped.
+    key = next((i, j) for (i, j), v in sorted(L.brackets.items()) if i >= 4 and v.bit_count() == 1)
+    B = LieAlgebra(L.labels, L.weights, {k: v for k, v in L.brackets.items() if k != key})
+    assert find_graded_isomorphism(L, L) == [1 << i for i in range(L.dim)]
+    assert find_graded_isomorphism(L, B) is None
 
-    def corrupted(g):
-        theta = L.symmetry(g)
-        return corrupt(L, theta) if g((1, 2, 3, 4)) == (1, 3, 2, 4) else theta
 
-    with pytest.raises(ArithmeticError) as exc:
-        h2_survey_rows(_with_symmetry(L, corrupted))
-    assert str(exc.value) == witness
+def test_survey_without_a_negative_weight_ranks_per_weight():
+    # x has weight (-1, -1) and nothing has weight (1, 1): no dual pair
+    # fixes theta on h, so no generator gets an automorphism.
+    L = LieAlgebra(["h", "x"], [(0, 0), (-1, -1)], {(0, 1): 0b10})
+    assert check_jacobi(L).ok and check_weight_additivity(L)
+    assert find_graded_isomorphism(L, L) is None
+    assert _automorphisms(L) == {}
+    assert h2_survey_rows(L) == unpruned_survey_rows(L)
 
 
 def test_d2_failure_names_the_ranked_representative(monkeypatch):
