@@ -12,8 +12,8 @@ algebra here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .gf2 import GF2Matrix, PivotBasis, bit_indices
 from .roots import (
@@ -162,8 +162,7 @@ def jacobiator(table: dict[tuple[int, int], int]) -> dict[tuple[int, int, int], 
     return out
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Row space of a GF2Matrix inside GF(2)^ambient."""
 
     ambient: int
@@ -183,8 +182,7 @@ class Subspace:
         return self.ambient == other.ambient and self.canonical() == other.canonical()
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     triple: tuple[int, int, int] | None = None
     defect: int = 0

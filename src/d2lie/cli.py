@@ -6,6 +6,13 @@ discrepancy (reported, never silently reconciled).
 
 Each command returns its report and verdict; main writes the report to
 --out with the verdict as "pass" and turns the verdict into the exit code.
+
+Each command runs in a fresh process, mostly start-up at the checked
+ranks, so deformation and exterior are imported inside the commands that
+run them: rigidity loads both, integrability deformation, and verify and
+cohomology exterior only under --model exterior.  build_chevalley_D and
+h2_survey_rows stay module-level: the tests and the benchmark's tracing
+look them up on this module.
 """
 
 from __future__ import annotations
@@ -25,16 +32,6 @@ from .algebra import (
     format_label,
 )
 from .cohomology import h2_survey_rows
-from .deformation import (
-    VERDICT_NONTRIVIAL,
-    VERDICT_ZERO,
-    DeformedAlgebra,
-    integrability_scan,
-    rigidity_scan,
-    scan_to_json,
-    verify_deformation,
-)
-from .exterior import build_quotient_model
 from .gf2 import GF2Matrix, bit_indices
 from .roots import build_root_system, express_in_simple_roots, wzero
 
@@ -118,6 +115,8 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _build(args):
     if args.model == "exterior":
+        from .exterior import build_quotient_model
+
         return build_quotient_model(args.l).algebra
     return build_chevalley_D(args.l)
 
@@ -212,6 +211,9 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
 
 
 def cmd_rigidity(args) -> tuple[dict, bool]:
+    from .deformation import VERDICT_NONTRIVIAL, rigidity_scan, scan_to_json
+    from .exterior import build_quotient_model
+
     model = build_quotient_model(args.l)
     reports = rigidity_scan(model)
     ok = bool(reports) and all(r.verdict == VERDICT_NONTRIVIAL for r in reports)
@@ -225,6 +227,9 @@ def cmd_rigidity(args) -> tuple[dict, bool]:
 
 
 def cmd_integrability(args) -> tuple[dict, bool]:
+    from .deformation import VERDICT_ZERO, DeformedAlgebra, integrability_scan
+    from .deformation import scan_to_json, verify_deformation
+
     L = build_chevalley_D(args.l)
     reports = integrability_scan(L)
     deform_ok = True

@@ -54,7 +54,7 @@ is the one place a set of packed coordinates becomes one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LieAlgebra, check_weight_additivity, find_graded_isomorphism
 from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
@@ -289,8 +289,7 @@ def _diff_matrix(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> G
     return GF2Matrix(len(src), len(target_pos), images).transpose()
 
 
-@dataclass(frozen=True)
-class WeightBlock:
+class WeightBlock(NamedTuple):
     """One weight's slice of the complex with its two differentials."""
 
     mu: Weight

@@ -28,7 +28,7 @@ f_t alternating on all of K[t]^dim, since for x = sum a_i b_i
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
     LieAlgebra,
@@ -44,9 +44,11 @@ from .cohomology import (
     h2_weight_survey,
     is_coboundary,
 )
-from .exterior import QuotientModel, phi
 from .gf2 import bit_indices
 from .roots import Weight, build_root_system, wadd, wneg, wsub
+
+if TYPE_CHECKING:
+    from .exterior import QuotientModel
 
 VERDICT_ZERO = "ZERO"
 VERDICT_COBOUNDARY = "COBOUNDARY"
@@ -68,8 +70,7 @@ def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
 # -- verdicts -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Cup-square verdict for one cohomology class."""
 
     weight: Weight | None
@@ -211,16 +212,14 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
 # -- the deformed bracket ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformedAlgebra:
+class DeformedAlgebra(NamedTuple):
     """Bracket family f_t(x, y) = [x, y] + t psi(x, y) over K[t]; verify_deformation checks it."""
 
     base: LieAlgebra
     cochain: Cochain
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     ok: bool
     base_ok: bool          # t^0 coefficient: Jacobi of the original bracket
     t1_ok: bool            # t coefficient: d psi
@@ -263,6 +262,8 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     verdicts come back NONTRIVIAL.  Each weight is checked directly
     rather than transported by symmetry.
     """
+    from .exterior import phi
+
     l = model.l
     if l % 2 == 0:
         raise ValueError("rigidity scan applies at odd rank")
@@ -301,11 +302,7 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
         psi = build_even_cocycle(L, mu)
         cv = central_valued(L, psi)
         vc = vanishes_on_center(L, psi)
-        report = replace(
-            obstruction_verdict(L, psi),
-            central_valued=cv,
-            vanishes_on_center=vc,
-        )
+        report = obstruction_verdict(L, psi)._replace(central_valued=cv, vanishes_on_center=vc)
         if cv and vc and report.verdict != VERDICT_ZERO:
             raise ArithmeticError(
                 f"weight {mu}: central values with vanishing on the centre"

@@ -14,9 +14,9 @@ are built from the eight-term pairing formula in phi_eval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import LieAlgebra
 from .cohomology import Cochain
@@ -24,15 +24,15 @@ from .gf2 import bit_indices
 from .roots import Weight, wadd
 
 
-@dataclass(frozen=True)
 class SymplecticSpace:
     """Symplectic GF(2) space of dimension 2l with the mirrored basis order."""
 
-    l: int
+    __slots__ = ("l",)
 
-    def __post_init__(self):
-        if self.l < 1:
+    def __init__(self, l: int):
+        if l < 1:
             raise ValueError("rank must be positive")
+        self.l = l
 
     @property
     def dim(self) -> int:
@@ -140,8 +140,7 @@ def _reduce(space: SymplecticSpace, wedge_bits: int) -> int:
     return (wedge_bits & ((1 << dropped) - 1)) | (wedge_bits >> (dropped + 1) << dropped)
 
 
-@dataclass(frozen=True)
-class QuotientModel:
+class QuotientModel(NamedTuple):
     """Wedge square modulo the invariant line, packaged as a LieAlgebra.
 
     The eliminated monomial is e_l e_-l; it is rewritten as the sum of

@@ -8,9 +8,9 @@ even though all algebra coefficients live in GF(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
@@ -50,8 +50,7 @@ def eps(l: int, i: int) -> Weight:
     return tuple(1 if j == i - 1 else 0 for j in range(l))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """All roots of D_l plus the simple roots alpha_1..alpha_l.
 
     The enumeration puts alpha_i = eps_i - eps_(i+1) for i < l and

@@ -78,7 +78,9 @@ def test_library_discrepancy_exits_2(monkeypatch, capsys):
     def contradiction(L):
         raise ArithmeticError("weight (0, 0, 2, 0): cup square survived")
 
-    monkeypatch.setattr("d2lie.cli.integrability_scan", contradiction)
+    # cli imports deformation when the command runs, so the patch goes on
+    # the module that defines the scan.
+    monkeypatch.setattr("d2lie.deformation.integrability_scan", contradiction)
     assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
     assert "weight (0, 0, 2, 0): cup square survived" in capsys.readouterr().err
 

@@ -257,6 +257,20 @@ def test_deformation_passes_for_even_cocycle(d4):
     assert report.base_ok and report.t1_ok and report.t2_ok
 
 
+def test_reports_and_model_are_immutable(d4, model5):
+    # Reports and models are shared values: no field can be reassigned
+    # and no attribute added.
+    psi = build_even_cocycle(d4)
+    for record, field in (
+        (obstruction_verdict(d4, psi), "verdict"),
+        (verify_deformation(DeformedAlgebra(d4, psi)), "ok"),
+        (model5, "algebra"),
+    ):
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 def _failure(report):
     return report.failing_triple, report.failing_power, report.failing_value
 

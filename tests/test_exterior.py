@@ -98,6 +98,12 @@ def test_basis_order_is_mirrored():
     assert [s.label_of(i) for i in range(10)] == [1, 2, 3, 4, 5, -5, -4, -3, -2, -1]
 
 
+def test_symplectic_space_rejects_nonpositive_rank():
+    for l in (0, -1):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            SymplecticSpace(l)
+
+
 # -- poisson bracket -----------------------------------------------------
 
 

@@ -32,21 +32,74 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements or AssertionErrors in the library: {found}"
 
 
+def _bench_commands():
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+    return [cmd for w in workloads.values() for cmd in w.commands]
+
+
+def _run_python(*args):
+    """A fresh interpreter on the library in src/; returns the finished process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_reports_survive_python_O(tmp_path):
     # The run-time side of the check above: with asserts stripped, every
     # benchmark command still exits 0 and main writes its reference report.
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    workloads = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
-    for cmd in (cmd for w in workloads.values() for cmd in w.commands):
+    for cmd in _bench_commands():
         out = tmp_path / f"{cmd.name}.json"
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "d2lie.cli", *cmd.argv, "--out", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_python("-O", "-m", "d2lie.cli", *cmd.argv, "--out", str(out))
         assert proc.returncode == 0, (cmd.name, proc.stderr)
         assert out.read_bytes() == (BENCH / "reference" / f"{cmd.name}.json").read_bytes(), cmd.name
+
+
+def _imported_modules(*args) -> set[str]:
+    """Every module a fresh interpreter imports, as -X importtime lists them."""
+    proc = _run_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_cli_processes_load_only_what_they_run(tmp_path):
+    # Start-up is most of a benchmark command's process.  No command pays
+    # for dataclasses and the inspect module it pulls in, and a command
+    # loads deformation and exterior only if it runs them (cli docstring).
+    # What the bare interpreter imports on its own is not the CLI's doing.
+    bare = _imported_modules("-c", "pass")
+    never = {"dataclasses", "inspect"}
+    not_run = {
+        "verify_l4": {"d2lie.deformation", "d2lie.exterior"},
+        "cohomology_l5": {"d2lie.deformation", "d2lie.exterior"},
+        "integrability_l4": {"d2lie.exterior"},
+    }
+    commands = _bench_commands()
+    assert set(not_run) <= {cmd.name for cmd in commands}
+    for cmd in commands:
+        out = tmp_path / f"{cmd.name}.json"
+        loaded = _imported_modules("-m", "d2lie.cli", *cmd.argv, "--out", str(out)) - bare
+        assert "d2lie.algebra" in loaded, cmd.name
+        assert not loaded & (never | not_run.get(cmd.name, set())), cmd.name
+
+
+def test_library_does_not_import_dataclasses():
+    # The static side of the start-up check: dataclasses costs every
+    # process several milliseconds for inspect; records are NamedTuples.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported in the library: {found}"
 
 
 def test_library_imports_are_used():
