@@ -1,11 +1,8 @@
-"""Command-line front end.
-
-Subcommands: verify, cohomology, rigidity, integrability.  Exit codes:
-0 = expected structure reproduced, 1 = usage error, 2 = mathematical
-discrepancy (reported, never silently reconciled).
+"""Command-line front end; --help prints DESCRIPTION, with the exit codes.
 
 Each command returns its report and verdict; main writes the report to
---out with the verdict as "pass" and turns the verdict into the exit code.
+--out with the verdict as "pass" and turns the verdict into the exit
+code, so a discrepancy is reported, never silently reconciled.
 
 Each command runs in a fresh process, mostly start-up at the checked
 ranks, so deformation and exterior are imported inside the commands that
@@ -40,6 +37,11 @@ EXIT_USAGE = 1
 EXIT_DISCREPANCY = 2
 
 DEFAULT_L_CAP = 10
+DESCRIPTION = (
+    "Exact GF(2) checks of D_l in characteristic 2. Subcommands: verify,"
+    " cohomology, rigidity, integrability. Exit codes: 0 = expected structure"
+    " reproduced, 1 = usage error, 2 = mathematical discrepancy."
+)
 
 
 class UsageError(Exception):
@@ -53,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="d2lie", description=__doc__)
+    p = _Parser(prog="d2lie", description=DESCRIPTION)
     sub = p.add_subparsers(dest="command", required=True)
     # rigidity always runs on the wedge-square model and integrability on
     # the Chevalley algebra, so only verify and cohomology take --model.

@@ -46,13 +46,17 @@ ranked.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (_coord_code): the mask of the key's indices with bit dim + k
-set.  Weight blocks are listed, differentiated, ranked and solved in
-that form; Cochain is the type at the module's boundary, and _cochain
-is the one place a set of packed coordinates becomes one.
+set, so every term of the differential is a mask union.  differential
+only counts how often each term occurs and keeps the odd ones, so a
+cocycle check numbers nothing; _images numbers the target coordinates
+only where packed rows are needed: ranks, the dense blocks and the
+coboundary solve.  Cochain is the type at the module's boundary, and
+_cochain is the one place a set of packed coordinates becomes one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -186,7 +190,7 @@ def _coord_of_code(code: int, dim: int) -> tuple[tuple[int, ...], int]:
 
 
 def _term_codes(L: LieAlgebra) -> tuple[list[list[int]], list[list[int]]]:
-    """The two term tables of _images, built once per algebra.
+    """The two term tables of differential and _images, built once per algebra.
 
     codes[k] lists the code of ((a,), m) for each b_m in a nonzero
     [b_a, b_k], by a then m: the adjacency of L in packed coordinates.
@@ -214,19 +218,29 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential; degrees 1..3 accepted.
 
     Degree 3 is admitted (image degree 4) solely so that cocycle
-    preconditions on degree-3 inputs can be machine-checked.
+    preconditions on degree-3 inputs can be machine-checked.  Each term
+    is a packed coordinate, kept when it occurs an odd number of times
+    and its key has degree + 1 indices: a term whose new index is already
+    in the key collapses to a shorter key.
     """
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
     if c.dim != L.dim:
         raise ValueError(f"cochain of dimension {c.dim} on an algebra of dimension {L.dim}")
-    src = [_coord_code(key, k, L.dim) for key, bits in c.data.items() for k in bit_indices(bits)]
-    target_pos: dict[int, int] = {}
-    acc = 0
-    for img in _images(L, src, target_pos):
-        acc ^= img
-    # Only the coordinates that survive the cancellations are decoded.
-    return _cochain(c.degree + 1, L.dim, list(target_pos), acc)
+    dim = L.dim
+    codes, pairs = _term_codes(L)
+    terms: list[int] = []
+    for key, bits in c.data.items():
+        mask = sum(1 << i for i in key)
+        for k in bit_indices(bits):
+            # sum_i [x_i, c(..)] and sum_{i<j} c([x_i, x_j], ..), as in _images.
+            terms.extend(map(mask.__or__, codes[k]))
+            for i in key:
+                terms.extend(map((mask ^ (1 << i) | 1 << (dim + k)).__or__, pairs[i]))
+    # Counter keeps first-occurrence order, the order _images numbers targets in.
+    low = (1 << dim) - 1
+    odd = [t for t, n in Counter(terms).items() if n & 1 and (t & low).bit_count() == c.degree + 1]
+    return _cochain(c.degree + 1, dim, odd, (1 << len(odd)) - 1)
 
 
 # -- weight blocks -----------------------------------------------------

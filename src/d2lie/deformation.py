@@ -103,8 +103,9 @@ class ObstructionReport(NamedTuple):
 
 def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
     """ZERO / COBOUNDARY / NONTRIVIAL for the cup square of a cocycle."""
-    if not differential(L, psi).is_zero():
-        raise ValueError("obstruction verdicts need a cocycle")
+    if dpsi := differential(L, psi).data:
+        t = min(dpsi)
+        raise ValueError(f"not a cocycle: d psi at the basis triple {t} is {tuple(bit_indices(dpsi[t]))}")
     w = cochain_weight(L, psi)
     cup = cup_square(L, psi)
     if cup.is_zero():
@@ -260,7 +261,8 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     Every class is represented by the quadratic cocycle of a basis
     vector of V, one per weight ±2 eps_i; the algebra is rigid iff all
     verdicts come back NONTRIVIAL.  Each weight is checked directly
-    rather than transported by symmetry.
+    rather than transported by symmetry.  Both scans re-raise a verdict's
+    ValueError on their own cocycles as ArithmeticError naming the class.
     """
     from .exterior import phi
 
@@ -278,7 +280,10 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     items.sort()
     reports = []
     for w, label in items:
-        report = obstruction_verdict(model.algebra, phi(label, model))
+        try:
+            report = obstruction_verdict(model.algebra, phi(label, model))
+        except ValueError as exc:
+            raise ArithmeticError(f"quadratic cocycle {label} at weight {w}: {exc}") from exc
         if report.weight != w:
             raise ArithmeticError(
                 f"quadratic cocycle {label} has weight {report.weight}, expected {w}"
@@ -302,7 +307,10 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
         psi = build_even_cocycle(L, mu)
         cv = central_valued(L, psi)
         vc = vanishes_on_center(L, psi)
-        report = obstruction_verdict(L, psi)._replace(central_valued=cv, vanishes_on_center=vc)
+        try:
+            report = obstruction_verdict(L, psi)._replace(central_valued=cv, vanishes_on_center=vc)
+        except ValueError as exc:
+            raise ArithmeticError(f"weight {mu}: {exc}") from exc
         if cv and vc and report.verdict != VERDICT_ZERO:
             raise ArithmeticError(
                 f"weight {mu}: central values with vanishing on the centre"

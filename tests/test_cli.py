@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import d2lie.deformation
+import d2lie.exterior
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
+from d2lie.cohomology import Cochain, differential, h2_weight_survey
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference"
@@ -83,6 +89,47 @@ def test_library_discrepancy_exits_2(monkeypatch, capsys):
     monkeypatch.setattr("d2lie.deformation.integrability_scan", contradiction)
     assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
     assert "weight (0, 0, 2, 0): cup square survived" in capsys.readouterr().err
+
+
+def test_scan_non_cocycle_exits_2(monkeypatch, model5, d4, capsys):
+    # A scan's own cocycle failing d psi = 0 is a discrepancy, not a usage
+    # error, and the message names the class and the lex-first failing triple.
+    def broken(make):
+        def build(*args):
+            psi = make(*args)
+            return psi + Cochain(2, psi.dim, {(0, 4): 1 << 5})
+
+        return build
+
+    rigidity_phi = broken(d2lie.exterior.phi)
+    monkeypatch.setattr("d2lie.exterior.phi", rigidity_phi)
+    # rigidity_scan checks the weight -2 eps_1 (label -1) first.
+    triple = min(differential(model5.algebra, rigidity_phi(-1, model5)).data)
+    assert main(["rigidity", "--l", "5"]) == EXIT_DISCREPANCY
+    err = capsys.readouterr().err
+    assert "quadratic cocycle -1 at weight (-2, 0, 0, 0, 0)" in err
+    assert f"basis triple {triple}" in err
+
+    even_cocycle = broken(d2lie.deformation.build_even_cocycle)
+    monkeypatch.setattr("d2lie.deformation.build_even_cocycle", even_cocycle)
+    mu = min(h2_weight_survey(d4))
+    triple = min(differential(d4, even_cocycle(d4, mu)).data)
+    assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
+    err = capsys.readouterr().err
+    assert f"weight {mu}: " in err
+    assert f"basis triple {triple}" in err
+
+
+def test_help_lists_exit_codes_without_code_notes():
+    # The help text is a constant, so it survives python -OO, which drops docstrings.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "d2lie.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    for code in ("0 = expected structure", "1 = usage error", "2 = mathematical discrepancy"):
+        assert code in " ".join(proc.stdout.split())
+    assert "build_chevalley_D" not in proc.stdout
 
 
 def test_cohomology_json_report(tmp_path, capsys):

@@ -236,24 +236,37 @@ def _differential_oracle(L, c):
     return out
 
 
-def _random_cochain(L, n, rng, density):
+def _random_cochain(L, n, rng, density, indices=None):
     data = {}
-    for key in combinations(range(L.dim), n):
+    for key in combinations(range(L.dim) if indices is None else indices, n):
         if rng.random() < density:
             data[key] = rng.getrandbits(L.dim)
     return Cochain(n, L.dim, data)
 
 
-def test_differential_matches_pointwise_oracle(d3, d4, d5, model3, model5):
+def test_differential_matches_pointwise_oracle(d3, d4, d5, model3, model5, model7):
     rng = random.Random(25)
-    cases = [(d4, 1, 1.0), (d4, 1, 0.2), (d4, 2, 0.05), (d4, 2, 0.5)]
-    cases += [(L, 3, density) for L in (d3, model3.algebra) for density in (0.02, 0.3)]
-    # D_5 and the rank-5 model have 45 and 44 basis vectors, so the packed
-    # target coordinates of _images (key mask plus bit dim + k) pass 64 bits.
-    cases += [(L, n, density) for L in (d5, model5.algebra) for n, density in ((1, 0.5), (2, 0.03))]
-    for L, n, density in cases:
-        c = _random_cochain(L, n, rng, density)
+    cochains = [
+        (L, _random_cochain(L, n, rng, density))
+        for L, n, density in [(d4, 1, 1.0), (d4, 1, 0.2), (d4, 2, 0.05), (d4, 2, 0.5)]
+        + [(L, 3, density) for L in (d3, model3.algebra) for density in (0.02, 0.3)]
+        # D_5 and the rank-5 model have 45 and 44 basis vectors, so the packed
+        # coordinates (key mask plus bit dim + k) pass 64 bits; the rank-7
+        # model's 90 pass 128.
+        + [(L, n, density) for L in (d5, model5.algebra) for n, density in ((1, 0.5), (2, 0.03))]
+        + [(model7.algebra, 2, 0.003)]
+    ]
+    # On the Cartan indices, bracketing the value with a key index gives a
+    # term with a repeated index, which must drop out, and terms of one
+    # source cancel in pairs.
+    cartan = [i for i, w in enumerate(d4.weights) if is_zero_weight(w)]
+    cochains += [(d4, _random_cochain(d4, n, rng, 1.0, cartan)) for n in (1, 2, 3)]
+    # A cocycle plus one dual-basis cochain has a nonzero image.
+    psi = phi(1, model7) + Cochain(2, model7.algebra.dim, {(0, 4): 1 << 5})
+    cochains.append((model7.algebra, psi))
+    for L, c in cochains:
         assert differential(L, c).data == _differential_oracle(L, c)
+    assert differential(model7.algebra, psi).data
 
 
 def test_coordinate_code_round_trips(d4):
