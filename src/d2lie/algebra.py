@@ -60,7 +60,6 @@ class LieAlgebra:
         self._adjacency = None
         self._term_codes = None
         self._center = None
-        self._jacobiator = None
         self._graded = None
         self._weight_index = None
         self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
@@ -73,27 +72,6 @@ class LieAlgebra:
         if i > j:
             i, j = j, i
         return self.brackets.get((i, j), 0)
-
-    def bracket_vec_basis(self, x: int, j: int) -> int:
-        """[x, b_j] for a packed vector x."""
-        table = self.brackets
-        out = 0
-        while x:
-            low = x & -x
-            i = low.bit_length() - 1
-            x ^= low
-            if i != j:
-                out ^= table.get((i, j) if i < j else (j, i), 0)
-        return out
-
-    def bracket(self, x: int, y: int) -> int:
-        """Bilinear bracket of two packed vectors."""
-        out = 0
-        while y:
-            low = y & -y
-            out ^= self.bracket_vec_basis(x, low.bit_length() - 1)
-            y ^= low
-        return out
 
     # -- cached indexes ------------------------------------------------
 
@@ -260,16 +238,9 @@ def center(L: LieAlgebra) -> Subspace:
     return L._center
 
 
-def bracket_jacobiator(L: LieAlgebra) -> dict[tuple[int, int, int], int]:
-    """jacobiator(L.brackets), the Jacobi defect of L, computed once per algebra."""
-    if L._jacobiator is None:
-        L._jacobiator = jacobiator(L.brackets)
-    return L._jacobiator
-
-
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Jacobi identity on all basis triples; a failure names the lex-first triple."""
-    defects = bracket_jacobiator(L)
+    defects = jacobiator(L.brackets)
     if not defects:
         return JacobiReport(True)
     triple = min(defects)
@@ -365,63 +336,6 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
     return theta
 
 
-# -- central quotients ------------------------------------------------
-
-
-def quotient_with_projection(
-    L: LieAlgebra, Z: Subspace
-) -> tuple[LieAlgebra, GF2Matrix]:
-    """Quotient by a central subspace plus the old-basis projection matrix.
-
-    Coset representatives drop the lowest index of each row of
-    Z.canonical(), its RREF pivot; the choice is arbitrary but fixed,
-    and every downstream quantity is representative-independent because
-    Z is central.
-    """
-    dim = L.dim
-    if Z.ambient != dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    for z in Z.basis.rows:
-        for j in range(dim):
-            if L.bracket_vec_basis(z, j):
-                raise ValueError("subspace is not central")
-        for m in bit_indices(z):
-            if not is_zero_weight(L.weights[m]):
-                raise ValueError("central generators must be weight-0 combinations")
-
-    # An RREF row's pivot appears in no other row, so adding the row
-    # rewrites b_pivot as the rest of the row, modulo Z.
-    pivot_rows = {z & -z: z for z in Z.canonical().rows}
-    dropped = {low.bit_length() - 1 for low in pivot_rows}
-    kept = [i for i in range(dim) if i not in dropped]
-    new_pos = {old: new for new, old in enumerate(kept)}
-
-    def project(bits: int) -> int:
-        for low, z in pivot_rows.items():
-            if bits & low:
-                bits ^= z
-        out = 0
-        while bits:
-            low = bits & -bits
-            out |= 1 << new_pos[low.bit_length() - 1]
-            bits ^= low
-        return out
-
-    if not dropped:
-        return LieAlgebra(L.labels, L.weights, dict(L.brackets)), GF2Matrix.identity(dim)
-
-    labels = [("COSET", L.labels[i]) for i in kept]
-    weights = [L.weights[i] for i in kept]
-    brackets = {}
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            v = project(L.bracket_basis(kept[a], kept[b]))
-            if v:
-                brackets[(a, b)] = v
-    proj = GF2Matrix(dim, len(kept), [project(1 << i) for i in range(dim)])
-    return LieAlgebra(labels, weights, brackets), proj
-
-
 # -- expected centre generators ---------------------------------------
 
 
@@ -442,8 +356,6 @@ def format_label(label: Label) -> str:
         return f"H{label[1]}"
     if kind == "ROOTVEC":
         return "E(" + ",".join(str(c) for c in label[1]) + ")"
-    if kind == "COSET":
-        return "[" + format_label(label[1]) + "]"
     if kind == "MONO":
         a, b = label[1]
         return f"e{a}^e{b}"
@@ -456,21 +368,3 @@ def chevalley_rank(L: LieAlgebra) -> int:
         raise ValueError("empty algebra")
     return len(L.weights[0])
 
-
-__all__ = [
-    "LieAlgebra",
-    "Subspace",
-    "JacobiReport",
-    "build_chevalley_D",
-    "center",
-    "check_jacobi",
-    "bracket_jacobiator",
-    "jacobiator",
-    "check_weight_additivity",
-    "is_homomorphism",
-    "find_graded_isomorphism",
-    "quotient_with_projection",
-    "expected_center_generators",
-    "format_label",
-    "chevalley_rank",
-]

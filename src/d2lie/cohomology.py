@@ -107,13 +107,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.data
 
-    def eval_basis(self, *indices: int) -> int:
-        if len(indices) != self.degree:
-            raise ValueError("arity mismatch")
-        if len(set(indices)) != self.degree:
-            return 0
-        return self.data.get(tuple(sorted(indices)), 0)
-
     def eval_vec_basis(self, x: int, c: int) -> int:
         """Bilinear value on (packed vector, basis index c); degree 2 only."""
         if self.degree != 2:

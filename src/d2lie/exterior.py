@@ -160,13 +160,6 @@ class QuotientModel(NamedTuple):
         """Full monomial coordinates -> model coordinates."""
         return _reduce(self.space, wedge_bits)
 
-    def monomial_index(self, sa: int, sb: int) -> int:
-        """Model basis index of the monomial with signed labels sa, sb."""
-        a, b = self.space.index_of(sa), self.space.index_of(sb)
-        if a > b:
-            a, b = b, a
-        return self.monomials.index((a, b))
-
 
 def build_quotient_model(l: int) -> QuotientModel:
     """Model algebra at odd rank; even rank is rejected.

@@ -96,8 +96,11 @@ def eliminate_columns(cols: Sequence[int], nrows: int) -> tuple[PivotBasis, list
 def solve_columns(cols: Sequence[int], nrows: int, b: int) -> int | None:
     """x with the sum of the columns j in x equal to b, or None if b is outside their span.
 
-    x is supported on the columns independent of those before them.
+    x is supported on the columns independent of those before them.  A b
+    with bits at or above nrows has the wrong length, and raises.
     """
+    if b < 0 or b >> nrows:
+        raise ValueError(f"right-hand side has bits outside the {nrows} rows")
     basis, _ = eliminate_columns(cols, nrows)
     v = basis.reduce(b)
     return None if v & ((1 << nrows) - 1) else v >> nrows
@@ -119,10 +122,6 @@ class GF2Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
-
-    @classmethod
-    def identity(cls, n: int) -> GF2Matrix:
-        return cls(n, n, (1 << i for i in range(n)))
 
     def transpose(self) -> GF2Matrix:
         cols = [0] * self.ncols
@@ -152,16 +151,6 @@ class GF2Matrix:
         """Basis of {v : Mv = 0}, one kernel vector per row."""
         _, kernel = eliminate_columns(self.transpose().rows, self.nrows)
         return GF2Matrix(len(kernel), self.ncols, kernel)
-
-    def solve(self, b: int) -> int | None:
-        """One solution x of Mx = b (free coordinates 0), or None if none exists.
-
-        A right-hand side with bits at or above the row count is a usage
-        error and raises; unsolvable systems return None.
-        """
-        if b < 0 or b >> self.nrows:
-            raise ValueError(f"right-hand side has bits outside the {self.nrows} rows")
-        return solve_columns(self.transpose().rows, self.nrows, b)
 
     def __eq__(self, other) -> bool:
         return (

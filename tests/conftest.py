@@ -1,8 +1,9 @@
 import time
 
 import pytest
+from oracles import quotient_with_projection
 
-from d2lie.algebra import build_chevalley_D, center, quotient_with_projection
+from d2lie.algebra import build_chevalley_D, center
 from d2lie.cohomology import h2_weight_survey
 from d2lie.exterior import build_quotient_model
 

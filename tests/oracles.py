@@ -1,8 +1,11 @@
 """Slow references shared by the test modules.
 
 - The truncated-ring Jacobi sum: f_t = [,] + t psi over K[t]/(t^3),
-  evaluated at one basis triple at a time; verify_deformation must agree
-  with it coefficient by coefficient.
+  evaluated at one basis triple at a time.  The decision the
+  integrability command makes, check_jacobi on L and a ZERO verdict,
+  must agree with it power by power: check_jacobi names its t^0
+  failure, obstruction_verdict's error its t^1 failure and a
+  NONTRIVIAL witness its t^2 failure.
 - The dense column-sweep reduced row echelon form over GF(2); the
   library's rank, row_reduce, nullspace and solve must equal what it
   gives, bit for bit.
@@ -23,8 +26,13 @@
   reduce(e_(g a) e_(g b)) on the model; the automorphisms the survey
   derives from the algebra must equal them.
 
-It also holds helpers that more than one test module uses: the basis
-cochains of a weight block, symplectic transvections and Weyl orbits.
+- The quotient of D_l by its centre, built by projecting every bracket;
+  the wedge-square model must be graded-isomorphic to it.
+
+It also holds helpers that more than one test module uses: brackets and
+cochain values on packed vectors and basis indices, the basis cochains
+of a weight block, the model index of a monomial, symplectic
+transvections and Weyl orbits.
 """
 
 from dataclasses import dataclass
@@ -43,8 +51,44 @@ from d2lie.cohomology import (
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
-from d2lie.gf2 import PivotBasis, bit_indices
-from d2lie.roots import RootSystem, Weight, build_root_system, express_in_simple_roots, wdot
+from d2lie.algebra import LieAlgebra
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
+from d2lie.roots import (
+    RootSystem,
+    Weight,
+    build_root_system,
+    express_in_simple_roots,
+    is_zero_weight,
+    wdot,
+)
+
+
+# -- brackets and cochain values ------------------------------------------
+
+
+def bracket_vec_basis(L, x, j):
+    """[x, b_j] for a packed vector x."""
+    out = 0
+    for i in bit_indices(x):
+        out ^= L.bracket_basis(i, j)
+    return out
+
+
+def bracket(L, x, y):
+    """The bilinear bracket of two packed vectors."""
+    out = 0
+    for j in bit_indices(y):
+        out ^= bracket_vec_basis(L, x, j)
+    return out
+
+
+def eval_basis(c, *indices):
+    """c on the basis vectors b_i for i in indices: symmetric, and 0 when an index repeats."""
+    if len(indices) != c.degree:
+        raise ValueError("arity mismatch")
+    if len(set(indices)) != c.degree:
+        return 0
+    return c.data.get(tuple(sorted(indices)), 0)
 
 
 def truncated_jacobi(L, psi, i, j, k):
@@ -55,22 +99,23 @@ def truncated_jacobi(L, psi, i, j, k):
     """
     out = [0, 0, 0]
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        c0, c1 = L.bracket_basis(x, y), psi.eval_basis(x, y)
-        out[0] ^= L.bracket_vec_basis(c0, z)
-        out[1] ^= L.bracket_vec_basis(c1, z) ^ psi.eval_vec_basis(c0, z)
+        c0, c1 = L.bracket_basis(x, y), eval_basis(psi, x, y)
+        out[0] ^= bracket_vec_basis(L, c0, z)
+        out[1] ^= bracket_vec_basis(L, c1, z) ^ psi.eval_vec_basis(c0, z)
         out[2] ^= psi.eval_vec_basis(c1, z)
     return tuple(out)
 
 
-def first_truncated_failure(L, psi):
-    """(triple, power, value) at the lex-first triple with a nonzero
-    coefficient and the lowest such power there; None when f_t satisfies
-    the Jacobi identity."""
+def first_truncated_failures(L, psi):
+    """{power: (triple, value)}: for each power of t whose coefficient in the
+    Jacobi sum of f_t is nonzero somewhere, the lex-first such basis triple
+    and the coefficient there.  Empty when f_t satisfies the Jacobi identity."""
+    out = {}
     for triple in combinations(range(L.dim), 3):
         for power, value in enumerate(truncated_jacobi(L, psi, *triple)):
-            if value:
-                return triple, power, value
-    return None
+            if value and power not in out:
+                out[power] = triple, value
+    return out
 
 
 # -- GF(2) reduced row echelon form -------------------------------------
@@ -237,6 +282,65 @@ def per_bit_reduce(model, wedge_bits):
     for p in bit_indices(wedge_bits):
         out ^= 1 << kept_pos[monos[p]]
     return out
+
+
+def monomial_index(model, sa, sb):
+    """Model basis index of the monomial with signed labels sa, sb."""
+    return model.monomials.index(tuple(sorted((model.space.index_of(sa), model.space.index_of(sb)))))
+
+
+# -- central quotients ------------------------------------------------------
+
+
+def quotient_with_projection(L, Z):
+    """Quotient by a central subspace plus the old-basis projection matrix.
+
+    Coset representatives drop the lowest index of each row of
+    Z.canonical(), its RREF pivot; the choice is arbitrary but fixed,
+    and every downstream quantity is representative-independent because
+    Z is central.
+    """
+    dim = L.dim
+    if Z.ambient != dim:
+        raise ValueError("subspace ambient dimension mismatch")
+    for z in Z.basis.rows:
+        for j in range(dim):
+            if bracket_vec_basis(L, z, j):
+                raise ValueError("subspace is not central")
+        for m in bit_indices(z):
+            if not is_zero_weight(L.weights[m]):
+                raise ValueError("central generators must be weight-0 combinations")
+
+    # An RREF row's pivot appears in no other row, so adding the row
+    # rewrites b_pivot as the rest of the row, modulo Z.
+    pivot_rows = {z & -z: z for z in Z.canonical().rows}
+    dropped = {low.bit_length() - 1 for low in pivot_rows}
+    kept = [i for i in range(dim) if i not in dropped]
+    new_pos = {old: new for new, old in enumerate(kept)}
+
+    def project(bits):
+        for low, z in pivot_rows.items():
+            if bits & low:
+                bits ^= z
+        out = 0
+        for i in bit_indices(bits):
+            out |= 1 << new_pos[i]
+        return out
+
+    if not dropped:
+        identity = GF2Matrix(dim, dim, (1 << i for i in range(dim)))
+        return LieAlgebra(L.labels, L.weights, dict(L.brackets)), identity
+
+    labels = [("COSET", L.labels[i]) for i in kept]
+    weights = [L.weights[i] for i in kept]
+    brackets = {}
+    for a in range(len(kept)):
+        for b in range(a + 1, len(kept)):
+            v = project(L.bracket_basis(kept[a], kept[b]))
+            if v:
+                brackets[(a, b)] = v
+    proj = GF2Matrix(dim, len(kept), [project(1 << i) for i in range(dim)])
+    return LieAlgebra(labels, weights, brackets), proj
 
 
 # -- automorphisms over signed permutations ------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import d2lie.cli
 import d2lie.deformation
 import d2lie.exterior
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
@@ -66,6 +67,19 @@ def test_usage_error_out_is_a_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("d2lie.cli.build_chevalley_D", no_work)
     assert main(["verify", "--l", "4", "--out", str(tmp_path)]) == EXIT_USAGE
     assert "is a directory" in capsys.readouterr().err
+
+
+def test_usage_error_empty_out(tmp_path, monkeypatch, capsys):
+    # An empty --out names no file; it is refused before any work, not
+    # taken for a run without --out.
+    def no_work(l):
+        raise RuntimeError("the algebra was built before --out was checked")
+
+    monkeypatch.setattr("d2lie.cli.build_chevalley_D", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--l", "4", "--out", ""]) == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exterior_rank_3_has_no_expected_total(tmp_path, capsys):
@@ -179,6 +193,27 @@ def test_integrability_command(tmp_path, capsys):
     assert doc["deformations_verified"] is True
     assert doc["verdicts"] == ["ZERO"]
     assert out.read_bytes() == (GOLDEN / "integrability_l4.json").read_bytes()
+
+
+def test_integrability_squares_each_class_once(monkeypatch, capsys):
+    # The deformation check reuses the verdict: one cup square per class
+    # and one Jacobi check per command.
+    calls = {"cup_square": 0, "check_jacobi": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(d2lie.deformation, "cup_square")
+    counted(d2lie.cli, "check_jacobi")
+    assert main(["integrability", "--l", "4"]) == EXIT_OK
+    assert "24 classes" in capsys.readouterr().out
+    assert calls == {"cup_square": 24, "check_jacobi": 1}
 
 
 def test_model_option_only_on_verify_and_cohomology(tmp_path, capsys):

@@ -1,10 +1,17 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
-from oracles import first_truncated_failure, representative, truncated_jacobi
+from oracles import (
+    eval_basis,
+    first_truncated_failures,
+    monomial_index,
+    representative,
+    truncated_jacobi,
+)
 
-from d2lie.algebra import LieAlgebra, build_chevalley_D, center
+from d2lie.algebra import LieAlgebra, build_chevalley_D, center, check_jacobi
 from d2lie.cohomology import (
     Cochain,
     cochain_weight,
@@ -14,7 +21,6 @@ from d2lie.cohomology import (
     _coord_of_code,
 )
 from d2lie.deformation import (
-    DeformedAlgebra,
     ObstructionReport,
     VERDICT_COBOUNDARY,
     VERDICT_NONTRIVIAL,
@@ -27,7 +33,6 @@ from d2lie.deformation import (
     rigidity_scan,
     scan_to_json,
     vanishes_on_center,
-    verify_deformation,
 )
 from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import bit_indices
@@ -50,25 +55,25 @@ def test_cup_square_of_zero(d4):
 def test_cup_square_paper_triple(model5):
     A = model5.algebra
     psi = phi(4, model5)
-    i1 = model5.monomial_index(-4, -5)
-    i2 = model5.monomial_index(-4, 5)
-    i3 = model5.monomial_index(3, -4)
+    i1 = monomial_index(model5, -4, -5)
+    i2 = monomial_index(model5, -4, 5)
+    i3 = monomial_index(model5, 3, -4)
     e3e4 = 1 << model5.monomials.index((2, 3))
     cup = cup_square(A, psi)
-    assert cup.eval_basis(i1, i2, i3) == e3e4
+    assert eval_basis(cup, i1, i2, i3) == e3e4
     # The displayed computation keeps only one cyclic term; the other two
     # vanish individually.
-    assert psi.eval_vec_basis(psi.eval_basis(i2, i3), i1) == 0
-    assert psi.eval_vec_basis(psi.eval_basis(i3, i1), i2) == 0
-    assert psi.eval_vec_basis(psi.eval_basis(i1, i2), i3) == e3e4
+    assert psi.eval_vec_basis(eval_basis(psi, i2, i3), i1) == 0
+    assert psi.eval_vec_basis(eval_basis(psi, i3, i1), i2) == 0
+    assert psi.eval_vec_basis(eval_basis(psi, i1, i2), i3) == e3e4
 
 
 def cup_square_at(psi, i: int, j: int, k: int) -> int:
     """Direct evaluation of the cyclic sum at one basis triple; an oracle for cup_square."""
     return (
-        psi.eval_vec_basis(psi.eval_basis(i, j), k)
-        ^ psi.eval_vec_basis(psi.eval_basis(j, k), i)
-        ^ psi.eval_vec_basis(psi.eval_basis(i, k), j)
+        psi.eval_vec_basis(eval_basis(psi, i, j), k)
+        ^ psi.eval_vec_basis(eval_basis(psi, j, k), i)
+        ^ psi.eval_vec_basis(eval_basis(psi, i, k), j)
     )
 
 
@@ -110,7 +115,7 @@ def test_cup_square_agrees_with_direct_cyclic_sum(model5, d4):
     cup = cup_square(A, psi)
     for _ in range(200):
         i, j, k = rng.sample(range(A.dim), 3)
-        assert cup.eval_basis(i, j, k) == cup_square_at(psi, i, j, k)
+        assert eval_basis(cup, i, j, k) == cup_square_at(psi, i, j, k)
 
 
 def test_cup_square_weight_doubling(model5, d4):
@@ -139,6 +144,16 @@ def test_verdict_nontrivial_for_phi(model5):
     assert rep.obstruction_weight == e_weight(5, 4, 4)
     assert rep.witness_key is not None
     assert rep.witness_value_support
+
+
+def test_obstruction_weight_is_twice_the_class_weight(model5, model7):
+    # obstruction_verdict doubles the class weight instead of scanning the
+    # cup square; the scan must give the same weight.
+    for model in (model5, model7):
+        A = model.algebra
+        for r in rigidity_scan(model):
+            assert r.obstruction_weight == tuple(2 * c for c in r.weight)
+            assert r.obstruction_weight == cochain_weight(A, cup_square(A, r.representative))
 
 
 def test_verdict_zero_for_even_cocycle(d4):
@@ -240,21 +255,45 @@ def test_even_cocycle_value_is_central(d4):
         assert Z.contains(v)
 
 
-# -- deformed brackets ------------------------------------------------------------
+# -- the deformation check ------------------------------------------------------
+#
+# integrability accepts f_t = [.,.] + t psi when check_jacobi passes on L (the
+# t^0 coefficient) and the verdict is ZERO (t^2); obstruction_verdict raises
+# unless d psi = 0 (t).  The truncated-ring oracle judges each power apart.
+
+
+def assert_decision_agrees(L, psi):
+    """Each power the oracle finds failing fails the check integrability makes,
+    at the oracle's triple, and a class passes only when the oracle finds none."""
+    oracle = first_truncated_failures(L, psi)
+    jacobi = check_jacobi(L)
+    assert (jacobi.triple, jacobi.defect) == oracle.get(0, (None, 0))
+    if 1 in oracle:
+        triple, value = oracle[1]
+        with pytest.raises(ValueError, match=re.escape(f"triple {triple} is {tuple(bit_indices(value))}")):
+            obstruction_verdict(L, psi)
+        return
+    report = obstruction_verdict(L, psi)
+    assert (jacobi.ok and report.verdict == VERDICT_ZERO) == (not oracle)
+    assert (report.verdict == VERDICT_ZERO) == (2 not in oracle)
+    if report.verdict == VERDICT_NONTRIVIAL:
+        triple, value = oracle[2]
+        assert report.witness_key == triple
+        assert report.witness_value_support == tuple(bit_indices(value))
 
 
 def test_deform_with_zero_cochain_is_base_bracket(d4):
     zero = Cochain.zero(2, d4.dim)
-    D = DeformedAlgebra(d4, zero)
-    assert D.base is d4 and D.cochain == zero
-    report = verify_deformation(D)
-    assert report.ok and report.failing_triple is None and report.failing_value == 0
+    assert first_truncated_failures(d4, zero) == {}
+    assert check_jacobi(d4).ok
+    assert obstruction_verdict(d4, zero).verdict == VERDICT_ZERO
 
 
 def test_deformation_passes_for_even_cocycle(d4):
-    report = verify_deformation(DeformedAlgebra(d4, build_even_cocycle(d4)))
-    assert report.ok
-    assert report.base_ok and report.t1_ok and report.t2_ok
+    psi = build_even_cocycle(d4)
+    assert first_truncated_failures(d4, psi) == {}
+    assert check_jacobi(d4).ok
+    assert obstruction_verdict(d4, psi).verdict == VERDICT_ZERO
 
 
 def test_reports_and_model_are_immutable(d4, model5):
@@ -263,7 +302,7 @@ def test_reports_and_model_are_immutable(d4, model5):
     psi = build_even_cocycle(d4)
     for record, field in (
         (obstruction_verdict(d4, psi), "verdict"),
-        (verify_deformation(DeformedAlgebra(d4, psi)), "ok"),
+        (check_jacobi(d4), "ok"),
         (model5, "algebra"),
     ):
         for name in (field, "extra"):
@@ -271,56 +310,43 @@ def test_reports_and_model_are_immutable(d4, model5):
                 setattr(record, name, None)
 
 
-def _failure(report):
-    return report.failing_triple, report.failing_power, report.failing_value
-
-
 def test_deformation_fails_at_t2_for_phi(model5):
     A = model5.algebra
     psi = phi(4, model5)
-    cup = cup_square(A, psi)
-    report = verify_deformation(DeformedAlgebra(A, psi))
-    assert not report.ok
-    assert report.t1_ok and not report.t2_ok
-    assert report.failing_power == 2
-    first_key, first_val = cup.items_sorted()[0]
-    assert report.failing_triple == first_key
-    assert report.failing_value == first_val
-    assert _failure(report) == first_truncated_failure(A, psi)
+    oracle = first_truncated_failures(A, psi)
+    assert set(oracle) == {2}
+    report = obstruction_verdict(A, psi)
+    assert report.verdict == VERDICT_NONTRIVIAL
+    triple, value = oracle[2]
+    assert report.witness_key == triple
+    assert report.witness_value_support == tuple(bit_indices(value))
 
 
 def test_deformation_fails_at_t0_for_corrupted_base(d4):
     bad = dict(d4.brackets)
     bad[(0, 4)] = bad.get((0, 4), 0) ^ (1 << 5)  # flip one structure constant
     broken = LieAlgebra(d4.labels, d4.weights, bad)
+    report = check_jacobi(broken)
+    assert not report.ok
     for psi in (Cochain.zero(2, d4.dim), build_even_cocycle(d4)):
-        report = verify_deformation(DeformedAlgebra(broken, psi))
-        assert not report.ok and not report.base_ok
-        assert report.failing_power == 0
-        assert _failure(report) == first_truncated_failure(broken, psi)
+        assert (report.triple, report.defect) == first_truncated_failures(broken, psi)[0]
 
 
 def test_deformation_fails_at_t1_for_non_cocycle(d4):
     psi = Cochain(2, d4.dim, {(0, 4): 1 << 5})
-    report = verify_deformation(DeformedAlgebra(d4, psi))
-    assert not report.ok
-    assert report.base_ok and not report.t1_ok
-    assert report.failing_power == 1
-    assert report.failing_value == differential(d4, psi).eval_basis(*report.failing_triple)
-    assert _failure(report) == first_truncated_failure(d4, psi)
+    oracle = first_truncated_failures(d4, psi)
+    assert 0 not in oracle and 1 in oracle
+    triple, value = oracle[1]
+    assert value == eval_basis(differential(d4, psi), *triple)
+    with pytest.raises(ValueError, match=re.escape(f"triple {triple} is {tuple(bit_indices(value))}")):
+        obstruction_verdict(d4, psi)
 
 
 def test_cochains_of_another_dimension_rejected(d4):
     # Cochains on 45 basis vectors handed to the 28-dimensional D_4: one
     # whose key and value lie past D_4's basis, one whose key straddles it.
     # Every entry point rejects both, naming both dimensions.
-    checks = (
-        differential,
-        cup_square,
-        is_coboundary,
-        obstruction_verdict,
-        lambda L, c: verify_deformation(DeformedAlgebra(L, c)),
-    )
+    checks = (differential, cup_square, is_coboundary, obstruction_verdict)
     for c in (Cochain(2, 45, {(30, 40): 1 << 44}), Cochain(2, 45, {(5, 30): 1 << 3})):
         for check in checks:
             with pytest.raises(ValueError, match="dimension 45 on an algebra of dimension 28"):
@@ -328,8 +354,10 @@ def test_cochains_of_another_dimension_rejected(d4):
 
 
 def test_deformation_rejects_degree_three_cochain(d4):
-    with pytest.raises(ValueError):
-        verify_deformation(DeformedAlgebra(d4, Cochain(3, d4.dim, {(0, 4, 5): 1})))
+    c = Cochain(3, d4.dim, {(0, 4, 5): 1})
+    for check in (cup_square, obstruction_verdict):
+        with pytest.raises(ValueError, match="degree-2"):
+            check(d4, c)
 
 
 def test_jacobi_coefficients_match_d_and_cup_on_random_cochains(d4, model5):
@@ -344,10 +372,9 @@ def test_jacobi_coefficients_match_d_and_cup_on_random_cochains(d4, model5):
                 i, j, k = sorted(rng.sample(range(L.dim), 3))
                 j0, j1, j2 = truncated_jacobi(L, psi, i, j, k)
                 assert j0 == 0
-                assert j1 == dpsi.eval_basis(i, j, k)
-                assert j2 == cup.eval_basis(i, j, k)
-            report = verify_deformation(DeformedAlgebra(L, psi))
-            assert _failure(report) == (first_truncated_failure(L, psi) or (None, None, 0))
+                assert j1 == eval_basis(dpsi, i, j, k)
+                assert j2 == eval_basis(cup, i, j, k)
+            assert_decision_agrees(L, psi)
 
 
 def test_random_cocycles_obstruction_equals_t2(d4):
@@ -372,9 +399,8 @@ def test_random_cocycles_obstruction_equals_t2(d4):
             data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, d4.dim, data)
         assert differential(d4, psi).is_zero()
-        report = verify_deformation(DeformedAlgebra(d4, psi))
-        assert report.t1_ok
-        assert report.t2_ok == cup_square(d4, psi).is_zero()
+        report = obstruction_verdict(d4, psi)
+        assert (report.verdict == VERDICT_ZERO) == cup_square(d4, psi).is_zero()
 
 
 # -- scans --------------------------------------------------------------------------
