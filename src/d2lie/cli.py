@@ -187,14 +187,22 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
             f" : dim {r['dim_h2']}"
         )
 
-    # The exterior count 2l is the claim for odd l > 3; rank 3 has no
-    # expected total, so only H^2_0 = 0 decides it.
+    # The exterior claim for odd l > 3 is one class at each weight ±2 eps_i,
+    # so 2l in all; rank 3 has no expected total, so only H^2_0 = 0 decides it.
     expected: int | None = None
-    if args.model == "exterior":
-        expected = 2 * args.l if args.l >= 5 else None
+    differing = []
+    if args.model == "exterior" and args.l >= 5:
+        expected = 2 * args.l
+        want = {tuple(s if k == i else 0 for k in range(args.l)): 1
+                for i in range(args.l) for s in (2, -2)}
+        got = {r["weight"]: r["dim_h2"] for r in rows}
+        differing = sorted(w for w in want.keys() | got.keys() if want.get(w, 0) != got.get(w, 0))
+        for w in differing:
+            dims = f"expected dim {want.get(w, 0)}, computed {got.get(w, 0)}"
+            print(f"weight {list(w)}: {dims}", file=sys.stderr)
     elif args.l % 2 == 0:
         expected = 24 if args.l == 4 else 2 * args.l
-    ok = h2_zero == 0 and (expected is None or total == expected)
+    ok = h2_zero == 0 and not differing and (expected is None or total == expected)
     if expected is not None and total != expected:
         print(f"expected total {expected}, computed {total}", file=sys.stderr)
     return {

@@ -1,26 +1,42 @@
 """Exterior-square model of the centreless odd-rank algebra.
 
 V is a 2l-dimensional GF(2) space with symplectic basis
-e_1..e_l, e_-l..e_-1 and pairing (e_i, e_-i) = 1.  The wedge square
-carries the Poisson bracket
+e_1..e_l, e_-l..e_-1 and pairing (e_i, e_-i) = 1; index x of that order
+pairs only with its partner 2l - 1 - x.  The wedge square carries the
+Poisson bracket
 
     {v1 v2, v3 v4} = (v1,v3) v2 v4 + (v1,v4) v2 v3
                    + (v2,v3) v1 v4 + (v2,v4) v1 v3
 
 and the quotient by the span of omega = e_1 e_-1 + ... + e_l e_-l is a
-Lie algebra for odd l.  The degree-2 cocycles attached to vectors of V
-are built from the eight-term pairing formula in phi_eval.
+Lie algebra for odd l.  The degree-2 cocycle at a vector v of V is
+
+    phi_v(w1 w2, w3 w4) = (v,w1)(v,w3) w2 w4 + (v,w2)(v,w3) w1 w4
+                        + (v,w1)(v,w4) w2 w3 + (v,w2)(v,w4) w1 w3
+                        + (w3,w4) [(v,w1) v w2 + (v,w2) v w1]
+                        + (w1,w2) [(v,w3) v w4 + (v,w4) v w3].
+
+On basis monomials and basis vectors, both are index arithmetic (the
+general-vector formula is a test oracle):
+
+- Bracket.  A term of {e_a e_b, e_c e_d} survives when an index y of
+  the second monomial is the partner of an index x of the first, and
+  leaves x* y*, the wedge of the two other indices (0 if they coincide).
+- phi at v = e_p with partner q.  (v, e_x) = 1 exactly when x = q, and
+  (e_c, e_d) = 1 exactly on a dual pair.  The first four terms leave
+  phi(e_q e_x, e_q e_y) = e_x e_y, the last four phi(e_q e_x, e_c e_-c)
+  = e_p e_x per dual pair, in either argument order; e_p e_p = 0.  An
+  argument pair that meets both forms gets the sum.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
 from .algebra import LieAlgebra
 from .cohomology import Cochain
-from .gf2 import bit_indices
 from .roots import Weight, wadd
 
 
@@ -58,18 +74,6 @@ class SymplecticSpace:
     def partner(self, idx: int) -> int:
         return self.dim - 1 - idx
 
-    def basis_vector(self, label: int) -> int:
-        return 1 << self.index_of(label)
-
-    def form(self, x: int, y: int) -> int:
-        """Symplectic pairing of two packed vectors of V."""
-        acc = 0
-        while x:
-            low = x & -x
-            acc ^= (y >> self.partner(low.bit_length() - 1)) & 1
-            x ^= low
-        return acc
-
     def weight_of_index(self, idx: int) -> Weight:
         lab = self.label_of(idx)
         w = [0] * self.l
@@ -89,32 +93,20 @@ def _monomial_pos(l: int) -> dict[tuple[int, int], int]:
     return {m: p for p, m in enumerate(_monomials(l))}
 
 
-def wedge_of_vectors(space: SymplecticSpace, x: int, y: int) -> int:
-    """x wedge y expanded over monomial coordinates."""
-    pos = _monomial_pos(space.l)
-    out = 0
-    xs = list(bit_indices(x))
-    for b in bit_indices(y):
-        for a in xs:
-            if a != b:
-                out ^= 1 << pos[(a, b) if a < b else (b, a)]
-    return out
+@lru_cache(maxsize=None)
+def _holding(l: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vector index x: (model position, other index) of each kept monomial holding e_x."""
+    holding = [[] for _ in range(2 * l)]
+    kept = (m for m in _monomials(l) if m != (l - 1, l))
+    for i, (a, b) in enumerate(kept):
+        holding[a].append((i, b))
+        holding[b].append((i, a))
+    return tuple(map(tuple, holding))
 
 
-def _poisson_mono(space: SymplecticSpace, m1, m2, pos) -> int:
-    a, b = m1
-    c, d = m2
-    partner = space.partner
-    out = 0
-    if partner(a) == c and b != d:
-        out ^= 1 << pos[(b, d) if b < d else (d, b)]
-    if partner(a) == d and b != c:
-        out ^= 1 << pos[(b, c) if b < c else (c, b)]
-    if partner(b) == c and a != d:
-        out ^= 1 << pos[(a, d) if a < d else (d, a)]
-    if partner(b) == d and a != c:
-        out ^= 1 << pos[(a, c) if a < c else (c, a)]
-    return out
+def _wedge_bit(pos: dict, x: int, y: int) -> int:
+    """e_x e_y in full monomial coordinates, for x != y."""
+    return 1 << pos[(x, y) if x < y else (y, x)]
 
 
 def omega_bits(space: SymplecticSpace) -> int:
@@ -165,105 +157,44 @@ def build_quotient_model(l: int) -> QuotientModel:
     """Model algebra at odd rank; even rank is rejected.
 
     Rank 3 is admitted for testing even though the interesting range
-    starts at 5.
+    starts at 5.  Bracket: for each kept monomial i and each index x in
+    it, walk the kept monomials j > i that hold the partner of x.
     """
     if l < 3:
         raise ValueError(f"rank must be at least 3, got {l}")
     if l % 2 == 0:
         raise ValueError("the quotient is a Lie-algebra model only at odd rank")
     space = SymplecticSpace(l)
-    pos = _monomial_pos(l)
+    pos, holding, partner = _monomial_pos(l), _holding(l), space.partner
     kept = tuple(m for m in _monomials(l) if m != (l - 1, l))  # e_l e_-l eliminated
 
-    labels = []
-    weights = []
-    for a, b in kept:
+    labels, weights = [], []
+    sums: dict[tuple[int, int], int] = defaultdict(int)
+    for i, (a, b) in enumerate(kept):
         labels.append(("MONO", (space.label_of(a), space.label_of(b))))
         weights.append(wadd(space.weight_of_index(a), space.weight_of_index(b)))
-
-    brackets = {}
-    for i, m1 in enumerate(kept):
-        for j in range(i + 1, len(kept)):
-            v = _reduce(space, _poisson_mono(space, m1, kept[j], pos))
-            if v:
-                brackets[(i, j)] = v
+        for x, x_other in ((a, b), (b, a)):
+            for j, y_other in holding[partner(x)]:
+                if j > i and x_other != y_other:
+                    sums[(i, j)] ^= _wedge_bit(pos, x_other, y_other)
+    brackets = {key: _reduce(space, sums[key]) for key in sorted(sums)}  # LieAlgebra drops zeros
     return QuotientModel(space, LieAlgebra(labels, weights, brackets), kept)
 
 
-# -- the quadratic cocycle map -----------------------------------------
-
-
-def phi_eval(
-    space: SymplecticSpace,
-    v: int,
-    arg1: tuple[int, int],
-    arg2: tuple[int, int],
-) -> int:
-    """Eight-term value on decomposable arguments, in monomial coordinates.
-
-    arg1 = (w1, w2) and arg2 = (w3, w4) are packed vectors of V; the
-    result is quadratic in v, not linear.
-    """
-    w1, w2 = arg1
-    w3, w4 = arg2
-    form = space.form
-    v1, v2, v3, v4 = form(v, w1), form(v, w2), form(v, w3), form(v, w4)
-    f12, f34 = form(w1, w2), form(w3, w4)
-    out = 0
-    if v1 and v3:
-        out ^= wedge_of_vectors(space, w2, w4)
-    if v2 and v3:
-        out ^= wedge_of_vectors(space, w1, w4)
-    if v1 and v4:
-        out ^= wedge_of_vectors(space, w2, w3)
-    if v2 and v4:
-        out ^= wedge_of_vectors(space, w1, w3)
-    if v1 and f34:
-        out ^= wedge_of_vectors(space, v, w2)
-    if v2 and f34:
-        out ^= wedge_of_vectors(space, v, w1)
-    if v3 and f12:
-        out ^= wedge_of_vectors(space, v, w4)
-    if v4 and f12:
-        out ^= wedge_of_vectors(space, v, w3)
-    return out
-
-
-def phi_of_vector(v: int, model: QuotientModel) -> Cochain:
-    """Degree-2 cochain of phi at an arbitrary nonzero vector of V.
-
-    Every term of the eight-term formula pairs v with an argument vector,
-    so a value vanishes unless one monomial is touched, meaning v pairs
-    with one of its vectors, and the other is touched or a dual pair
-    e_c e_-c.  Only those pairs are evaluated: O(l^2) of them at a basis
-    vector, against the C(n, 2) pairs of all n model monomials.
-    """
-    if v == 0:
-        raise ValueError("phi is defined at nonzero vectors")
+def phi(label: int, model: QuotientModel) -> Cochain:
+    """Cochain of phi at the basis vector e_label (e.g. 4 or -4), in the
+    module docstring's closed form; a label outside +-1..+-l is a ValueError."""
     space = model.space
-    if v < 0 or v >> space.dim:
-        raise ValueError("phi vector has bits outside V")
-    form = space.form
-    touched = set()
-    candidates = []
-    for i, (a, b) in enumerate(model.monomials):
-        if form(v, 1 << a) or form(v, 1 << b):
-            touched.add(i)
-            candidates.append(i)
-        elif b == space.partner(a):
-            candidates.append(i)
-    data: dict[tuple, int] = {}
-    for i, j in combinations(candidates, 2):
-        if i in touched or j in touched:
-            (a, b), (c, d) = model.monomials[i], model.monomials[j]
-            val = phi_eval(space, v, (1 << a, 1 << b), (1 << c, 1 << d))
-            if val:
-                reduced = model.reduce(val)
-                if reduced:
-                    data[(i, j)] = reduced
-    return Cochain(2, model.algebra.dim, data)
-
-
-def phi(v: int, model: QuotientModel) -> Cochain:
-    """Cochain of a basis vector given by its signed label (e.g. 4 or -4)."""
-    return phi_of_vector(model.space.basis_vector(v), model)
+    p = space.index_of(label)
+    pos, holds_q = _monomial_pos(space.l), _holding(space.l)[space.partner(p)]
+    duals = [i for i, (a, b) in enumerate(model.monomials) if b == space.partner(a)]
+    sums: dict[tuple[int, int], int] = defaultdict(int)
+    for n, (i, x) in enumerate(holds_q):
+        for j, y in holds_q[n + 1 :]:
+            sums[(i, j)] ^= _wedge_bit(pos, x, y)
+        if x != p:
+            e_px = _wedge_bit(pos, p, x)
+            for d in duals:
+                if d != i:
+                    sums[(i, d) if i < d else (d, i)] ^= e_px
+    return Cochain(2, model.algebra.dim, {key: _reduce(space, sums[key]) for key in sorted(sums)})

@@ -15,9 +15,15 @@
   survey must give the same rows and the same total.
 - The dense product d2 d1 of a weight block, which must vanish, and a
   representative cocycle from the block's dense matrices.
-- The dense quadratic cocycle, which evaluates the eight-term formula on
-  every pair of model monomials; phi_of_vector, which evaluates only the
-  pairs where v can pair with an argument, must give the same cochain.
+- The wedge-square model on packed vectors of V: basis_vector, the
+  symplectic form, wedge_of_vectors, the four-term Poisson bracket of two
+  monomials (poisson_mono) and the eight-term phi_eval, which the
+  library's closed forms on basis monomials replace.  The model's bracket
+  table must equal poisson_mono on every kept pair, reduced, in the same
+  key order; phi at each basis vector must equal dense_phi_of_vector,
+  which evaluates phi_eval on every pair of model monomials, keys in the
+  same order.  phi_eval at general vectors also carries the equivariance
+  and closed-form cross-checks.
 - The per-bit reduction of wedge coordinates to model coordinates, which
   looks up each monomial's kept position; QuotientModel.reduce, a closed
   form, must agree with it.
@@ -50,7 +56,7 @@ from d2lie.cohomology import (
     _torus_functionals,
     weight_block,
 )
-from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials, phi_eval, wedge_of_vectors
+from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials
 from d2lie.algebra import LieAlgebra
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import (
@@ -251,7 +257,88 @@ def cochain_basis(L, n, mu):
     return out
 
 
-# -- the quadratic cocycle of the wedge-square model ---------------------
+# -- the wedge-square model on packed vectors ----------------------------
+
+
+def basis_vector(space: SymplecticSpace, label: int) -> int:
+    """e_label as a packed vector of V."""
+    return 1 << space.index_of(label)
+
+
+def form(space: SymplecticSpace, x: int, y: int) -> int:
+    """Symplectic pairing of two packed vectors of V."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= (y >> space.partner(low.bit_length() - 1)) & 1
+        x ^= low
+    return acc
+
+
+def wedge_of_vectors(space: SymplecticSpace, x: int, y: int) -> int:
+    """x wedge y expanded over monomial coordinates."""
+    pos = _monomial_pos(space.l)
+    out = 0
+    xs = list(bit_indices(x))
+    for b in bit_indices(y):
+        for a in xs:
+            if a != b:
+                out ^= 1 << pos[(a, b) if a < b else (b, a)]
+    return out
+
+
+def poisson_mono(space: SymplecticSpace, m1, m2) -> int:
+    """The four-term Poisson bracket of two monomials (index pairs), in
+    full monomial coordinates."""
+    a, b = m1
+    c, d = m2
+    partner = space.partner
+    pos = _monomial_pos(space.l)
+    out = 0
+    if partner(a) == c and b != d:
+        out ^= 1 << pos[(b, d) if b < d else (d, b)]
+    if partner(a) == d and b != c:
+        out ^= 1 << pos[(b, c) if b < c else (c, b)]
+    if partner(b) == c and a != d:
+        out ^= 1 << pos[(a, d) if a < d else (d, a)]
+    if partner(b) == d and a != c:
+        out ^= 1 << pos[(a, c) if a < c else (c, a)]
+    return out
+
+
+def phi_eval(
+    space: SymplecticSpace,
+    v: int,
+    arg1: tuple[int, int],
+    arg2: tuple[int, int],
+) -> int:
+    """Eight-term value on decomposable arguments, in monomial coordinates.
+
+    arg1 = (w1, w2) and arg2 = (w3, w4) are packed vectors of V; the
+    result is quadratic in v, not linear.
+    """
+    w1, w2 = arg1
+    w3, w4 = arg2
+    v1, v2, v3, v4 = (form(space, v, w) for w in (w1, w2, w3, w4))
+    f12, f34 = form(space, w1, w2), form(space, w3, w4)
+    out = 0
+    if v1 and v3:
+        out ^= wedge_of_vectors(space, w2, w4)
+    if v2 and v3:
+        out ^= wedge_of_vectors(space, w1, w4)
+    if v1 and v4:
+        out ^= wedge_of_vectors(space, w2, w3)
+    if v2 and v4:
+        out ^= wedge_of_vectors(space, w1, w3)
+    if v1 and f34:
+        out ^= wedge_of_vectors(space, v, w2)
+    if v2 and f34:
+        out ^= wedge_of_vectors(space, v, w1)
+    if v3 and f12:
+        out ^= wedge_of_vectors(space, v, w4)
+    if v4 and f12:
+        out ^= wedge_of_vectors(space, v, w3)
+    return out
 
 
 def dense_phi_of_vector(v, model):
@@ -379,7 +466,7 @@ class Transvection:
     v: int
 
     def __call__(self, x: int) -> int:
-        return x ^ (self.v if self.space.form(x, self.v) else 0)
+        return x ^ (self.v if form(self.space, x, self.v) else 0)
 
     def apply_to_wedge(self, wedge_bits: int) -> int:
         monos = _monomials(self.space.l)

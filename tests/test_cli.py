@@ -237,3 +237,46 @@ def test_rank_6_reports_match_goldens(tmp_path, capsys):
         assert main([command, "--l", "6", "--out", str(out)]) == EXIT_OK
         assert expected in capsys.readouterr().out
         assert out.read_bytes() == (GOLDEN / f"{command}_l6.json").read_bytes()
+
+
+def test_rigidity_l9_matches_golden(tmp_path, capsys):
+    # The report from the model's closed-form bracket and phi, byte for
+    # byte as the eight-term evaluator produced it.
+    out = tmp_path / "rigidity_l9.json"
+    assert main(["rigidity", "--l", "9", "--out", str(out)]) == EXIT_OK
+    assert "18 classes; all obstructed: rigid" in capsys.readouterr().out
+    assert out.read_bytes() == (GOLDEN / "rigidity_l9.json").read_bytes()
+
+
+def test_exterior_cohomology_names_each_differing_weight(monkeypatch, tmp_path, capsys):
+    # At odd l >= 5 the H^2 weights must be exactly +-2 eps_i, one class
+    # each.  A mismatch exits 2 and names every differing weight with its
+    # expected and computed dimensions, even when the total still matches.
+    survey = d2lie.cli.h2_survey_rows
+    e1, m1, extra = (2, 0, 0, 0, 0), (-2, 0, 0, 0, 0), (2, 2, 0, 0, 0)
+
+    def skewed(L):
+        rows = [r for r in survey(L) if r["weight"] != m1]
+        return [{**r, "dim_h2": 2} if r["weight"] == e1 else r for r in rows]
+
+    monkeypatch.setattr("d2lie.cli.h2_survey_rows", skewed)
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "--model", "exterior", "--l", "5", "--out", str(out)]) == EXIT_DISCREPANCY
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "weight [-2, 0, 0, 0, 0]: expected dim 1, computed 0",
+        "weight [2, 0, 0, 0, 0]: expected dim 1, computed 2",
+    ]
+    doc = json.loads(out.read_text())
+    assert (doc["total_dim_h2"], doc["expected_total"], doc["pass"]) == (10, 10, False)
+
+    def widened(L):
+        rows = survey(L)
+        return rows + [{**rows[-1], "weight": extra}]
+
+    monkeypatch.setattr("d2lie.cli.h2_survey_rows", widened)
+    assert main(["cohomology", "--model", "exterior", "--l", "5"]) == EXIT_DISCREPANCY
+    assert capsys.readouterr().err.splitlines() == [
+        "weight [2, 2, 0, 0, 0]: expected dim 0, computed 1",
+        "expected total 10, computed 11",
+    ]

@@ -4,13 +4,18 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    basis_vector,
     bracket,
     dense_phi_of_vector,
     eval_basis,
+    form,
     monomial_index,
     per_bit_reduce,
+    phi_eval,
+    poisson_mono,
     quotient_with_projection,
     transvection,
+    wedge_of_vectors,
 )
 
 from d2lie.algebra import (
@@ -26,12 +31,8 @@ from d2lie.exterior import (
     build_quotient_model,
     omega_bits,
     phi,
-    phi_eval,
-    phi_of_vector,
-    wedge_of_vectors,
     _monomial_pos,
     _monomials,
-    _poisson_mono,
 )
 from d2lie.gf2 import PivotBasis, bit_indices
 
@@ -59,16 +60,14 @@ class Wedge2Element:
 
 
 def poisson_bracket(x, y):
-    """Bilinear extension of the four-term monomial bracket: the oracle for
-    the model's bracket table."""
+    """Bilinear extension of the four-term monomial bracket."""
     space = x.space
     monos = _monomials(space.l)
-    pos = _monomial_pos(space.l)
     xm = [monos[p] for p in bit_indices(x.bits)]
     out = 0
     for q in bit_indices(y.bits):
         for m1 in xm:
-            out ^= _poisson_mono(space, m1, monos[q], pos)
+            out ^= poisson_mono(space, m1, monos[q])
     return Wedge2Element(space, out)
 
 
@@ -84,9 +83,9 @@ def test_form_dual_pairs_only():
     for i in range(1, 4):
         for j in range(1, 4):
             expect = 1 if i == j else 0
-            assert s.form(s.basis_vector(i), s.basis_vector(-j)) == expect
-            assert s.form(s.basis_vector(i), s.basis_vector(j)) == 0
-            assert s.form(s.basis_vector(-i), s.basis_vector(-j)) == 0
+            assert form(s, basis_vector(s, i), basis_vector(s, -j)) == expect
+            assert form(s, basis_vector(s, i), basis_vector(s, j)) == 0
+            assert form(s, basis_vector(s, -i), basis_vector(s, -j)) == 0
 
 
 def test_form_alternating_and_nondegenerate():
@@ -94,10 +93,10 @@ def test_form_alternating_and_nondegenerate():
     rng = random.Random(10)
     for _ in range(50):
         v = rng.getrandbits(s.dim)
-        assert s.form(v, v) == 0
+        assert form(s, v, v) == 0
     # Gram matrix has full rank: every basis vector pairs with its partner.
     for idx in range(s.dim):
-        assert s.form(1 << idx, 1 << s.partner(idx)) == 1
+        assert form(s, 1 << idx, 1 << s.partner(idx)) == 1
 
 
 def test_basis_order_is_mirrored():
@@ -190,14 +189,18 @@ def test_reduce_matches_per_bit_oracle(model5, model7):
             assert model.reduce(bits) == per_bit_reduce(model, bits)
 
 
-def test_model_bracket_matches_poisson_oracle(model3, model5):
-    # The model's bracket of two kept monomials is their Poisson bracket, reduced.
-    for model in (model3, model5):
-        s, pos = model.space, _monomial_pos(model.l)
-        units = [Wedge2Element(s, 1 << pos[m]) for m in model.monomials]
-        for i, j in combinations(range(len(units)), 2):
-            expected = per_bit_reduce(model, poisson_bracket(units[i], units[j]).bits)
-            assert model.algebra.bracket_basis(i, j) == expected
+def test_model_bracket_matches_poisson_oracle(model3, model5, model7, model9):
+    # The model's bracket of two kept monomials is their Poisson bracket,
+    # reduced: every kept pair, and the table keys in the same (lex) order.
+    for model in (model3, model5, model7, model9):
+        s = model.space
+        expected = {}
+        for (i, m1), (j, m2) in combinations(enumerate(model.monomials), 2):
+            v = per_bit_reduce(model, poisson_mono(s, m1, m2))
+            if v:
+                expected[(i, j)] = v
+        assert model.algebra.brackets == expected
+        assert list(model.algebra.brackets) == list(expected)
 
 
 # -- the quadratic cocycle map --------------------------------------------
@@ -251,7 +254,7 @@ def test_phi_well_defined_modulo_relation(model5):
     e5, em5 = 1 << 4, 1 << 5
     dropped = (e5, em5)
     rewrite = [(1 << i, 1 << s.partner(i)) for i in range(4)]
-    v = s.basis_vector(4)
+    v = basis_vector(s, 4)
     for other in [(1 << s.index_of(3), 1 << s.index_of(-4)),
                   (1 << s.index_of(1), 1 << s.index_of(2))]:
         direct = model5.reduce(phi_eval(s, v, dropped, other))
@@ -281,21 +284,19 @@ def phi_eval_poisson_form(
     """
     w1, w2 = arg1
     w3, w4 = arg2
-    form = space.form
-
     def pb_vec(a: int, b: int, u: int) -> int:
         out = 0
-        if form(a, u):
+        if form(space, a, u):
             out ^= b
-        if form(b, u):
+        if form(space, b, u):
             out ^= a
         return out
 
     out = wedge_of_vectors(space, pb_vec(w1, w2, v), pb_vec(w3, w4, v))
     inner = 0
-    if form(w3, w4):
+    if form(space, w3, w4):
         inner ^= pb_vec(w1, w2, v)
-    if form(w1, w2):
+    if form(space, w1, w2):
         inner ^= pb_vec(w3, w4, v)
     out ^= wedge_of_vectors(space, v, inner)
     return out
@@ -305,7 +306,7 @@ def test_phi_closed_form_cross_check(model5):
     s = model5.space
     units = [(1 << a, 1 << b) for a, b in model5.monomials]
     for v_label in (4, -1):
-        v = s.basis_vector(v_label)
+        v = basis_vector(s, v_label)
         for i in range(0, len(units), 7):
             for j in range(i + 1, len(units), 5):
                 assert phi_eval(s, v, units[i], units[j]) == phi_eval_poisson_form(
@@ -313,28 +314,29 @@ def test_phi_closed_form_cross_check(model5):
                 )
 
 
-def test_phi_of_vector_matches_dense_oracle(model3, model5, model7):
-    rng = random.Random(91)
-    for model in (model3, model5, model7):
-        dim = model.space.dim
-        vectors = [1 << i for i in range(dim)] + [rng.randrange(1, 1 << dim) for _ in range(10)]
-        for v in vectors:
-            sparse, dense = phi_of_vector(v, model), dense_phi_of_vector(v, model)
-            assert sparse == dense
-            assert list(sparse.data) == list(dense.data)  # same keys, in the same order
+def test_phi_matches_dense_oracle(model3, model5, model7, model9):
+    # The closed form at every basis vector against the eight-term formula
+    # on all monomial pairs.
+    for model in (model3, model5, model7, model9):
+        l = model.l
+        for label in [*range(1, l + 1), *range(-l, 0)]:
+            closed = phi(label, model)
+            dense = dense_phi_of_vector(basis_vector(model.space, label), model)
+            assert closed == dense
+            assert list(closed.data) == list(dense.data)  # same keys, in the same order
 
 
 def test_phi_rejects_zero_vector(model5):
-    with pytest.raises(ValueError):
-        phi_of_vector(0, model5)
+    # Label 0 names no basis vector.
+    with pytest.raises(ValueError, match="no basis vector"):
+        phi(0, model5)
 
 
 def test_phi_rejects_vector_outside_v(model5):
-    # Bits at or above 2l, or a negative int, would reach the form as a
-    # negative shift count; they are rejected up front.
-    for v in (1 << 10, 1 << 10 | 1, -1, -(1 << 3)):
-        with pytest.raises(ValueError, match="outside V"):
-            phi_of_vector(v, model5)
+    # e_6 and e_-6 lie outside V at rank 5.
+    for label in (6, -6):
+        with pytest.raises(ValueError, match="no basis vector"):
+            phi(label, model5)
 
 
 # -- transvections -------------------------------------------------------
@@ -342,23 +344,23 @@ def test_phi_rejects_vector_outside_v(model5):
 
 def test_transvection_fixes_its_direction():
     s = SymplecticSpace(4)
-    v = s.basis_vector(2)
+    v = basis_vector(s, 2)
     assert transvection(s, v)(v) == v
 
 
 def test_transvection_moves_dual_vector():
     s = SymplecticSpace(4)
-    t = transvection(s, s.basis_vector(1))
-    assert t(s.basis_vector(-1)) == s.basis_vector(-1) ^ s.basis_vector(1)
+    t = transvection(s, basis_vector(s, 1))
+    assert t(basis_vector(s, -1)) == basis_vector(s, -1) ^ basis_vector(s, 1)
 
 
 def test_transvection_preserves_form():
     s = SymplecticSpace(4)
-    v = s.basis_vector(1) ^ s.basis_vector(-2)
+    v = basis_vector(s, 1) ^ basis_vector(s, -2)
     t = transvection(s, v)
     for a in range(s.dim):
         for b in range(s.dim):
-            assert s.form(t(1 << a), t(1 << b)) == s.form(1 << a, 1 << b)
+            assert form(s, t(1 << a), t(1 << b)) == form(s, 1 << a, 1 << b)
 
 
 def test_transvection_is_involution():
@@ -407,7 +409,7 @@ def test_phi_equivariance_under_random_transvections(model5):
         g = transvection(s, u)
         count += 1
         for v_label in (4, -3):
-            v = s.basis_vector(v_label)
+            v = basis_vector(s, v_label)
             gv = g(v)
             if gv == 0:
                 continue
