@@ -18,6 +18,7 @@ look them up on this module.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -187,21 +188,22 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
             f" : dim {r['dim_h2']}"
         )
 
-    # The exterior claim for odd l > 3 is one class at each weight ±2 eps_i,
-    # so 2l in all; rank 3 has no expected total, so only H^2_0 = 0 decides it.
-    expected: int | None = None
-    differing = []
-    if args.model == "exterior" and args.l >= 5:
-        expected = 2 * args.l
+    # The claim for the exterior model at odd l > 3 and for D_l at even l is
+    # one class at each weight ±2 eps_i, plus at D_4 one at each
+    # (±1, ±1, ±1, ±1): 2l classes, or 24 at D_4.  Rank 3 and odd-rank D_l
+    # have no claim, so only H^2_0 = 0 decides them.
+    want = {}
+    if args.l >= 4 and (args.model == "exterior" or args.l % 2 == 0):
         want = {tuple(s if k == i else 0 for k in range(args.l)): 1
                 for i in range(args.l) for s in (2, -2)}
-        got = {r["weight"]: r["dim_h2"] for r in rows}
-        differing = sorted(w for w in want.keys() | got.keys() if want.get(w, 0) != got.get(w, 0))
-        for w in differing:
-            dims = f"expected dim {want.get(w, 0)}, computed {got.get(w, 0)}"
-            print(f"weight {list(w)}: {dims}", file=sys.stderr)
-    elif args.l % 2 == 0:
-        expected = 24 if args.l == 4 else 2 * args.l
+        if args.l == 4:
+            want.update(dict.fromkeys(itertools.product((1, -1), repeat=4), 1))
+    expected = sum(want.values()) or None
+    got = {r["weight"]: r["dim_h2"] for r in rows}
+    differing = sorted(w for w in want.keys() | got.keys() if want.get(w, 0) != got.get(w, 0)) if want else []
+    for w in differing:
+        dims = f"expected dim {want.get(w, 0)}, computed {got.get(w, 0)}"
+        print(f"weight {list(w)}: {dims}", file=sys.stderr)
     ok = h2_zero == 0 and not differing and (expected is None or total == expected)
     if expected is not None and total != expected:
         print(f"expected total {expected}, computed {total}", file=sys.stderr)

@@ -471,6 +471,14 @@ def h2_weight_survey(L: LieAlgebra) -> dict[Weight, int]:
 # -- cocycle / coboundary tests ----------------------------------------
 
 
+def require_cocycle(L: LieAlgebra, c: Cochain) -> None:
+    """Raise ValueError unless d c = 0, naming the lex-first basis tuple where it is not."""
+    if dc := differential(L, c).data:
+        t = min(dc)
+        noun = ("pair", "triple", "quadruple")[len(t) - 2]
+        raise ValueError(f"not a cocycle: d at the basis {noun} {t} is {tuple(bit_indices(dc[t]))}")
+
+
 def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     """Whether c is a differential, plus one preimage when it is.
 
@@ -480,8 +488,7 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     if c.degree not in (2, 3):
         raise ValueError("coboundary test supports degrees 2 and 3")
     _require_graded(L)
-    if not differential(L, c).is_zero():
-        raise ValueError("input is not a cocycle")
+    require_cocycle(L, c)
     if c.is_zero():
         return True, Cochain.zero(c.degree - 1, c.dim)
     mu = cochain_weight(L, c)

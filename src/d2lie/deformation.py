@@ -32,19 +32,28 @@ raises unless d psi = 0, the t coefficient; and ZERO says that the cup
 square, the t^2 coefficient, vanishes on every basis triple.  COBOUNDARY
 is not enough: f_t then extends to order t^2 after a correction term,
 but f_t itself fails the Jacobi identity.
+
+At even rank each class is represented by psi = omega (x) z: omega is the
+scalar 2-form sum (E_-g ^ E_-d)* over the root pairs g + d = mu, and z a
+central value.  Since [x, z] = 0, d psi = (d omega) (x) z, so either every
+central z gives a cocycle or none does.  build_even_cocycle tries the
+paper's value H_(l-1) + H_(l-3) + ... + H_1 first, then the rest of the
+centre's span, and keeps the first psi that is_coboundary finds
+nontrivial; its cocycle precondition decides d psi = 0 on the first.
+Every class is thus shown nonzero in H^2 when the scan runs.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import LieAlgebra, center, chevalley_rank, jacobiator
+from .algebra import LieAlgebra, center, chevalley_rank, expected_center_generators, jacobiator
 from .cohomology import (
     Cochain,
     cochain_weight,
-    differential,
     h2_weight_survey,
     is_coboundary,
+    require_cocycle,
 )
 from .gf2 import bit_indices
 from .roots import Weight, build_root_system, wadd, wneg, wsub
@@ -81,7 +90,6 @@ class ObstructionReport(NamedTuple):
     obstruction_weight: Weight | None = None
     witness_key: tuple | None = None
     witness_value_support: tuple | None = None
-    preimage: Cochain | None = None
     central_valued: bool | None = None
     vanishes_on_center: bool | None = None
 
@@ -106,19 +114,14 @@ class ObstructionReport(NamedTuple):
 def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
     """ZERO / COBOUNDARY / NONTRIVIAL for the cup square of a cocycle."""
     cup = cup_square(L, psi)  # first, so that it rejects a cochain of another degree
-    if dpsi := differential(L, psi).data:
-        t = min(dpsi)
-        raise ValueError(f"not a cocycle: d psi at the basis triple {t} is {tuple(bit_indices(dpsi[t]))}")
+    require_cocycle(L, psi)
     w = cochain_weight(L, psi)
     if cup.is_zero():
         return ObstructionReport(w, VERDICT_ZERO, psi)
     # psi(psi(b_i, b_j), b_k) has weight w_i + w_j + w_k + 2w: the cup square's weight is 2w.
     ow = tuple(2 * c for c in w)
-    trivial, pre = is_coboundary(L, cup)
-    if trivial:
-        return ObstructionReport(
-            w, VERDICT_COBOUNDARY, psi, obstruction_weight=ow, preimage=pre
-        )
+    if is_coboundary(L, cup)[0]:
+        return ObstructionReport(w, VERDICT_COBOUNDARY, psi, obstruction_weight=ow)
     key, val = cup.items_sorted()[0]
     return ObstructionReport(
         w,
@@ -158,22 +161,20 @@ def vanishes_on_center(L: LieAlgebra, psi: Cochain) -> bool:
 
 
 def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
-    """Sum of dual-basis cochains over root pairs adding to mu, valued in
-    a fixed central element.
+    """psi = sum (E_-g ^ E_-d)* (x) z over the root pairs g + d = mu, for
+    the first central z that makes psi a nontrivial class.
 
-    At the default weight alpha_l + alpha_(l-1) the value is
-    H_(l-1) + H_(l-3) + ... + H_3 + H_1.  At the other supported
-    weights the central value is the first (in canonical order) that
-    yields a nontrivial cocycle; such a value exists because the
-    default translates along the Weyl group.
+    mu defaults to the paper's weight alpha_l + alpha_(l-1).  z runs over
+    H_(l-1) + H_(l-3) + ... + H_3 + H_1 first, then the rest of the
+    centre's span in canonical order; the module docstring says why one
+    cocycle check covers every z.
     """
     l = chevalley_rank(L)
     if l % 2 or l < 4:
         raise ValueError("this cocycle family lives at even rank >= 4")
     system = build_root_system(l)
-    quoted = wadd(system.simple[l - 1], system.simple[l - 2])
     if mu is None:
-        mu = quoted
+        mu = wadd(system.simple[l - 1], system.simple[l - 2])
     pairs = [
         (g, wsub(mu, g))
         for g in system.roots
@@ -186,31 +187,15 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
         ig = L.labels.index(("ROOTVEC", wneg(g)))
         jd = L.labels.index(("ROOTVEC", wneg(d)))
         keys.append((ig, jd) if ig < jd else (jd, ig))
-
-    def assemble(z: int) -> Cochain:
-        return Cochain(2, L.dim, {key: z for key in keys})
-
-    if mu == quoted:
-        z = 0
-        for i in range(0, l - 1, 2):
-            z |= 1 << i
-        psi = assemble(z)
-        if not differential(L, psi).is_zero():
-            raise ArithmeticError("the distinguished cocycle failed d psi = 0")
-        return psi
-
-    zmat = center(L).canonical()
-    for mask in range(1, 1 << zmat.nrows):
-        z = 0
-        for r in bit_indices(mask):
-            z ^= zmat.rows[r]
-        psi = assemble(z)
-        if not differential(L, psi).is_zero():
-            continue
-        trivial, _ = is_coboundary(L, psi)
-        if not trivial:
+    span = [0]
+    for row in center(L).canonical().rows:
+        span += [s ^ row for s in span]
+    paper = expected_center_generators(l)[1]
+    for z in sorted(span[1:], key=lambda z: z != paper):
+        psi = Cochain(2, L.dim, dict.fromkeys(keys, z))
+        if not is_coboundary(L, psi)[0]:
             return psi
-    raise ValueError(f"no central-valued generator found at weight {mu}")
+    raise ValueError(f"no central value gives a nontrivial class at weight {mu}")
 
 
 # -- the two theorem scans ------------------------------------------------
@@ -222,8 +207,9 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     Every class is represented by the quadratic cocycle of a basis
     vector of V, one per weight ±2 eps_i; the algebra is rigid iff all
     verdicts come back NONTRIVIAL.  Each weight is checked directly
-    rather than transported by symmetry.  Both scans re-raise a verdict's
-    ValueError on their own cocycles as ArithmeticError naming the class.
+    rather than transported by symmetry.  Both scans re-raise a ValueError
+    from building or judging their own cocycles as ArithmeticError naming
+    the class.
     """
     from .exterior import phi
 
@@ -265,19 +251,18 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
         raise ValueError("integrability scan applies at even rank >= 4")
     reports = []
     for mu in sorted(h2_weight_survey(L)):
-        psi = build_even_cocycle(L, mu)
-        cv = central_valued(L, psi)
-        vc = vanishes_on_center(L, psi)
         try:
-            report = obstruction_verdict(L, psi)._replace(central_valued=cv, vanishes_on_center=vc)
+            psi = build_even_cocycle(L, mu)
+            report = obstruction_verdict(L, psi)
         except ValueError as exc:
             raise ArithmeticError(f"weight {mu}: {exc}") from exc
+        cv, vc = central_valued(L, psi), vanishes_on_center(L, psi)
         if cv and vc and report.verdict != VERDICT_ZERO:
             raise ArithmeticError(
                 f"weight {mu}: central values with vanishing on the centre"
                 f" must kill the cup square, got {report.verdict}"
             )
-        reports.append(report)
+        reports.append(report._replace(central_valued=cv, vanishes_on_center=vc))
     return reports
 
 

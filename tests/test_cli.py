@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import d2lie.cli
 import d2lie.deformation
 import d2lie.exterior
@@ -134,6 +136,14 @@ def test_scan_non_cocycle_exits_2(monkeypatch, model5, d4, capsys):
     assert f"basis triple {triple}" in err
 
 
+def test_integrability_without_a_nontrivial_central_value_exits_2(monkeypatch, capsys):
+    # When no central value gives a nontrivial class, the scan reports the
+    # weight as a discrepancy instead of raising out of main.
+    monkeypatch.setattr("d2lie.deformation.is_coboundary", lambda L, c: (True, None))
+    assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
+    assert "weight (-2, 0, 0, 0): no central value gives a nontrivial class" in capsys.readouterr().err
+
+
 def test_help_lists_exit_codes_without_code_notes():
     # The help text is a constant, so it survives python -OO, which drops docstrings.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
@@ -248,12 +258,17 @@ def test_rigidity_l9_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "rigidity_l9.json").read_bytes()
 
 
-def test_exterior_cohomology_names_each_differing_weight(monkeypatch, tmp_path, capsys):
-    # At odd l >= 5 the H^2 weights must be exactly +-2 eps_i, one class
-    # each.  A mismatch exits 2 and names every differing weight with its
-    # expected and computed dimensions, even when the total still matches.
+@pytest.mark.parametrize("model, l", [("exterior", 5), ("chevalley", 4), ("chevalley", 6)])
+def test_cohomology_names_each_differing_weight(model, l, monkeypatch, tmp_path, capsys):
+    # Where a claim exists (the model at odd l >= 5, D_l at even l) the H^2
+    # weights must be exactly +-2 eps_i, plus (+-1, +-1, +-1, +-1) at D_4,
+    # one class each.  A mismatch exits 2 and names every differing weight
+    # with its expected and computed dimensions, even when the total still
+    # matches.
     survey = d2lie.cli.h2_survey_rows
-    e1, m1, extra = (2, 0, 0, 0, 0), (-2, 0, 0, 0, 0), (2, 2, 0, 0, 0)
+    total = 24 if l == 4 else 2 * l
+    zeros = (0,) * (l - 2)
+    e1, m1, extra = (2, 0) + zeros, (-2, 0) + zeros, (2, 2) + zeros
 
     def skewed(L):
         rows = [r for r in survey(L) if r["weight"] != m1]
@@ -261,22 +276,22 @@ def test_exterior_cohomology_names_each_differing_weight(monkeypatch, tmp_path, 
 
     monkeypatch.setattr("d2lie.cli.h2_survey_rows", skewed)
     out = tmp_path / "report.json"
-    assert main(["cohomology", "--model", "exterior", "--l", "5", "--out", str(out)]) == EXIT_DISCREPANCY
+    assert main(["cohomology", "--model", model, "--l", str(l), "--out", str(out)]) == EXIT_DISCREPANCY
     err = capsys.readouterr().err.splitlines()
     assert err == [
-        "weight [-2, 0, 0, 0, 0]: expected dim 1, computed 0",
-        "weight [2, 0, 0, 0, 0]: expected dim 1, computed 2",
+        f"weight {list(m1)}: expected dim 1, computed 0",
+        f"weight {list(e1)}: expected dim 1, computed 2",
     ]
     doc = json.loads(out.read_text())
-    assert (doc["total_dim_h2"], doc["expected_total"], doc["pass"]) == (10, 10, False)
+    assert (doc["total_dim_h2"], doc["expected_total"], doc["pass"]) == (total, total, False)
 
     def widened(L):
         rows = survey(L)
         return rows + [{**rows[-1], "weight": extra}]
 
     monkeypatch.setattr("d2lie.cli.h2_survey_rows", widened)
-    assert main(["cohomology", "--model", "exterior", "--l", "5"]) == EXIT_DISCREPANCY
+    assert main(["cohomology", "--model", model, "--l", str(l)]) == EXIT_DISCREPANCY
     assert capsys.readouterr().err.splitlines() == [
-        "weight [2, 2, 0, 0, 0]: expected dim 0, computed 1",
-        "expected total 10, computed 11",
+        f"weight {list(extra)}: expected dim 0, computed 1",
+        f"expected total {total}, computed {total + 1}",
     ]

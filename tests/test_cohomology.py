@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -574,10 +575,13 @@ def test_cup_square_weight_block_empty_makes_nontrivial(model5):
 
 def test_coboundary_rejects_non_cocycle(d4):
     # A single dual-basis cochain at a generic key is not a cocycle.
+    # The error names the lex-first basis triple where d c is nonzero.
     c = Cochain(2, d4.dim, {(0, 4): 1 << 5})
-    if differential(d4, c).is_zero():
+    dc = differential(d4, c).data
+    if not dc:
         pytest.skip("accidental cocycle")
-    with pytest.raises(ValueError):
+    triple = min(dc)
+    with pytest.raises(ValueError, match=re.escape(f"basis triple {triple} is {tuple(bit_indices(dc[triple]))}")):
         is_coboundary(d4, c)
 
 

@@ -8,16 +8,26 @@ from oracles import (
     first_truncated_failures,
     monomial_index,
     representative,
+    rref_solve,
     truncated_jacobi,
 )
 
-from d2lie.algebra import LieAlgebra, build_chevalley_D, center, check_jacobi
+from d2lie.algebra import (
+    LieAlgebra,
+    build_chevalley_D,
+    center,
+    check_jacobi,
+    chevalley_rank,
+    expected_center_generators,
+)
 from d2lie.cohomology import (
     Cochain,
     cochain_weight,
     differential,
+    h2_weight_survey,
     is_coboundary,
     weight_block,
+    _coord_code,
     _coord_of_code,
 )
 from d2lie.deformation import (
@@ -253,6 +263,38 @@ def test_even_cocycle_value_is_central(d4):
     Z = center(d4)
     for v in psi.data.values():
         assert Z.contains(v)
+
+
+def test_quoted_weight_class_is_checked_nontrivial(d4, monkeypatch):
+    # The paper's own class goes through the same nontriviality check as
+    # every other weight.
+    seen = []
+
+    def spy(L, c):
+        seen.append(c)
+        return is_coboundary(L, c)
+
+    monkeypatch.setattr("d2lie.deformation.is_coboundary", spy)
+    psi = build_even_cocycle(d4)
+    assert seen == [psi]
+
+
+def test_even_cocycle_takes_the_paper_value_at_d6(d6):
+    # H_5 + H_3 + H_1 gives a nontrivial class at every H^2 weight of D_6.
+    paper = expected_center_generators(6)[1]
+    for mu in h2_weight_survey(d6):
+        assert set(build_even_cocycle(d6, mu).data.values()) == {paper}
+
+
+def test_even_cocycles_are_not_dense_coboundaries(d4, d6):
+    # Each class's psi lies outside the column span of its block's dense d1.
+    for L in (d4, d6):
+        for mu in h2_weight_survey(L):
+            psi = build_even_cocycle(L, mu)
+            block = weight_block(L, mu)
+            pos = {code: p for p, code in enumerate(block.c2)}
+            b = sum(1 << pos[_coord_code(key, k, L.dim)] for key, v in psi.data.items() for k in bit_indices(v))
+            assert rref_solve(block.d1, b) is None, f"rank {chevalley_rank(L)}, weight {mu}"
 
 
 # -- the deformation check ------------------------------------------------------
