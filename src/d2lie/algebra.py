@@ -1,8 +1,11 @@
 """Lie algebras over GF(2) with sparse structure-constant tables.
 
 A LieAlgebra is a finite basis, a bracket table storing [b_i, b_j] for
-i < j as packed coordinate vectors, and an integer weight label per
-basis vector.  Instances are immutable after construction.
+i < j as packed coordinate vectors, and an integer weight tuple per
+basis vector.  Instances are immutable after construction.  Weights stay
+tuples where they leave the library (L.weights, reports, row order); the
+weight sums, the block enumeration and the homogeneity and additivity
+scans add them as packed ints (weight_codes), one integer addition each.
 
 build_chevalley_D(l) reduces the Chevalley basis of type D_l mod 2.
 All simply laced structure constants are ±1, so mod 2 the table needs
@@ -12,6 +15,7 @@ algebra here.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -21,9 +25,10 @@ from .roots import (
     build_root_system,
     express_in_simple_roots,
     is_zero_weight,
+    pack_weight,
+    unpack_weight,
     wadd,
     wdot,
-    wneg,
     wzero,
 )
 
@@ -57,12 +62,12 @@ class LieAlgebra:
         self.weights = weights
         self.brackets = table
         self._automorphisms = None
-        self._adjacency = None
         self._term_codes = None
         self._center = None
         self._graded = None
-        self._weight_index = None
-        self._weight_sums: dict[int, dict[Weight, tuple[tuple[int, ...], ...]]] = {}
+        self._weight_codes = None
+        self._weight_field = (0, 0)  # rank and field width of the packed weights
+        self._weight_sums: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
 
     # -- bracket evaluation -------------------------------------------
 
@@ -75,69 +80,102 @@ class LieAlgebra:
 
     # -- cached indexes ------------------------------------------------
 
-    def weight_index(self) -> dict[Weight, tuple[int, ...]]:
-        """Weight -> indices of the basis vectors carrying it."""
-        if self._weight_index is None:
-            sums = self.weight_sums(1)
-            self._weight_index = {w: tuple(i for (i,) in keys) for w, keys in sums.items()}
-        return self._weight_index
+    def weight_codes(self) -> tuple[int, ...]:
+        """The basis weights packed by roots.pack_weight on first use, in fields that hold
+        any signed sum of five of them, the weight of a degree-4 basis cochain."""
+        if self._weight_codes is None:
+            top = max((abs(c) for w in self.weights for c in w), default=0)
+            self._weight_field = (len(self.weights[0]) if self.weights else 0, (5 * top).bit_length() + 1)
+            self._weight_codes = tuple(pack_weight(w, self._weight_field[1]) for w in self.weights)
+        return self._weight_codes
 
-    def weight_sums(self, n: int) -> dict[Weight, tuple[tuple[int, ...], ...]]:
-        """Weight -> the sorted index n-tuples whose weights add up to it, in lex order."""
+    def weight_code(self, w: Weight) -> int | None:
+        """w packed like weight_codes, or None past the fields, where no basis cochain's weight lies."""
+        self.weight_codes()
+        l, bits = self._weight_field
+        if len(w) != l:
+            raise ValueError(f"weight {w} has length {len(w)}, expected {l}")
+        return pack_weight(w, bits) if max(map(abs, w), default=0) < 1 << (bits - 1) else None
+
+    def weight_of_code(self, code: int) -> Weight:
+        """The weight tuple of a packed weight of this algebra."""
+        self.weight_codes()
+        return unpack_weight(code, *self._weight_field)
+
+    def weight_sums(self, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Packed weight -> the sorted index n-tuples whose weights add up to it, in lex order."""
         if n not in self._weight_sums:
-            idx: dict[Weight, list[tuple[int, ...]]] = {}
-            weights = self.weights
-            for key in combinations(range(self.dim), n):
-                w = weights[key[0]]
-                for i in key[1:]:
-                    w = wadd(w, weights[i])
+            idx: dict[int, list[tuple[int, ...]]] = {}
+            sums = map(sum, combinations(self.weight_codes(), n))
+            for key, w in zip(combinations(range(self.dim), n), sums):
                 idx.setdefault(w, []).append(key)
             self._weight_sums[n] = {w: tuple(v) for w, v in idx.items()}
         return self._weight_sums[n]
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """For each k, the pairs (a, [b_a, b_k]) with a nonzero bracket, by a."""
-        if self._adjacency is None:
-            self._adjacency = _adjacency(self.brackets, self.dim)
-        return self._adjacency
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim})"
 
 
-def _adjacency(table: dict[tuple[int, int], int], dim: int) -> list[list[tuple[int, int]]]:
-    """For each k < dim, the pairs (a, f(b_a, b_k)) of an alternating table, by a."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    # In key order each list receives its partners in increasing order.
-    for (i, j), v in sorted(table.items()):
-        adj[i].append((j, v))
-        adj[j].append((i, v))
-    return adj
+# -- packed coordinates (_coord_code) ---------------------------------
+# A term of a cyclic sum is a mask union, and a term whose new index is
+# already in its key has an index fewer.
 
 
-def jacobiator(table: dict[tuple[int, int], int]) -> dict[tuple[int, int, int], int]:
+def _coord_code(key, k: int, dim: int) -> int:
+    """The packed coordinate (key, value index k): the key's mask << dim.bit_length() | k."""
+    return sum(map((1).__lshift__, key)) << dim.bit_length() | k
+
+
+def _term_tables(data: dict[tuple[int, ...], int], dim: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Term tables of an alternating map {sorted key: packed value} on dim basis vectors, in data's
+    order then m: codes[i] lists the coordinate (key without i, m) of each b_m in the value of a key
+    that holds i, on a bracket table the ((a,), m) of each b_m in [b_a, b_i]; pairs[m] lists the
+    coordinate (key, 0) of each key whose value involves b_m."""
+    bit = [1 << i for i in range(dim.bit_length(), dim.bit_length() + dim)]
+    codes: list[list[int]] = [[] for _ in range(dim)]
+    pairs: list[list[int]] = [[] for _ in range(dim)]
+    for key, v in data.items():
+        mask = sum(map(bit.__getitem__, key))
+        while v:
+            m = (v & -v).bit_length() - 1
+            v ^= 1 << m
+            pairs[m].append(mask)
+            for i in key:
+                codes[i].append(mask ^ bit[i] | m)
+    return codes, pairs
+
+
+def composed_terms(f: tuple, g: tuple) -> list[int]:
+    """The terms of g(f(x, ..), y, ..) for the term tables f and g: each key whose f-value
+    involves b_m meets each coordinate of g at b_m; an index in both leaves fewer indices."""
+    return [p | t for ps, ts in zip(f[1], g[0]) for p in ps for t in ts]
+
+
+def odd_coords(terms: list[int], dim: int, n: int) -> dict[tuple[int, ...], int]:
+    """{key: packed value} of the coordinates with n key indices that occur an odd number
+    of times in terms: the decode of every cyclic sum, which lists its terms as coordinates."""
+    s = dim.bit_length()
+    low = (1 << s) - 1
+    data: dict[tuple[int, ...], int] = {}
+    for t in [t for t, count in Counter(terms).items() if count & 1]:
+        if (key := t >> s).bit_count() == n:
+            indices = []
+            while key:  # bit_indices(key) inline, most of the decode of a sparse sum
+                indices.append((key & -key).bit_length() - 1)
+                key &= key - 1
+            data[k] = data.get(k := tuple(indices), 0) | 1 << (t & low)
+    return data
+
+
+def jacobiator(table: dict[tuple[int, int], int], dim: int) -> dict[tuple[int, int, int], int]:
     """The cyclic sum f(f(x, y), z) + f(f(y, z), x) + f(f(z, x), y) on basis triples.
 
-    table is an alternating bilinear map {(i, j): packed f(b_i, b_j)}, i < j.
-    The result maps each sorted triple with a nonzero sum to that sum: on a
-    bracket table it is the Jacobi defect, on a degree-2 cochain psi the cup
-    square psi u psi.  Each entry (a, b) -> v meets each c outside {a, b}
-    through the adjacency of the set bits m of v, since f(v, b_c) is the sum
-    of the f(b_m, b_c); a key whose sum cancels to zero is dropped at once.
+    table is an alternating map {(i, j): packed f(b_i, b_j)}, i < j, on dim basis
+    vectors.  The result maps each sorted triple with a nonzero sum to that sum:
+    on a bracket table the Jacobi defect, on a degree-2 cochain the cup square.
     """
-    dim = max((max(j + 1, v.bit_length()) for (_, j), v in table.items()), default=0)
-    adj = _adjacency(table, dim)
-    out: dict[tuple[int, int, int], int] = {}
-    for (a, b), v in table.items():
-        for m in bit_indices(v):
-            for c, w in adj[m]:
-                if c == a or c == b:
-                    continue
-                key = tuple(sorted((a, b, c)))
-                w ^= out.pop(key, 0)
-                if w:
-                    out[key] = w
-    return out
+    tables = _term_tables(table, dim)
+    return odd_coords(composed_terms(tables, tables), dim, 3)
 
 
 class Subspace(NamedTuple):
@@ -240,7 +278,7 @@ def center(L: LieAlgebra) -> Subspace:
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Jacobi identity on all basis triples; a failure names the lex-first triple."""
-    defects = jacobiator(L.brackets)
+    defects = jacobiator(L.brackets, L.dim)
     if not defects:
         return JacobiReport(True)
     triple = min(defects)
@@ -250,9 +288,9 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
 def check_weight_additivity(L: LieAlgebra) -> bool:
     """Every stored bracket entry lands in the weight-(mu+nu) subspace; checked once per algebra."""
     if L._graded is None:
-        weights = L.weights
+        codes = L.weight_codes()
         L._graded = all(
-            weights[m] == wadd(weights[i], weights[j])
+            codes[m] == codes[i] + codes[j]
             for (i, j), v in L.brackets.items()
             for m in bit_indices(v)
         )
@@ -304,24 +342,26 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
     undetermined, gives None as well.
     """
     dim = A.dim
-    wa, wb = A.weight_index(), B.weight_index()
-    if B.dim != dim or wa.keys() != wb.keys() or any(len(wa[w]) != len(wb[w]) for w in wa):
+    wa, wb = ({w: [i for (i,) in keys] for w, keys in X.weight_sums(1).items()} for X in (A, B))
+    # Packed weights are compared in one set of fields; other fields mean other weights.
+    if B.dim != dim or A._weight_field != B._weight_field or wa.keys() != wb.keys():
+        return None
+    if any(len(wa[w]) != len(wb[w]) for w in wa):
         return None
     theta = [0] * dim
     rows = []
     zero_a = zero_b = 0
     for w, ia in wa.items():
-        if is_zero_weight(w):
+        if not w:
             zero_a, zero_b = sum(1 << i for i in ia), sum(1 << i for i in wb[w])
         elif len(ia) != 1:
             return None
         else:
             theta[ia[0]] = 1 << wb[w][0]
-            nw = wneg(w)
             # A weight whose negative is absent has no dual pair.
-            if w < nw and nw in wa:
-                pair = A.bracket_basis(ia[0], wa[nw][0])
-                rows.append(pair | B.bracket_basis(wb[w][0], wb[nw][0]) << dim)
+            if w < -w and -w in wa:
+                pair = A.bracket_basis(ia[0], wa[-w][0])
+                rows.append(pair | B.bracket_basis(wb[w][0], wb[-w][0]) << dim)
     solved = 0
     for v in GF2Matrix(len(rows), 2 * dim, rows).row_reduce().rows:
         low, image = v & ((1 << dim) - 1), v >> dim

@@ -45,24 +45,30 @@ the form and omega.  Where a generator gets no theta, every weight is
 ranked.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
-coordinate (_coord_code): the mask of the key's indices with bit dim + k
-set, so every term of the differential is a mask union.  differential
-only counts how often each term occurs and keeps the odd ones, so a
-cocycle check numbers nothing; _images numbers the target coordinates
-only where packed rows are needed: ranks, the dense blocks and the
-coboundary solve.  Cochain is the type at the module's boundary, and
-_cochain is the one place a set of packed coordinates becomes one.
+coordinate (algebra._coord_code): the key's index mask shifted left by
+dim.bit_length(), or'd with k, about dim + 7 bits.  differential composes
+the term tables of L and c both ways, counts the terms once and decodes
+the odd ones (algebra.odd_coords), as the Jacobi identity and the cup
+square do, so a cocycle check numbers nothing; _images numbers target
+coordinates only for ranks, the dense blocks and the coboundary solve.
+Cochain is the type at the module's boundary.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Sequence
 from typing import NamedTuple
 
-from .algebra import LieAlgebra, check_weight_additivity, find_graded_isomorphism
+from .algebra import (
+    LieAlgebra,
+    _coord_code,
+    _term_tables,
+    check_weight_additivity,
+    composed_terms,
+    find_graded_isomorphism,
+    odd_coords,
+)
 from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
-from .roots import Weight, is_zero_weight, wsub
+from .roots import Weight, is_zero_weight
 
 
 class Cochain:
@@ -78,19 +84,22 @@ class Cochain:
     def __init__(self, degree: int, dim: int, data: dict | None = None):
         if not 1 <= degree <= 4:
             raise ValueError(f"unsupported cochain degree {degree}")
+        # Padded with dim, dim + 1, .. to five entries, a canonical key passes one chained comparison.
+        pad = tuple(range(dim, dim + 5 - degree))
         clean = {}
         for key, v in (data or {}).items():
-            key = tuple(sorted(key))
-            if len(key) != degree or len(set(key)) != degree:
-                raise ValueError(f"bad key {key} for degree {degree}")
-            if not all(0 <= i < dim for i in key):
-                raise ValueError(f"key {key} out of range")
+            if not (len(k := key + pad) == 5 and -1 < k[0] < k[1] < k[2] < k[3] < k[4]):
+                key = tuple(sorted(key))
+                if len(key) != degree or len(set(key)) != degree:
+                    raise ValueError(f"bad key {key} for degree {degree}")
+                if not all(0 <= i < dim for i in key):
+                    raise ValueError(f"key {key} out of range")
             if v < 0 or v >> dim:
                 raise ValueError(f"value of key {key} has bits outside the basis")
             clean[key] = clean.get(key, 0) ^ v
         self.degree = degree
         self.dim = dim
-        self.data = {k: v for k, v in clean.items() if v}
+        self.data = clean if all(clean.values()) else {k: v for k, v in clean.items() if v}
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> Cochain:
@@ -113,10 +122,7 @@ class Cochain:
             raise ValueError("eval_vec_basis needs a degree-2 cochain")
         data = self.data
         out = 0
-        while x:
-            low = x & -x
-            m = low.bit_length() - 1
-            x ^= low
+        for m in bit_indices(x):
             if m != c:
                 out ^= data.get((m, c) if m < c else (c, m), 0)
         return out
@@ -139,68 +145,19 @@ class Cochain:
         return f"Cochain(degree={self.degree}, support={len(self.data)})"
 
 
-def basis_cochain_weight(L: LieAlgebra, key, value_index: int) -> Weight:
-    """weight(value) minus the sum of the argument weights."""
-    w = L.weights[value_index]
-    for i in key:
-        w = wsub(w, L.weights[i])
-    return w
-
-
 def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
     """Weight of a homogeneous cochain; None when zero; error when mixed."""
-    w = None
-    for key, bits in c.data.items():
-        for m in bit_indices(bits):
-            cand = basis_cochain_weight(L, key, m)
-            if w is None:
-                w = cand
-            elif w != cand:
-                raise ValueError("cochain is not weight-homogeneous")
-    return w
-
-
-def _cochain(degree: int, dim: int, codes: Sequence[int], bits: int) -> Cochain:
-    """The cochain with the packed coordinates codes[p] for the set bits p of bits."""
-    data: dict[tuple, int] = {}
-    for p in bit_indices(bits):
-        key, k = _coord_of_code(codes[p], dim)
-        data[key] = data.get(key, 0) ^ (1 << k)
-    return Cochain(degree, dim, data)
-
-
-def _coord_code(key, k: int, dim: int) -> int:
-    """The packed coordinate (key, value index k): bit i for each i in key, and bit dim + k."""
-    code = 1 << (dim + k)
-    for i in key:
-        code |= 1 << i
-    return code
-
-
-def _coord_of_code(code: int, dim: int) -> tuple[tuple[int, ...], int]:
-    """The (key, value index) a packed coordinate codes, inverse to _coord_code."""
-    return tuple(bit_indices(code & ((1 << dim) - 1))), (code >> dim).bit_length() - 1
+    codes = L.weight_codes()
+    ws = {codes[m] - sum(map(codes.__getitem__, key)) for key, bits in c.data.items() for m in bit_indices(bits)}
+    if len(ws) > 1:
+        raise ValueError("cochain is not weight-homogeneous")
+    return L.weight_of_code(ws.pop()) if ws else None
 
 
 def _term_codes(L: LieAlgebra) -> tuple[list[list[int]], list[list[int]]]:
-    """The two term tables of differential and _images, built once per algebra.
-
-    codes[k] lists the code of ((a,), m) for each b_m in a nonzero
-    [b_a, b_k], by a then m: the adjacency of L in packed coordinates.
-    pairs[m] lists the key mask (1 << i) | (1 << j) of each bracket
-    [b_i, b_j] that involves b_m, in table order.
-    """
+    """The term tables of L's bracket in key order (algebra._term_tables), built once per algebra."""
     if L._term_codes is None:
-        dim = L.dim
-        pairs: list[list[int]] = [[] for _ in range(dim)]
-        for (i, j), v in L.brackets.items():
-            for m in bit_indices(v):
-                pairs[m].append((1 << i) | (1 << j))
-        codes = [
-            [_coord_code((a,), m, dim) for a, v in row for m in bit_indices(v)]
-            for row in L.adjacency()
-        ]
-        L._term_codes = codes, pairs
+        L._term_codes = _term_tables(dict(sorted(L.brackets.items())), L.dim)
     return L._term_codes
 
 
@@ -211,29 +168,17 @@ def differential(L: LieAlgebra, c: Cochain) -> Cochain:
     """Chevalley-Eilenberg differential; degrees 1..3 accepted.
 
     Degree 3 is admitted (image degree 4) solely so that cocycle
-    preconditions on degree-3 inputs can be machine-checked.  Each term
-    is a packed coordinate, kept when it occurs an odd number of times
-    and its key has degree + 1 indices: a term whose new index is already
-    in the key collapses to a shorter key.
+    preconditions on degree-3 inputs can be machine-checked.  The terms
+    are packed coordinates, composed from the term tables of L and c.
     """
     if c.degree not in (1, 2, 3):
         raise ValueError(f"differential not supported in degree {c.degree}")
     if c.dim != L.dim:
         raise ValueError(f"cochain of dimension {c.dim} on an algebra of dimension {L.dim}")
-    dim = L.dim
-    codes, pairs = _term_codes(L)
-    terms: list[int] = []
-    for key, bits in c.data.items():
-        mask = sum(1 << i for i in key)
-        for k in bit_indices(bits):
-            # sum_i [x_i, c(..)] and sum_{i<j} c([x_i, x_j], ..), as in _images.
-            terms.extend(map(mask.__or__, codes[k]))
-            for i in key:
-                terms.extend(map((mask ^ (1 << i) | 1 << (dim + k)).__or__, pairs[i]))
-    # Counter keeps first-occurrence order, the order _images numbers targets in.
-    low = (1 << dim) - 1
-    odd = [t for t, n in Counter(terms).items() if n & 1 and (t & low).bit_count() == c.degree + 1]
-    return _cochain(c.degree + 1, dim, odd, (1 << len(odd)) - 1)
+    f, t = _term_codes(L), _term_tables(c.data, L.dim)
+    # sum_i [x_i, c(..)] applies c, then the bracket; sum_{i<j} c([x_i, x_j], ..) the other way round.
+    terms = composed_terms(t, f) + composed_terms(f, t)
+    return Cochain(c.degree + 1, L.dim, odd_coords(terms, L.dim, c.degree + 1))
 
 
 # -- weight blocks -----------------------------------------------------
@@ -249,12 +194,11 @@ def _block_coords(L: LieAlgebra, n: int, mu: Weight) -> list[int]:
     if n not in (1, 2):
         raise ValueError(f"no basis enumeration in degree {n}")
     sums = L.weight_sums(n)
-    hits = sorted(
-        (key, ks)
-        for w, ks in L.weight_index().items()
-        for key in sums.get(wsub(w, mu), ())
-    )
-    return [_coord_code(key, k, L.dim) for key, ks in hits for k in ks]
+    mu = L.weight_code(mu)
+    if mu is None:
+        return []
+    hits = sorted((key, ks) for w, ks in L.weight_sums(1).items() for key in sums.get(w - mu, ()))
+    return [_coord_code(key, 0, L.dim) | k for key, ks in hits for (k,) in ks]
 
 
 def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[int]:
@@ -267,18 +211,19 @@ def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[i
     reach it.  Each term toggles its bit, so terms that meet cancel and a
     numbered coordinate may end up zero in every image.
     """
-    dim = L.dim
-    low = (1 << dim) - 1
+    s = L.dim.bit_length()
+    low = (1 << s) - 1
     codes, pairs = _term_codes(L)
     images = []
     for code in src:
-        mask = code & low
+        k = code & low
+        mask = code ^ k
         # sum_i [x_i, c(.. x_i dropped ..)]: x_i = b_a brackets the value b_k
         # into b_m; the code of (a, m) has bit a, so it meets the key there.
-        terms = [mask | t for t in codes[(code >> dim).bit_length() - 1] if not t & mask]
+        terms = [mask | t for t in codes[k] if not t & mask]
         # sum_{i<j} c([x_i, x_j], ..): [b_a, b_b] meets the argument b_i.
-        for i in bit_indices(mask):
-            rest = code ^ (1 << i)
+        for i in bit_indices(code >> s):
+            rest = code ^ (1 << (i + s))
             terms += [rest | pair for pair in pairs[i] if not pair & rest]
         img = 0
         for t in terms:
@@ -381,11 +326,14 @@ def _torus_functionals(L: LieAlgebra) -> tuple[int, ...]:
     """
     # Column i is coordinate i of every weight mod 2, packed over the basis.
     cols = [sum((c & 1) << k for k, c in enumerate(coord)) for coord in zip(*L.weights)]
+    s = L.dim.bit_length()
+    low = (1 << s) - 1
     functionals = []
-    for h, adj in enumerate(L.adjacency()):
-        if not is_zero_weight(L.weights[h]) or any(v != 1 << a for a, v in adj):
+    # Row h of the codes table holds ((a,), m) for b_m in [b_a, b_h]: h qualifies when m = a throughout.
+    for h, row in enumerate(_term_codes(L)[0]):
+        if not is_zero_weight(L.weights[h]) or any(c >> s != 1 << (c & low) for c in row):
             continue
-        lam = solve_columns(cols, L.dim, sum(1 << a for a, _ in adj))
+        lam = solve_columns(cols, L.dim, sum(c >> s for c in row))
         if lam is not None:
             functionals.append(lam)
     return tuple(functionals)
@@ -399,14 +347,14 @@ def _c2_weights(L: LieAlgebra, functionals: tuple[int, ...] = ()) -> list[Weight
     only those pairs are formed.
     """
 
-    def parity(w: Weight) -> int:
-        bits = sum((c & 1) << i for i, c in enumerate(w))
-        return sum(((bits & lam).bit_count() & 1) << j for j, lam in enumerate(functionals))
-
-    sums: dict[int, list[Weight]] = {}
-    for s in L.weight_sums(2):
-        sums.setdefault(parity(s), []).append(s)
-    return sorted({wsub(w, s) for w in L.weight_index() for s in sums.get(parity(w), ())})
+    # Parities are linear, so a pair sum has the sum of its indices' parities.
+    odd = [sum((c & 1) << i for i, c in enumerate(w)) for w in L.weights]
+    par = [sum(((b & lam).bit_count() & 1) << j for j, lam in enumerate(functionals)) for b in odd]
+    sums: dict[int, list[int]] = {}
+    for s, ((i, j), *_) in L.weight_sums(2).items():
+        sums.setdefault(par[i] ^ par[j], []).append(s)
+    weights = {w - s for w, ((k,), *_) in L.weight_sums(1).items() for s in sums.get(par[k], ())}
+    return [L.weight_of_code(mu) for mu in sorted(weights)]
 
 
 def _c2_groups(L: LieAlgebra) -> dict[Weight, list[int]]:
@@ -501,4 +449,4 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> tuple[bool, Cochain | None]:
     x = solve_columns(images, len(target_pos), (1 << len(coords)) - 1)
     if x is None:
         return False, None
-    return True, _cochain(c.degree - 1, L.dim, src, x)
+    return True, Cochain(c.degree - 1, L.dim, odd_coords([src[p] for p in bit_indices(x)], L.dim, c.degree - 1))

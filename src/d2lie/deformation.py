@@ -75,7 +75,7 @@ def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
         raise ValueError("cup square needs a degree-2 cochain")
     if psi.dim != L.dim:
         raise ValueError(f"cochain of dimension {psi.dim} on an algebra of dimension {L.dim}")
-    return Cochain(3, L.dim, jacobiator(psi.data))
+    return Cochain(3, L.dim, jacobiator(psi.data, L.dim))
 
 
 # -- verdicts -----------------------------------------------------------
@@ -94,18 +94,15 @@ class ObstructionReport(NamedTuple):
     vanishes_on_center: bool | None = None
 
     def to_json_dict(self) -> dict:
+        def listed(x):
+            return list(x) if x else None
+
         return {
-            "weight": list(self.weight) if self.weight else None,
+            "weight": listed(self.weight),
             "verdict": self.verdict,
-            "obstruction_weight": (
-                list(self.obstruction_weight) if self.obstruction_weight else None
-            ),
-            "witness_triple": list(self.witness_key) if self.witness_key else None,
-            "witness_value_support": (
-                list(self.witness_value_support)
-                if self.witness_value_support
-                else None
-            ),
+            "obstruction_weight": listed(self.obstruction_weight),
+            "witness_triple": listed(self.witness_key),
+            "witness_value_support": listed(self.witness_value_support),
             "central_valued": self.central_valued,
             "vanishes_on_center": self.vanishes_on_center,
         }
@@ -218,13 +215,9 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
         raise ValueError("rigidity scan applies at odd rank")
     if l < 5:
         raise ValueError("rigidity scan needs rank > 3")
-    items = []
-    for i in range(1, l + 1):
-        for sign in (1, -1):
-            w = [0] * l
-            w[i - 1] = 2 * sign
-            items.append((tuple(w), sign * i))
-    items.sort()
+    # The cocycle of e_(sign i) has weight 2 sign eps_i; the classes go in weight order.
+    ranks = range(1, l + 1)
+    items = sorted((tuple(2 * sign * (k == i) for k in ranks), sign * i) for i in ranks for sign in (1, -1))
     reports = []
     for w, label in items:
         try:

@@ -27,6 +27,24 @@ def wsub(a: Weight, b: Weight) -> Weight:
     return tuple(map(sub, a, b))
 
 
+def pack_weight(w: Weight, bits: int) -> int:
+    """w as one int, coordinate i in the i-th bits-wide field from the top: additive, and while
+    every |c_i| < 2^(bits-1), which it checks, one-to-one and keeping the tuple order."""
+    p = 0
+    for c in w:
+        if abs(c) >> (bits - 1):
+            raise ValueError(f"weight coordinate {c} of {w} does not fit a {bits}-bit field")
+        p = (p << bits) + c
+    return p
+
+
+def unpack_weight(p: int, l: int, bits: int) -> Weight:
+    """The weight of length l that pack_weight(., bits) maps to p."""
+    half = 1 << (bits - 1)
+    q = p + sum(half << bits * i for i in range(l))  # every field shifted into 0 .. 2 half - 1
+    return tuple((q >> bits * (l - 1 - i) & (2 * half - 1)) - half for i in range(l))
+
+
 def wneg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 

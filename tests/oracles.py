@@ -34,11 +34,13 @@
 
 - The quotient of D_l by its centre, built by projecting every bracket;
   the wedge-square model must be graded-isomorphic to it.
+- The weight of a basis cochain on weight tuples (basis_cochain_weight);
+  cochain_weight's scan over packed weights must agree with it.
 
 It also holds helpers that more than one test module uses: brackets and
-cochain values on packed vectors and basis indices, the basis cochains
-of a weight block, the model index of a monomial, symplectic
-transvections and Weyl orbits.
+cochain values on packed vectors and basis indices, the decode of a
+packed coordinate (coord_of_code), the basis cochains of a weight block,
+the model index of a monomial, symplectic transvections and Weyl orbits.
 """
 
 from dataclasses import dataclass
@@ -49,15 +51,12 @@ from d2lie.cohomology import (
     _block_coords,
     _block_row,
     _c2_weights,
-    _cochain,
-    _coord_code,
-    _coord_of_code,
     _image_rank,
     _torus_functionals,
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials
-from d2lie.algebra import LieAlgebra
+from d2lie.algebra import LieAlgebra, _coord_code, odd_coords
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import (
     RootSystem,
@@ -66,6 +65,7 @@ from d2lie.roots import (
     express_in_simple_roots,
     is_zero_weight,
     wdot,
+    wsub,
 )
 
 
@@ -86,6 +86,21 @@ def bracket(L, x, y):
     for j in bit_indices(y):
         out ^= bracket_vec_basis(L, x, j)
     return out
+
+
+def basis_cochain_weight(L, key, value_index):
+    """weight(value) minus the sum of the argument weights, on weight tuples;
+    the oracle of cochain_weight's packed scan."""
+    w = L.weights[value_index]
+    for i in key:
+        w = wsub(w, L.weights[i])
+    return w
+
+
+def coord_of_code(code, dim):
+    """The (key, value index) a packed coordinate codes, inverse to _coord_code."""
+    s = dim.bit_length()
+    return tuple(bit_indices(code >> s)), code & ((1 << s) - 1)
 
 
 def eval_basis(c, *indices):
@@ -244,7 +259,7 @@ def representative(L, mu):
     coboundaries = PivotBasis(block.d1.transpose().rows)
     for v in block.d2.nullspace().rows:
         if not coboundaries.contains(v):
-            return _cochain(2, L.dim, block.c2, v)
+            return Cochain(2, L.dim, odd_coords([block.c2[p] for p in bit_indices(v)], L.dim, 2))
     raise ValueError(f"H^2 vanishes at weight {mu}")
 
 
@@ -252,7 +267,7 @@ def cochain_basis(L, n, mu):
     """Basis cochains of weight mu in canonical (key, value) order."""
     out = []
     for code in _block_coords(L, n, mu):
-        key, k = _coord_of_code(code, L.dim)
+        key, k = coord_of_code(code, L.dim)
         out.append(Cochain(n, L.dim, {key: 1 << k}))
     return out
 

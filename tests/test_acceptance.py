@@ -13,6 +13,7 @@ from oracles import (
     bracket,
     cochain_basis,
     composite_is_zero,
+    coord_of_code,
     eval_basis,
     monomial_index,
     phi_eval,
@@ -39,7 +40,6 @@ from d2lie.cohomology import (
     h2_weight_survey,
     is_coboundary,
     weight_block,
-    _coord_of_code,
 )
 from d2lie.deformation import (
     VERDICT_NONTRIVIAL,
@@ -265,7 +265,7 @@ def test_criterion_9_property_suites(model5, d4):
             continue
         data = {}
         for col in bit_indices(combo):
-            key, k = _coord_of_code(block.c2[col], d4.dim)
+            key, k = coord_of_code(block.c2[col], d4.dim)
             data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, d4.dim, data)
         assert differential(d4, psi).is_zero()

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from d2lie.algebra import (
     JacobiReport,
     LieAlgebra,
     Subspace,
+    _coord_code,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -19,18 +21,17 @@ from d2lie.algebra import (
 )
 from d2lie.cohomology import _term_codes
 from d2lie.gf2 import GF2Matrix, bit_indices
-from d2lie.roots import build_root_system, wadd, wzero
+from d2lie.roots import build_root_system, wadd, wsub, wzero
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def weight_decomposition(L):
     """Partition of the basis by weight label."""
-    out = {}
-    for w, idxs in L.weight_index().items():
-        rows = [1 << i for i in idxs]
-        out[w] = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows))
-    return out
+    idx = {}
+    for i, w in enumerate(L.weights):
+        idx.setdefault(w, []).append(1 << i)
+    return {w: Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows)) for w, rows in idx.items()}
 
 
 def algebra_to_json(L):
@@ -138,7 +139,7 @@ def test_jacobi_small_ranks():
 def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
     rng = random.Random(36)
     for L in (d3, d4, model5.algebra, d5_quotient):
-        assert jacobiator(L.brackets) == jacobi_defects(L) == {}
+        assert jacobiator(L.brackets, L.dim) == jacobi_defects(L) == {}
         assert check_jacobi(L) == JacobiReport(True)
         # One random structure constant flipped.
         bad = dict(L.brackets)
@@ -146,9 +147,17 @@ def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
         bad[key] = bad.get(key, 0) ^ (1 << rng.randrange(L.dim))
         broken = LieAlgebra(L.labels, L.weights, bad)
         oracle = jacobi_defects(broken)
-        assert oracle and jacobiator(broken.brackets) == oracle
+        assert oracle and jacobiator(broken.brackets, broken.dim) == oracle
         first = min(oracle)
         assert check_jacobi(broken) == JacobiReport(False, first, oracle[first])
+    # Random alternating tables with multi-bit values on the rank-5 model's
+    # basis, sparse like a degree-2 cochain whose cup square jacobiator
+    # takes, and denser.
+    A = model5.algebra
+    for density in (0.01, 0.05, 0.2):
+        table = {key: rng.getrandbits(A.dim) for key in combinations(range(A.dim), 2) if rng.random() < density}
+        oracle = jacobi_defects(LieAlgebra(A.labels, A.weights, table))
+        assert oracle and jacobiator(table, A.dim) == oracle
 
 
 def test_jacobi_catches_corruption():
@@ -165,7 +174,7 @@ def test_jacobi_catches_corruption():
     assert report.triple is not None
     assert report.defect != 0
     oracle = jacobi_defects(broken)
-    assert jacobiator(broken.brackets) == oracle
+    assert jacobiator(broken.brackets, broken.dim) == oracle
     first = min(oracle)  # the triple loop meets triples in lex order
     assert (report.triple, report.defect) == (first, oracle[first])
 
@@ -187,26 +196,63 @@ def test_bracket_keys_outside_the_upper_triangle_rejected():
             LieAlgebra(["x", "y", "z"], [(0,)] * 3, {key: 1})
 
 
-def test_adjacency_matches_bracket_table(d4, model5):
-    for L in (d4, model5.algebra):
-        adj = L.adjacency()
-        for k in range(L.dim):
-            expected = [(a, L.bracket_basis(a, k)) for a in range(L.dim) if L.bracket_basis(a, k)]
-            assert adj[k] == expected
-
-
 def test_pairs_with_support_are_masks(d4, model5):
     # The pair-mask table lives in cohomology's term tables; for each m it
-    # lists the bracket keys whose value involves b_m, in table order.
+    # lists the bracket keys whose value involves b_m, in key order.
     for L in (d4, model5.algebra):
         pairs = _term_codes(L)[1]
         for k in range(L.dim):
-            assert pairs[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
+            assert pairs[k] == [_coord_code(key, 0, L.dim) for key, v in sorted(L.brackets.items()) if (v >> k) & 1]
 
 
 def test_weight_additivity():
     for l in (3, 4, 5):
         assert check_weight_additivity(build_chevalley_D(l))
+
+
+def test_weight_additivity_catches_an_off_weight_bracket(d4):
+    # The packed check against a bracket that lands one weight off.
+    i, j = next(key for key, v in d4.brackets.items() if v.bit_count() == 1)
+    m = d4.brackets[(i, j)].bit_length() % d4.dim  # the index after the value's bit
+    bad = {**d4.brackets, (i, j): 1 << m}
+    assert wadd(d4.weights[i], d4.weights[j]) != d4.weights[m]
+    assert not check_weight_additivity(LieAlgebra(d4.labels, d4.weights, bad))
+
+
+def test_weight_codes_add_like_tuples(d4, model5):
+    # The packed basis weights decode to L.weights, and signed sums of five
+    # of them, the weight of a degree-4 basis cochain, decode to the tuple sum.
+    rng = random.Random(43)
+    for L in (d4, model5.algebra):
+        codes = L.weight_codes()
+        assert [L.weight_of_code(c) for c in codes] == list(L.weights)
+        for _ in range(200):
+            picks = [(rng.randrange(L.dim), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]
+            total, packed = (0,) * len(L.weights[0]), 0
+            for i, sign in picks:
+                total = (wadd if sign > 0 else wsub)(total, L.weights[i])
+                packed += sign * codes[i]
+            assert L.weight_of_code(packed) == total
+            assert L.weight_code(total) == packed
+        l = len(L.weights[0])
+        # Past the fields no basis cochain has the weight; another length is an error.
+        assert L.weight_code((1 << 8,) * l) is None
+        with pytest.raises(ValueError, match="length"):
+            L.weight_code((0,) * (l + 1))
+
+
+def test_weight_sums_match_combinations_oracle(d4, model5):
+    # Dict order (first occurrence) and key order included.
+    for L in (d4, model5.algebra):
+        for n in (1, 2):
+            oracle = {}
+            for key in combinations(range(L.dim), n):
+                w = L.weights[key[0]]
+                for i in key[1:]:
+                    w = wadd(w, L.weights[i])
+                oracle.setdefault(w, []).append(key)
+            got = [(L.weight_of_code(w), list(keys)) for w, keys in L.weight_sums(n).items()]
+            assert got == list(oracle.items())
 
 
 def test_weight_decomposition_d4():

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    basis_cochain_weight,
     bracket_vec_basis,
     chevalley_automorphism,
     cochain_basis,
     composite_is_zero,
+    coord_of_code,
     eval_basis,
     model_automorphism,
     per_weight_survey_rows,
@@ -18,6 +20,7 @@ from oracles import (
 
 from d2lie.algebra import (
     LieAlgebra,
+    _coord_code,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -27,7 +30,6 @@ from d2lie.algebra import (
 )
 from d2lie.cohomology import (
     Cochain,
-    basis_cochain_weight,
     cochain_weight,
     cohomology_dim,
     differential,
@@ -40,8 +42,6 @@ from d2lie.cohomology import (
     _block_row,
     _c2_groups,
     _c2_weights,
-    _coord_code,
-    _coord_of_code,
     _signed_permutation_generators,
     _term_codes,
     _torus_functionals,
@@ -85,6 +85,26 @@ def test_cochain_values_outside_the_basis_rejected():
             Cochain(2, 5, {(0, 1): v})
 
 
+def test_cochain_keys_checked_at_every_degree():
+    # A strictly increasing key inside range(dim) skips the re-sort; every
+    # other key is sorted and checked as before, at each degree.
+    dim = 6
+    for n in (1, 2, 3, 4):
+        key = tuple(range(1, n + 1))
+        assert Cochain(n, dim, {(*key[:-1], dim - 1): 1}).data == {(*key[:-1], dim - 1): 1}
+        bad = [((*key, 5), "bad key"), ((-1, *key[1:]), "out of range"), ((*key[:-1], dim), "out of range")]
+        if n > 1:
+            # Unsorted keys are normalized and merge with their sorted form.
+            assert Cochain(n, dim, {key[::-1]: 0b10, key: 0b11}).data == {key: 0b01}
+            bad.append(((key[0],) * n, "bad key"))
+        for k, match in bad:
+            with pytest.raises(ValueError, match=match):
+                Cochain(n, dim, {k: 1})
+        for v in (1 << dim, -1):
+            with pytest.raises(ValueError, match="bits outside the basis"):
+                Cochain(n, dim, {key: v})
+
+
 def test_cochain_degree_bounds():
     with pytest.raises(ValueError):
         Cochain(5, 6, {})
@@ -121,7 +141,7 @@ def _brute_force_blocks(L):
 
 
 def _decoded(L, codes):
-    return [_coord_of_code(code, L.dim) for code in codes]
+    return [coord_of_code(code, L.dim) for code in codes]
 
 
 def test_c2_block_golden_dimension(d4, model5):
@@ -145,6 +165,27 @@ def test_basis_cochains_are_weight_homogeneous(d4):
     mu = (1, 1, 0, 0)
     for c in cochain_basis(d4, 2, mu)[:20]:
         assert cochain_weight(d4, c) == mu
+
+
+def test_cochain_weight_matches_tuple_oracle_and_rejects_mixed(d4, model5):
+    # The packed scan against basis_cochain_weight on tuples: a single
+    # coordinate has the oracle's weight at every degree, the zero cochain
+    # none, and two coordinates of different weights, in two keys or in
+    # one key's value, are an error.
+    rng = random.Random(27)
+    for L in (d4, model5.algebra):
+        assert cochain_weight(L, Cochain.zero(2, L.dim)) is None
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            key, k = tuple(sorted(rng.sample(range(L.dim), n))), rng.randrange(L.dim)
+            assert cochain_weight(L, Cochain(n, L.dim, {key: 1 << k})) == basis_cochain_weight(L, key, k)
+            m = next(m for m in range(L.dim) if L.weights[m] != L.weights[k])
+            other = tuple(sorted(rng.sample(range(L.dim), n)))
+            if basis_cochain_weight(L, other, m) != basis_cochain_weight(L, key, k):
+                with pytest.raises(ValueError, match="cochain is not weight-homogeneous"):
+                    cochain_weight(L, Cochain(n, L.dim, {key: 1 << k, other: 1 << m}))
+            with pytest.raises(ValueError, match="cochain is not weight-homogeneous"):
+                cochain_weight(L, Cochain(n, L.dim, {key: 1 << k | 1 << m}))
 
 
 # -- differential -----------------------------------------------------------
@@ -254,8 +295,9 @@ def test_differential_matches_pointwise_oracle(d3, d4, d5, model3, model5, model
         for L, n, density in [(d4, 1, 1.0), (d4, 1, 0.2), (d4, 2, 0.05), (d4, 2, 0.5)]
         + [(L, 3, density) for L in (d3, model3.algebra) for density in (0.02, 0.3)]
         # D_5 and the rank-5 model have 45 and 44 basis vectors, so the packed
-        # coordinates (key mask plus bit dim + k) pass 64 bits; the rank-7
-        # model's 90 pass 128.
+        # coordinates (key mask << dim.bit_length() | k) take 51 and 50 bits,
+        # past one 30-bit digit of a Python int; the rank-7 model's 90 take
+        # 97, past 64.
         + [(L, n, density) for L in (d5, model5.algebra) for n, density in ((1, 0.5), (2, 0.03))]
         + [(model7.algebra, 2, 0.003)]
     ]
@@ -279,7 +321,7 @@ def test_coordinate_code_round_trips(d4):
         for key in combinations(range(dim), n):
             for k in range(dim):
                 code = _coord_code(key, k, dim)
-                assert _coord_of_code(code, dim) == (key, k)
+                assert coord_of_code(code, dim) == (key, k)
                 codes.add(code)
         assert len(codes) == len(list(combinations(range(dim), n))) * dim
 
@@ -292,13 +334,13 @@ def test_term_codes_match_bracket_table(d4, model5):
         codes, pairs = tables
         for k in range(dim):
             assert codes[k] == [
-                (1 << a) | (1 << (dim + m))
+                _coord_code((a,), m, dim)
                 for a in range(dim)
                 for m in range(dim)
                 if (L.bracket_basis(a, k) >> m) & 1
             ]
             # The key masks of the brackets whose value involves b_k.
-            assert pairs[k] == [(1 << i) | (1 << j) for (i, j), v in L.brackets.items() if (v >> k) & 1]
+            assert pairs[k] == [_coord_code(key, 0, dim) for key, v in sorted(L.brackets.items()) if (v >> k) & 1]
 
 
 # -- cohomology dimensions ---------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    coord_of_code,
     eval_basis,
     first_truncated_failures,
     monomial_index,
@@ -14,6 +15,7 @@ from oracles import (
 
 from d2lie.algebra import (
     LieAlgebra,
+    _coord_code,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -27,8 +29,6 @@ from d2lie.cohomology import (
     h2_weight_survey,
     is_coboundary,
     weight_block,
-    _coord_code,
-    _coord_of_code,
 )
 from d2lie.deformation import (
     ObstructionReport,
@@ -95,7 +95,7 @@ def random_homogeneous_cochains(L, rng, n):
         block = weight_block(L, wadd(rng.choice(weights), rng.choice(weights)))
         data = {}
         for code in block.c2:
-            key, k = _coord_of_code(code, L.dim)
+            key, k = coord_of_code(code, L.dim)
             if rng.random() < 0.3:
                 data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, L.dim, data)
@@ -193,7 +193,7 @@ def test_verdict_class_insensitive_to_coboundary_shift(d4, model5):
     assert base is True
     block = weight_block(d4, mu)
     for code in block.c1:
-        key, k = _coord_of_code(code, d4.dim)
+        key, k = coord_of_code(code, d4.dim)
         xi = Cochain(1, d4.dim, {key: 1 << k})
         shifted = psi + differential(d4, xi)
         rep = obstruction_verdict(d4, shifted)
@@ -205,7 +205,7 @@ def test_verdict_class_insensitive_to_coboundary_shift(d4, model5):
     block5 = weight_block(A, mu5)
     rng = random.Random(32)
     for code in rng.sample(list(block5.c1), min(6, len(block5.c1))):
-        key, k = _coord_of_code(code, A.dim)
+        key, k = coord_of_code(code, A.dim)
         xi = Cochain(1, A.dim, {key: 1 << k})
         shifted = psi5 + differential(A, xi)
         assert obstruction_verdict(A, shifted).verdict == VERDICT_NONTRIVIAL
@@ -437,7 +437,7 @@ def test_random_cocycles_obstruction_equals_t2(d4):
             continue
         data = {}
         for col in bit_indices(combo):
-            key, k = _coord_of_code(block.c2[col], d4.dim)
+            key, k = coord_of_code(block.c2[col], d4.dim)
             data[key] = data.get(key, 0) ^ (1 << k)
         psi = Cochain(2, d4.dim, data)
         assert differential(d4, psi).is_zero()

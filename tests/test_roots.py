@@ -1,7 +1,24 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import d2lie
 import pytest
 from oracles import cartan_number, reflect, weyl_orbit
 
-from d2lie.roots import build_root_system, eps, express_in_simple_roots, wadd, wneg, wzero
+from d2lie.roots import (
+    build_root_system,
+    eps,
+    express_in_simple_roots,
+    pack_weight,
+    unpack_weight,
+    wadd,
+    wneg,
+    wsub,
+    wzero,
+)
 
 
 def test_root_count_l4():
@@ -147,3 +164,39 @@ def test_express_roundtrip_all_roots():
         for coeff, a in zip(c, sys.simple):
             acc = wadd(acc, tuple(coeff * x for x in a))
         assert acc == r
+
+
+def test_packed_weights_round_trip_and_add():
+    # Signed sums of up to five weights with negative coordinates, l up to
+    # 20: packing each weight and adding the ints gives the packed tuple sum,
+    # which unpacks to it, and the ints order as the tuples do.
+    rng = random.Random(44)
+    for _ in range(400):
+        l, bits = rng.randint(1, 20), rng.randint(4, 9)
+        top = ((1 << (bits - 1)) - 1) // 5
+        weights = [tuple(rng.randint(-top, top) for _ in range(l)) for _ in range(rng.randint(1, 5))]
+        total, packed = weights[0], pack_weight(weights[0], bits)
+        for w in weights[1:]:
+            sign = rng.choice((1, -1))
+            total = (wadd if sign > 0 else wsub)(total, w)
+            packed += sign * pack_weight(w, bits)
+        assert packed == pack_weight(total, bits)
+        assert unpack_weight(packed, l, bits) == total
+        half = 1 << (bits - 1)
+        a, b = (tuple(rng.randint(1 - half, half - 1) for _ in range(l)) for _ in range(2))
+        assert unpack_weight(pack_weight(a, bits), l, bits) == a
+        assert (pack_weight(a, bits) < pack_weight(b, bits)) == (a < b)
+
+
+def test_packed_weight_too_wide_for_its_field_raises():
+    for w in ((0, 8), (-8, 0), (100,)):
+        with pytest.raises(ValueError, match="does not fit a 4-bit field"):
+            pack_weight(w, 4)
+    assert unpack_weight(pack_weight((7, -7), 4), 2, 4) == (7, -7)
+    # The check is a raise, not an assert, so it survives python -O.
+    env = {**os.environ, "PYTHONPATH": str(Path(d2lie.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "from d2lie.roots import pack_weight; pack_weight((8,), 4)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1 and "ValueError" in proc.stderr
