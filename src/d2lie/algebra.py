@@ -178,26 +178,6 @@ def jacobiator(table: dict[tuple[int, int], int], dim: int) -> dict[tuple[int, i
     return odd_coords(composed_terms(tables, tables), dim, 3)
 
 
-class Subspace(NamedTuple):
-    """Row space of a GF2Matrix inside GF(2)^ambient."""
-
-    ambient: int
-    basis: GF2Matrix
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def contains(self, bits: int) -> bool:
-        return PivotBasis(self.basis.rows).contains(bits)
-
-    def canonical(self) -> GF2Matrix:
-        return self.basis.row_reduce()
-
-    def same_space(self, other: Subspace) -> bool:
-        return self.ambient == other.ambient and self.canonical() == other.canonical()
-
-
 class JacobiReport(NamedTuple):
     ok: bool
     triple: tuple[int, int, int] | None = None
@@ -261,8 +241,8 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 # -- structural queries -----------------------------------------------
 
 
-def center(L: LieAlgebra) -> Subspace:
-    """Nullspace of the stacked adjoint maps z -> [z, b_j], computed once per algebra."""
+def center(L: LieAlgebra) -> GF2Matrix:
+    """Nullspace of the stacked adjoint maps z -> [z, b_j], row-reduced once per algebra."""
     if L._center is None:
         # Row (j, m): coefficient of b_m in [b_i, b_j], as a function of i.
         row_map: dict[tuple[int, int], int] = {}
@@ -272,7 +252,7 @@ def center(L: LieAlgebra) -> Subspace:
                 row_map[(j, m)] = row_map.get((j, m), 0) | (1 << i)
                 row_map[(i, m)] = row_map.get((i, m), 0) | (1 << j)
         rows = [row_map[k] for k in sorted(row_map)]
-        L._center = Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows).nullspace())
+        L._center = GF2Matrix(len(rows), L.dim, rows).nullspace().row_reduce()
     return L._center
 
 

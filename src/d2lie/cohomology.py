@@ -363,12 +363,13 @@ def _c2_groups(L: LieAlgebra) -> dict[Weight, list[int]]:
 
 
 def _signed_permutation_generators(l: int) -> dict:
-    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name."""
+    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name; none at l = 0."""
     gens = {
         f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
         for i in range(1, l)
     }
-    gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
+    if l:
+        gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
     return gens
 
 

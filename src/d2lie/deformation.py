@@ -55,8 +55,8 @@ from .cohomology import (
     is_coboundary,
     require_cocycle,
 )
-from .gf2 import bit_indices
-from .roots import Weight, build_root_system, wadd, wneg, wsub
+from .gf2 import PivotBasis, bit_indices
+from .roots import Weight, wneg
 
 if TYPE_CHECKING:
     from .exterior import QuotientModel
@@ -135,7 +135,7 @@ def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
 
 def central_valued(L: LieAlgebra, psi: Cochain) -> bool:
     """Every value of psi on basis pairs lies in the centre."""
-    Z = center(L)
+    Z = PivotBasis(center(L).rows)
     return all(Z.contains(v) for v in psi.data.values())
 
 
@@ -147,7 +147,7 @@ def vanishes_on_center(L: LieAlgebra, psi: Cochain) -> bool:
     weight-homogeneous representatives used here it holds because
     central elements sit in weight 0.
     """
-    for z in center(L).basis.rows:
+    for z in center(L).rows:
         for x in range(L.dim):
             if psi.eval_vec_basis(z, x):
                 return False
@@ -161,7 +161,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     """psi = sum (E_-g ^ E_-d)* (x) z over the root pairs g + d = mu, for
     the first central z that makes psi a nontrivial class.
 
-    mu defaults to the paper's weight alpha_l + alpha_(l-1).  z runs over
+    mu defaults to the paper's weight alpha_l + alpha_(l-1) = 2 eps_(l-1).  z runs over
     H_(l-1) + H_(l-3) + ... + H_3 + H_1 first, then the rest of the
     centre's span in canonical order; the module docstring says why one
     cocycle check covers every z.
@@ -169,23 +169,15 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     l = chevalley_rank(L)
     if l % 2 or l < 4:
         raise ValueError("this cocycle family lives at even rank >= 4")
-    system = build_root_system(l)
     if mu is None:
-        mu = wadd(system.simple[l - 1], system.simple[l - 2])
-    pairs = [
-        (g, wsub(mu, g))
-        for g in system.roots
-        if wsub(mu, g) in system.root_set and g < wsub(mu, g)
-    ]
-    if not pairs:
+        mu = tuple(2 * (k == l - 2) for k in range(l))
+    # E_-g ^ E_-d has weight -mu; a pair with a weight-0 index is no root pair.
+    codes = L.weight_codes()
+    keys = [(i, j) for i, j in L.weight_sums(2).get(L.weight_code(wneg(mu)), ()) if codes[i] and codes[j]]
+    if not keys:
         raise ValueError(f"no root pairs add up to {mu}")
-    keys = []
-    for g, d in pairs:
-        ig = L.labels.index(("ROOTVEC", wneg(g)))
-        jd = L.labels.index(("ROOTVEC", wneg(d)))
-        keys.append((ig, jd) if ig < jd else (jd, ig))
     span = [0]
-    for row in center(L).canonical().rows:
+    for row in center(L).rows:
         span += [s ^ row for s in span]
     paper = expected_center_generators(l)[1]
     for z in sorted(span[1:], key=lambda z: z != paper):

@@ -36,6 +36,10 @@
   the wedge-square model must be graded-isomorphic to it.
 - The weight of a basis cochain on weight tuples (basis_cochain_weight);
   cochain_weight's scan over packed weights must agree with it.
+- The argument pairs of the even-rank cocycle from the root system
+  (root_pair_keys): the pairs of E_-g, E_-d over the roots g < d with
+  g + d = mu.  build_even_cocycle, which reads them off the weight-sum
+  index, must key its psi on the same set.
 
 It also holds helpers that more than one test module uses: brackets and
 cochain values on packed vectors and basis indices, the decode of a
@@ -65,6 +69,7 @@ from d2lie.roots import (
     express_in_simple_roots,
     is_zero_weight,
     wdot,
+    wneg,
     wsub,
 )
 
@@ -398,14 +403,14 @@ def quotient_with_projection(L, Z):
     """Quotient by a central subspace plus the old-basis projection matrix.
 
     Coset representatives drop the lowest index of each row of
-    Z.canonical(), its RREF pivot; the choice is arbitrary but fixed,
+    Z.row_reduce(), its RREF pivot; the choice is arbitrary but fixed,
     and every downstream quantity is representative-independent because
     Z is central.
     """
     dim = L.dim
-    if Z.ambient != dim:
+    if Z.ncols != dim:
         raise ValueError("subspace ambient dimension mismatch")
-    for z in Z.basis.rows:
+    for z in Z.rows:
         for j in range(dim):
             if bracket_vec_basis(L, z, j):
                 raise ValueError("subspace is not central")
@@ -415,7 +420,7 @@ def quotient_with_projection(L, Z):
 
     # An RREF row's pivot appears in no other row, so adding the row
     # rewrites b_pivot as the rest of the row, modulo Z.
-    pivot_rows = {z & -z: z for z in Z.canonical().rows}
+    pivot_rows = {z & -z: z for z in Z.row_reduce().rows}
     dropped = {low.bit_length() - 1 for low in pivot_rows}
     kept = [i for i in range(dim) if i not in dropped]
     new_pos = {old: new for new, old in enumerate(kept)}
@@ -443,6 +448,22 @@ def quotient_with_projection(L, Z):
                 brackets[(a, b)] = v
     proj = GF2Matrix(dim, len(kept), [project(1 << i) for i in range(dim)])
     return LieAlgebra(labels, weights, brackets), proj
+
+
+# -- the even-rank cocycle by root pairs ---------------------------------
+
+
+def root_pair_keys(L, mu):
+    """The sorted index pairs of E_-g, E_-d over the roots g < d of D_l with g + d = mu."""
+    system = build_root_system(len(mu))
+    keys = set()
+    for g in system.roots:
+        d = wsub(mu, g)
+        if d in system.root_set and g < d:
+            ig = L.labels.index(("ROOTVEC", wneg(g)))
+            jd = L.labels.index(("ROOTVEC", wneg(d)))
+            keys.add((min(ig, jd), max(ig, jd)))
+    return keys
 
 
 # -- automorphisms over signed permutations ------------------------------

@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from d2lie.algebra import (
-    Subspace,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -87,10 +86,9 @@ def test_criterion_2_centre_claims():
     for l in range(4, 9):
         L = build_chevalley_D(l)
         Z = center(L)
-        assert Z.dim == (1 if l % 2 else 2), f"centre dim wrong at rank {l}"
+        assert Z.nrows == (1 if l % 2 else 2), f"centre dim wrong at rank {l}"
         gens = expected_center_generators(l)
-        expected = Subspace(L.dim, GF2Matrix(len(gens), L.dim, gens))
-        assert Z.same_space(expected), f"centre generators differ at rank {l}"
+        assert Z == GF2Matrix(len(gens), L.dim, gens).row_reduce(), f"centre generators differ at rank {l}"
     _stamp(2, "centre claims", t0)
 
 

@@ -9,7 +9,6 @@ from oracles import bracket_vec_basis, quotient_with_projection
 from d2lie.algebra import (
     JacobiReport,
     LieAlgebra,
-    Subspace,
     _coord_code,
     build_chevalley_D,
     center,
@@ -20,7 +19,7 @@ from d2lie.algebra import (
     jacobiator,
 )
 from d2lie.cohomology import _term_codes
-from d2lie.gf2 import GF2Matrix, bit_indices
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import build_root_system, wadd, wsub, wzero
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,7 +30,7 @@ def weight_decomposition(L):
     idx = {}
     for i, w in enumerate(L.weights):
         idx.setdefault(w, []).append(1 << i)
-    return {w: Subspace(L.dim, GF2Matrix(len(rows), L.dim, rows)) for w, rows in idx.items()}
+    return {w: GF2Matrix(len(rows), L.dim, rows) for w, rows in idx.items()}
 
 
 def algebra_to_json(L):
@@ -94,16 +93,23 @@ def test_center_dimensions_and_generators():
         L = build_chevalley_D(l)
         Z = center(L)
         gens = expected_center_generators(l)
-        assert Z.dim == (1 if l % 2 else 2)
-        expected = Subspace(L.dim, GF2Matrix(len(gens), L.dim, gens))
-        assert Z.same_space(expected)
+        assert Z.nrows == (1 if l % 2 else 2)
+        assert Z == GF2Matrix(len(gens), L.dim, gens).row_reduce()
+
+
+def test_center_is_reduced_once_per_algebra(d3, d4, d5, d6, model5):
+    for L in (d3, d4, d5, d6, model5.algebra):
+        Z = center(L)
+        assert Z.ncols == L.dim
+        assert Z == Z.row_reduce()
+        assert center(L) is Z
 
 
 def test_center_l3():
     L = build_chevalley_D(3)
     Z = center(L)
-    assert Z.dim == 1
-    assert Z.contains(0b110)  # H2 + H3
+    assert Z.nrows == 1
+    assert PivotBasis(Z.rows).contains(0b110)  # H2 + H3
     assert center(L) is Z  # computed once per algebra
 
 
@@ -258,10 +264,10 @@ def test_weight_sums_match_combinations_oracle(d4, model5):
 def test_weight_decomposition_d4():
     L = build_chevalley_D(4)
     dec = weight_decomposition(L)
-    assert dec[wzero(4)].dim == 4
+    assert dec[wzero(4)].nrows == 4
     root_weights = [w for w in dec if w != wzero(4)]
     assert len(root_weights) == 24
-    assert all(dec[w].dim == 1 for w in root_weights)
+    assert all(dec[w].nrows == 1 for w in root_weights)
 
 
 def test_quotient_dimension_l5():
@@ -283,7 +289,7 @@ def test_quotient_identifies_h5_with_h4():
 
 def test_quotient_by_zero_subspace_is_identity():
     L = build_chevalley_D(4)
-    Q, _ = quotient_with_projection(L, Subspace(L.dim, GF2Matrix(0, L.dim, ())))
+    Q, _ = quotient_with_projection(L, GF2Matrix(0, L.dim, ()))
     assert Q.dim == L.dim
     assert Q.labels == L.labels
     assert Q.brackets == L.brackets
@@ -291,7 +297,7 @@ def test_quotient_by_zero_subspace_is_identity():
 
 def test_quotient_rejects_noncentral_subspace():
     L = build_chevalley_D(4)
-    not_central = Subspace(L.dim, GF2Matrix(1, L.dim, [1]))  # H1 alone
+    not_central = GF2Matrix(1, L.dim, [1])  # H1 alone
     with pytest.raises(ValueError):
         quotient_with_projection(L, not_central)
 
@@ -310,7 +316,7 @@ def test_central_generators_bracket_to_zero_before_quotient():
     # central generator z and basis vector b.
     L = build_chevalley_D(6)
     Z = center(L)
-    for z in Z.basis.rows:
+    for z in Z.rows:
         for j in range(L.dim):
             assert bracket_vec_basis(L, z, j) == 0
 

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import d2lie.cli
 import d2lie.deformation
 import d2lie.exterior
+from d2lie.algebra import build_chevalley_D
 from d2lie.cli import EXIT_DISCREPANCY, EXIT_OK, EXIT_USAGE, main
 from d2lie.cohomology import Cochain, differential, h2_weight_survey
 
@@ -35,6 +37,35 @@ def test_verify_exterior_model(capsys):
     out = capsys.readouterr().out
     assert "dim 44" in out
     assert "centre dim 0" in out
+
+
+def test_verify_compares_the_centre_by_span(monkeypatch, capsys):
+    # Another span is a discrepancy, even of the same dimension; another
+    # basis of the same span is not.
+    a, b = d2lie.cli.expected_center_generators(4)
+    for other in ([a], [a, b ^ 1 << 4]):
+        monkeypatch.setattr("d2lie.cli.expected_center_generators", lambda l, other=other: other)
+        assert main(["verify", "--l", "4"]) == EXIT_DISCREPANCY
+        assert "centre differs from the expected generators" in capsys.readouterr().err
+    monkeypatch.setattr("d2lie.cli.expected_center_generators", lambda l: [a, a ^ b])
+    assert main(["verify", "--l", "4"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_exterior_with_a_centre_exits_2(monkeypatch, tmp_path, capsys):
+    # cli imports exterior when the command runs, so the patch goes on the
+    # module that defines the build.
+    def centred(l):
+        return SimpleNamespace(algebra=build_chevalley_D(l))
+
+    monkeypatch.setattr("d2lie.exterior.build_quotient_model", centred)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--model", "exterior", "--l", "5", "--out", str(out)]) == EXIT_DISCREPANCY
+    captured = capsys.readouterr()
+    assert "centre dim 1" in captured.out
+    assert "exterior model should be centreless" in captured.err
+    doc = json.loads(out.read_text())
+    assert (doc["centre_dim"], doc["pass"]) == (1, False)
 
 
 def test_usage_error_small_rank(capsys):

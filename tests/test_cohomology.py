@@ -385,6 +385,17 @@ def test_graded_matches_ungraded_d3(d3):
     assert graded == ungraded_h2_dim(d3)
 
 
+def test_rank_0_weights_rank_every_block():
+    # Weights of length 0 have no signed permutations, so no orbits: every
+    # block is ranked.
+    assert _signed_permutation_generators(0) == {}
+    A = LieAlgebra(["x", "y"], [(), ()], {})
+    rows = h2_survey_rows(A)
+    assert [(r["weight"], r["dim_h2"]) for r in rows] == [((), 2)]
+    assert rows[0]["dim_h2"] == ungraded_h2_dim(A)
+    assert h2_survey_rows(LieAlgebra(["x"], [()], {})) == []
+
+
 # -- torus pruning -------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from oracles import (
     first_truncated_failures,
     monomial_index,
     representative,
+    root_pair_keys,
     rref_solve,
     truncated_jacobi,
 )
@@ -45,8 +46,8 @@ from d2lie.deformation import (
     vanishes_on_center,
 )
 from d2lie.exterior import build_quotient_model, phi
-from d2lie.gf2 import bit_indices
-from d2lie.roots import build_root_system, wadd
+from d2lie.gf2 import PivotBasis, bit_indices
+from d2lie.roots import build_root_system, wadd, wneg
 
 
 def e_weight(l, i, c):
@@ -254,13 +255,35 @@ def test_even_cocycle_requires_even_rank(d5):
 
 
 def test_even_cocycle_no_pairs_error(d4):
-    with pytest.raises(ValueError):
-        build_even_cocycle(d4, (3, 0, 0, 0))
+    # (40, 0, 0, 0) lies past the packed weight fields as well as off every pair sum.
+    for mu in ((3, 0, 0, 0), (40, 0, 0, 0)):
+        with pytest.raises(ValueError, match="no root pairs add up to"):
+            build_even_cocycle(d4, mu)
+
+
+def test_even_cocycle_keys_equal_the_root_pair_oracle(d4, d6, d8):
+    # The pairs read off the weight-sum index are the root pairs g + d = mu,
+    # at the default weight 2 eps_(l-1) and at every class.
+    for L in (d4, d6, d8):
+        l = chevalley_rank(L)
+        assert set(build_even_cocycle(L).data) == root_pair_keys(L, e_weight(l, l - 1, 2))
+        for mu in h2_weight_survey(L):
+            assert set(build_even_cocycle(L, mu).data) == root_pair_keys(L, mu), (l, mu)
+
+
+def test_even_cocycle_keys_at_every_pair_sum_weight(d4, monkeypatch):
+    # With every psi taken as nontrivial, the keys at -s, for each sum s of two
+    # basis weights, are still the root pairs: a pair holding a Cartan index
+    # (s a root or 0) is left out.
+    monkeypatch.setattr("d2lie.deformation.is_coboundary", lambda L, c: (False, None))
+    for s in d4.weight_sums(2):
+        mu = wneg(d4.weight_of_code(s))
+        assert set(build_even_cocycle(d4, mu).data) == root_pair_keys(d4, mu), mu
 
 
 def test_even_cocycle_value_is_central(d4):
     psi = build_even_cocycle(d4)
-    Z = center(d4)
+    Z = PivotBasis(center(d4).rows)
     for v in psi.data.values():
         assert Z.contains(v)
 
