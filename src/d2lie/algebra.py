@@ -67,6 +67,7 @@ class LieAlgebra:
         self._graded = None
         self._weight_codes = None
         self._weight_field = (0, 0)  # rank and field width of the packed weights
+        self._weight_top = 0  # the largest |coordinate| of a basis weight
         self._weight_sums: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
 
     # -- bracket evaluation -------------------------------------------
@@ -84,7 +85,7 @@ class LieAlgebra:
         """The basis weights packed by roots.pack_weight on first use, in fields that hold
         any signed sum of five of them, the weight of a degree-4 basis cochain."""
         if self._weight_codes is None:
-            top = max((abs(c) for w in self.weights for c in w), default=0)
+            self._weight_top = top = max((abs(c) for w in self.weights for c in w), default=0)
             self._weight_field = (len(self.weights[0]) if self.weights else 0, (5 * top).bit_length() + 1)
             self._weight_codes = tuple(pack_weight(w, self._weight_field[1]) for w in self.weights)
         return self._weight_codes
@@ -211,7 +212,7 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 
     h_alpha: dict[Weight, int] = {}
     for r in roots:
-        coeffs = express_in_simple_roots(r, system)
+        coeffs = express_in_simple_roots(r)
         if coeffs is None:
             raise ArithmeticError(f"root {r} is outside the simple-root lattice")
         bits = 0

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .cohomology import h2_survey_rows
 from .gf2 import GF2Matrix, bit_indices
-from .roots import build_root_system, express_in_simple_roots, wzero
+from .roots import express_in_simple_roots, wzero
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,8 +128,8 @@ def _build(args):
     return build_chevalley_D(args.l)
 
 
-def _weight_row(system, w) -> dict:
-    coeffs = express_in_simple_roots(w, system)
+def _weight_row(w) -> dict:
+    coeffs = express_in_simple_roots(w)
     return {
         "eps_coords": list(w),
         "simple_root_coords": list(coeffs) if coeffs is not None else None,
@@ -173,17 +173,16 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 def cmd_cohomology(args) -> tuple[dict, bool]:
     L = _build(args)
-    system = build_root_system(args.l)
     rows = h2_survey_rows(L)
     total = sum(r["dim_h2"] for r in rows)
     h2_zero = next((r["dim_h2"] for r in rows if r["weight"] == wzero(args.l)), 0)
     print(f"dim H^2 = {total} over {len(rows)} weights; at weight 0: {h2_zero}")
+    weight_rows = []
     for r in rows:
-        coeffs = express_in_simple_roots(r["weight"], system)
-        print(
-            f"  weight {list(r['weight'])} ~ simple-root coords {list(coeffs) if coeffs else '?'}"
-            f" : dim {r['dim_h2']}"
-        )
+        row = _weight_row(r["weight"]) | {k: r[k] for k in ("dim_c2", "dim_z2", "dim_b2", "dim_h2")}
+        coords = row["simple_root_coords"] or "?"
+        print(f"  weight {row['eps_coords']} ~ simple-root coords {coords} : dim {r['dim_h2']}")
+        weight_rows.append(row)
 
     # The claim for the exterior model at odd l > 3 and for D_l at even l is
     # one class at each weight ±2 eps_i, plus at D_4 one at each
@@ -211,16 +210,7 @@ def cmd_cohomology(args) -> tuple[dict, bool]:
         "total_dim_h2": total,
         "dim_h2_at_zero": h2_zero,
         "expected_total": expected,
-        "weights": [
-            {
-                **_weight_row(system, r["weight"]),
-                "dim_c2": r["dim_c2"],
-                "dim_z2": r["dim_z2"],
-                "dim_b2": r["dim_b2"],
-                "dim_h2": r["dim_h2"],
-            }
-            for r in rows
-        ],
+        "weights": weight_rows,
     }, ok
 
 

@@ -189,15 +189,17 @@ def _block_coords(L: LieAlgebra, n: int, mu: Weight) -> list[int]:
 
     The basis cochain key -> b_k has weight w_k minus the weight sum of
     key, so each value weight w takes the keys summing to w - mu.  Keys
-    come in lex order and the values of one key in index order.
+    come in lex order and the values of one key in index order.  That
+    weight is a signed sum of n + 1 basis weights, so past (n + 1) times
+    their largest coordinate the block is empty and no index is built.
     """
     if n not in (1, 2):
         raise ValueError(f"no basis enumeration in degree {n}")
-    sums = L.weight_sums(n)
-    mu = L.weight_code(mu)
-    if mu is None:
+    code = L.weight_code(mu)  # checks the length; inside the bound it is never None
+    if max(map(abs, mu), default=0) > (n + 1) * L._weight_top:
         return []
-    hits = sorted((key, ks) for w, ks in L.weight_sums(1).items() for key in sums.get(w - mu, ()))
+    sums = L.weight_sums(n)
+    hits = sorted((key, ks) for w, ks in L.weight_sums(1).items() for key in sums.get(w - code, ()))
     return [_coord_code(key, 0, L.dim) | k for key, ks in hits for (k,) in ks]
 
 

@@ -27,12 +27,16 @@ general-vector formula is a test oracle):
   phi(e_q e_x, e_q e_y) = e_x e_y, the last four phi(e_q e_x, e_c e_-c)
   = e_p e_x per dual pair, in either argument order; e_p e_p = 0.  An
   argument pair that meets both forms gets the sum.
+
+Both are built in model coordinates from the start: the model's table
+gives e_x e_y as model bits, with e_l e_-l already rewritten, so a value
+is a sum of table entries.  The full wedge square, in which omega is
+not yet zero, lives only in the test oracles.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import LieAlgebra
@@ -81,76 +85,27 @@ class SymplecticSpace:
         return tuple(w)
 
 
-@lru_cache(maxsize=None)
-def _monomials(l: int) -> tuple[tuple[int, int], ...]:
-    """All index pairs a < b of the 2l basis vectors, lex order."""
-    dim = 2 * l
-    return tuple((a, b) for a in range(dim) for b in range(a + 1, dim))
-
-
-@lru_cache(maxsize=None)
-def _monomial_pos(l: int) -> dict[tuple[int, int], int]:
-    return {m: p for p, m in enumerate(_monomials(l))}
-
-
-@lru_cache(maxsize=None)
-def _holding(l: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per vector index x: (model position, other index) of each kept monomial holding e_x."""
-    holding = [[] for _ in range(2 * l)]
-    kept = (m for m in _monomials(l) if m != (l - 1, l))
-    for i, (a, b) in enumerate(kept):
-        holding[a].append((i, b))
-        holding[b].append((i, a))
-    return tuple(map(tuple, holding))
-
-
-def _wedge_bit(pos: dict, x: int, y: int) -> int:
-    """e_x e_y in full monomial coordinates, for x != y."""
-    return 1 << pos[(x, y) if x < y else (y, x)]
-
-
-def omega_bits(space: SymplecticSpace) -> int:
-    """The invariant element e_1 e_-1 + ... + e_l e_-l in monomial coordinates."""
-    pos = _monomial_pos(space.l)
-    bits = 0
-    for i in range(space.l):
-        bits |= 1 << pos[(i, space.partner(i))]
-    return bits
-
-
-def _reduce(space: SymplecticSpace, wedge_bits: int) -> int:
-    """Full monomial coordinates -> model coordinates.
-
-    The model keeps the lex order without e_l e_-l, which omega rewrites
-    as the sum of the other dual pairs; the positions above it shift
-    down by one.
-    """
-    l = space.l
-    dropped = _monomial_pos(l)[(l - 1, l)]
-    if (wedge_bits >> dropped) & 1:
-        wedge_bits ^= omega_bits(space)
-    return (wedge_bits & ((1 << dropped) - 1)) | (wedge_bits >> (dropped + 1) << dropped)
-
-
 class QuotientModel(NamedTuple):
     """Wedge square modulo the invariant line, packaged as a LieAlgebra.
 
-    The eliminated monomial is e_l e_-l; it is rewritten as the sum of
-    the other dual-pair monomials, fixed globally so cochain
-    coordinates are reproducible.
+    Basis index i is the kept monomial monomials[i]: every index pair
+    a < b in lex order except e_l e_-l, which omega = 0 makes the sum of
+    the other dual pairs, fixed globally so cochain coordinates are
+    reproducible.  wedge[x][y] is e_x e_y in these coordinates (0 for
+    x = y), holding[x] lists (position, other index) of each kept
+    monomial holding e_x, and duals the positions of the kept dual pairs.
     """
 
     space: SymplecticSpace
     algebra: LieAlgebra
-    monomials: tuple[tuple[int, int], ...]  # kept index pairs, lex order
+    monomials: tuple[tuple[int, int], ...]
+    wedge: list[list[int]]
+    holding: list[list[tuple[int, int]]]
+    duals: tuple[int, ...]
 
     @property
     def l(self) -> int:
         return self.space.l
-
-    def reduce(self, wedge_bits: int) -> int:
-        """Full monomial coordinates -> model coordinates."""
-        return _reduce(self.space, wedge_bits)
 
 
 def build_quotient_model(l: int) -> QuotientModel:
@@ -165,36 +120,40 @@ def build_quotient_model(l: int) -> QuotientModel:
     if l % 2 == 0:
         raise ValueError("the quotient is a Lie-algebra model only at odd rank")
     space = SymplecticSpace(l)
-    pos, holding, partner = _monomial_pos(l), _holding(l), space.partner
-    kept = tuple(m for m in _monomials(l) if m != (l - 1, l))  # e_l e_-l eliminated
+    dim, partner = space.dim, space.partner
+    monomials = tuple((a, b) for a in range(dim) for b in range(a + 1, dim) if (a, b) != (l - 1, l))
+    wedge = [[0] * dim for _ in range(dim)]
+    holding = [[] for _ in range(dim)]
+    for i, (a, b) in enumerate(monomials):
+        wedge[a][b] = wedge[b][a] = 1 << i
+        holding[a].append((i, b))
+        holding[b].append((i, a))
+    duals = tuple(i for i, (a, b) in enumerate(monomials) if b == partner(a))
+    wedge[l - 1][l] = wedge[l][l - 1] = sum(1 << i for i in duals)
 
     labels, weights = [], []
     sums: dict[tuple[int, int], int] = defaultdict(int)
-    for i, (a, b) in enumerate(kept):
+    for i, (a, b) in enumerate(monomials):
         labels.append(("MONO", (space.label_of(a), space.label_of(b))))
         weights.append(wadd(space.weight_of_index(a), space.weight_of_index(b)))
         for x, x_other in ((a, b), (b, a)):
             for j, y_other in holding[partner(x)]:
-                if j > i and x_other != y_other:
-                    sums[(i, j)] ^= _wedge_bit(pos, x_other, y_other)
-    brackets = {key: _reduce(space, sums[key]) for key in sorted(sums)}  # LieAlgebra drops zeros
-    return QuotientModel(space, LieAlgebra(labels, weights, brackets), kept)
+                if j > i:
+                    sums[(i, j)] ^= wedge[x_other][y_other]
+    brackets = dict(sorted(sums.items()))  # LieAlgebra drops zeros
+    return QuotientModel(space, LieAlgebra(labels, weights, brackets), monomials, wedge, holding, duals)
 
 
 def phi(label: int, model: QuotientModel) -> Cochain:
     """Cochain of phi at the basis vector e_label (e.g. 4 or -4), in the
     module docstring's closed form; a label outside +-1..+-l is a ValueError."""
-    space = model.space
-    p = space.index_of(label)
-    pos, holds_q = _monomial_pos(space.l), _holding(space.l)[space.partner(p)]
-    duals = [i for i, (a, b) in enumerate(model.monomials) if b == space.partner(a)]
+    p = model.space.index_of(label)
+    wedge, holds_q = model.wedge, model.holding[model.space.partner(p)]
     sums: dict[tuple[int, int], int] = defaultdict(int)
     for n, (i, x) in enumerate(holds_q):
         for j, y in holds_q[n + 1 :]:
-            sums[(i, j)] ^= _wedge_bit(pos, x, y)
-        if x != p:
-            e_px = _wedge_bit(pos, p, x)
-            for d in duals:
-                if d != i:
-                    sums[(i, d) if i < d else (d, i)] ^= e_px
-    return Cochain(2, model.algebra.dim, {key: _reduce(space, sums[key]) for key in sorted(sums)})
+            sums[(i, j)] ^= wedge[x][y]
+        if x != p:  # monomial i is then no dual pair
+            for d in model.duals:
+                sums[(i, d) if i < d else (d, i)] ^= wedge[p][x]
+    return Cochain(2, model.algebra.dim, dict(sorted(sums.items())))

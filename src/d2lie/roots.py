@@ -101,17 +101,18 @@ def build_root_system(l: int) -> RootSystem:
     return RootSystem(l, tuple(roots), tuple(simple), frozenset(roots))
 
 
-def express_in_simple_roots(w: Weight, system: RootSystem) -> tuple[int, ...] | None:
-    """Integer coordinates of w over the simple roots, or None outside the lattice.
+def express_in_simple_roots(w: Weight) -> tuple[int, ...] | None:
+    """Integer coordinates of w over the simple roots of D_l, l = len(w), or
+    None outside the lattice.
 
     For the simple roots of build_root_system and partial sums
     s_j = w_1 + ... + w_j, w = sum_i c_i alpha_i solves to c_j = s_j for
     j <= l-2, c_(l-1) = (s_(l-1) - w_l) / 2 and c_l = s_l / 2, so the root
     lattice is the weights with an even coordinate sum.
     """
-    l = system.l
-    if len(w) != l:
-        raise ValueError(f"weight {w} has length {len(w)}, expected {l}")
+    l = len(w)
+    if l < 3:
+        raise ValueError(f"type D needs rank l >= 3, got weight {w}")
     s = list(accumulate(w))
     if s[-1] % 2:
         return None

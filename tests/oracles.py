@@ -15,22 +15,25 @@
   survey must give the same rows and the same total.
 - The dense product d2 d1 of a weight block, which must vanish, and a
   representative cocycle from the block's dense matrices.
-- The wedge-square model on packed vectors of V: basis_vector, the
-  symplectic form, wedge_of_vectors, the four-term Poisson bracket of two
-  monomials (poisson_mono) and the eight-term phi_eval, which the
-  library's closed forms on basis monomials replace.  The model's bracket
-  table must equal poisson_mono on every kept pair, reduced, in the same
-  key order; phi at each basis vector must equal dense_phi_of_vector,
-  which evaluates phi_eval on every pair of model monomials, keys in the
-  same order.  phi_eval at general vectors also carries the equivariance
-  and closed-form cross-checks.
-- The per-bit reduction of wedge coordinates to model coordinates, which
-  looks up each monomial's kept position; QuotientModel.reduce, a closed
-  form, must agree with it.
+- The wedge-square model on packed vectors of V, in full monomial
+  coordinates (all_monomials, monomial_pos, omega_bits), where omega is
+  not yet zero: basis_vector, the symplectic form, wedge_of_vectors,
+  the four-term Poisson bracket of two monomials (poisson_mono) and the
+  eight-term phi_eval, which the library's closed forms on basis
+  monomials replace.  The model's bracket table must equal poisson_mono
+  on every kept pair, reduced, in the same key order; phi at each basis
+  vector must equal dense_phi_of_vector, which evaluates phi_eval on
+  every pair of model monomials, keys in the same order.  phi_eval at
+  general vectors also carries the equivariance and closed-form
+  cross-checks.
+- The per-bit reduction of full monomial coordinates to model
+  coordinates (per_bit_reduce), which rewrites e_l e_-l and looks up each
+  monomial's kept position; the library's table of e_x e_y in model
+  coordinates must agree with it on every monomial.
 - The closed formulas for the automorphism over a signed permutation g:
   E_a -> E_(g a) and H_i -> H_(g alpha_i) on D_l, and e_a e_b ->
-  reduce(e_(g a) e_(g b)) on the model; the automorphisms the survey
-  derives from the algebra must equal them.
+  per_bit_reduce(e_(g a) e_(g b)) on the model; the automorphisms the
+  survey derives from the algebra must equal them.
 
 - The quotient of D_l by its centre, built by projecting every bracket;
   the wedge-square model must be graded-isomorphic to it.
@@ -48,6 +51,7 @@ the model index of a monomial, symplectic transvections and Weyl orbits.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from d2lie.cohomology import (
@@ -59,7 +63,7 @@ from d2lie.cohomology import (
     _torus_functionals,
     weight_block,
 )
-from d2lie.exterior import SymplecticSpace, _monomial_pos, _monomials
+from d2lie.exterior import SymplecticSpace
 from d2lie.algebra import LieAlgebra, _coord_code, odd_coords
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import (
@@ -280,6 +284,28 @@ def cochain_basis(L, n, mu):
 # -- the wedge-square model on packed vectors ----------------------------
 
 
+@lru_cache(maxsize=None)
+def all_monomials(l):
+    """All index pairs a < b of the 2l basis vectors, lex order: the full
+    monomial coordinates of the wedge square."""
+    dim = 2 * l
+    return tuple((a, b) for a in range(dim) for b in range(a + 1, dim))
+
+
+@lru_cache(maxsize=None)
+def monomial_pos(l):
+    return {m: p for p, m in enumerate(all_monomials(l))}
+
+
+def omega_bits(space: SymplecticSpace) -> int:
+    """The invariant element e_1 e_-1 + ... + e_l e_-l in monomial coordinates."""
+    pos = monomial_pos(space.l)
+    bits = 0
+    for i in range(space.l):
+        bits |= 1 << pos[(i, space.partner(i))]
+    return bits
+
+
 def basis_vector(space: SymplecticSpace, label: int) -> int:
     """e_label as a packed vector of V."""
     return 1 << space.index_of(label)
@@ -297,7 +323,7 @@ def form(space: SymplecticSpace, x: int, y: int) -> int:
 
 def wedge_of_vectors(space: SymplecticSpace, x: int, y: int) -> int:
     """x wedge y expanded over monomial coordinates."""
-    pos = _monomial_pos(space.l)
+    pos = monomial_pos(space.l)
     out = 0
     xs = list(bit_indices(x))
     for b in bit_indices(y):
@@ -313,7 +339,7 @@ def poisson_mono(space: SymplecticSpace, m1, m2) -> int:
     a, b = m1
     c, d = m2
     partner = space.partner
-    pos = _monomial_pos(space.l)
+    pos = monomial_pos(space.l)
     out = 0
     if partner(a) == c and b != d:
         out ^= 1 << pos[(b, d) if b < d else (d, b)]
@@ -368,17 +394,18 @@ def dense_phi_of_vector(v, model):
     for i, j in combinations(range(len(units)), 2):
         val = phi_eval(model.space, v, units[i], units[j])
         if val:
-            reduced = model.reduce(val)
+            reduced = per_bit_reduce(model, val)
             if reduced:
                 data[(i, j)] = reduced
     return Cochain(2, model.algebra.dim, data)
 
 
 def per_bit_reduce(model, wedge_bits):
-    """model.reduce one bit at a time: rewrite e_l e_-l as the other dual
-    pairs, then move each monomial to its position among the kept ones."""
+    """Full monomial coordinates -> model coordinates, one bit at a time:
+    rewrite e_l e_-l as the other dual pairs, then move each monomial to
+    its position among the kept ones."""
     l, space = model.l, model.space
-    monos, pos = _monomials(l), _monomial_pos(l)
+    monos, pos = all_monomials(l), monomial_pos(l)
     dropped = pos[(l - 1, l)]
     if (wedge_bits >> dropped) & 1:
         wedge_bits ^= 1 << dropped
@@ -477,18 +504,18 @@ def chevalley_automorphism(l, g):
     idx_of_root = {r: l + k for k, r in enumerate(system.roots)}
 
     def h(beta):
-        return sum((c & 1) << i for i, c in enumerate(express_in_simple_roots(beta, system)))
+        return sum((c & 1) << i for i, c in enumerate(express_in_simple_roots(beta)))
 
     return [h(g(a)) for a in system.simple] + [1 << idx_of_root[g(r)] for r in system.roots]
 
 
 def model_automorphism(model, g):
     """Basis images of the automorphism of the model over g: g permutes the
-    basis of V by weight, and e_a e_b -> reduce(e_(g a) e_(g b))."""
+    basis of V by weight, and e_a e_b -> per_bit_reduce(e_(g a) e_(g b))."""
     space = model.space
     by_weight = {space.weight_of_index(a): a for a in range(space.dim)}
     img = [by_weight[g(space.weight_of_index(a))] for a in range(space.dim)]
-    return [model.reduce(wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in model.monomials]
+    return [per_bit_reduce(model, wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in model.monomials]
 
 
 # -- symplectic transvections --------------------------------------------
@@ -505,7 +532,7 @@ class Transvection:
         return x ^ (self.v if form(self.space, x, self.v) else 0)
 
     def apply_to_wedge(self, wedge_bits: int) -> int:
-        monos = _monomials(self.space.l)
+        monos = all_monomials(self.space.l)
         out = 0
         for p in bit_indices(wedge_bits):
             a, b = monos[p]

@@ -149,6 +149,10 @@ def test_c2_block_golden_dimension(d4, model5):
     # at every weight of C^1 or C^2 and at one weight of neither.
     for L in (d4, model5.algebra):
         brute = _brute_force_blocks(L)
+        # _block_coords's emptiness bound is exact: some block of each degree reaches it.
+        top = max(abs(c) for w in L.weights for c in w)
+        for n in (1, 2):
+            assert max(max(map(abs, mu)) for m, mu in brute if m == n) == (n + 1) * top
         far = (9,) * len(L.weights[0])
         for mu in {mu for _, mu in brute} | {far}:
             for n in (1, 2):
@@ -159,6 +163,19 @@ def test_c2_block_golden_dimension(d4, model5):
             _block_coords(L, 3, far)
     assert len(brute[2, e4_weight(2)]) == 120
     assert len(cochain_basis(model5.algebra, 2, e4_weight(2))) == 120
+
+
+def test_block_past_the_weight_bound_is_empty_without_an_index():
+    # A degree-n basis cochain's weight is a signed sum of n + 1 basis
+    # weights.  On a fresh rank-7 model the cup-square weight 4 eps_1 is past
+    # that bound in degree 2, so its block is empty before the pair index is
+    # built; a weight of the wrong length is still an error.
+    L = build_quotient_model(7).algebra
+    assert _block_coords(L, 2, (4, 0, 0, 0, 0, 0, 0)) == []
+    assert 2 not in L._weight_sums
+    for mu in ((4,) * 6, (0,) * 8):
+        with pytest.raises(ValueError, match="length"):
+            _block_coords(L, 2, mu)
 
 
 def test_basis_cochains_are_weight_homogeneous(d4):

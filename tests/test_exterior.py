@@ -4,12 +4,15 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    all_monomials,
     basis_vector,
     bracket,
     dense_phi_of_vector,
     eval_basis,
     form,
     monomial_index,
+    monomial_pos,
+    omega_bits,
     per_bit_reduce,
     phi_eval,
     poisson_mono,
@@ -26,14 +29,7 @@ from d2lie.algebra import (
     find_graded_isomorphism,
 )
 from d2lie.cohomology import cochain_weight, differential
-from d2lie.exterior import (
-    SymplecticSpace,
-    build_quotient_model,
-    omega_bits,
-    phi,
-    _monomial_pos,
-    _monomials,
-)
+from d2lie.exterior import SymplecticSpace, build_quotient_model, phi
 from d2lie.gf2 import PivotBasis, bit_indices
 
 
@@ -46,7 +42,7 @@ class Wedge2Element:
 
     @classmethod
     def from_monomials(cls, space, monos):
-        pos = _monomial_pos(space.l)
+        pos = monomial_pos(space.l)
         bits = 0
         for sa, sb in monos:
             a, b = space.index_of(sa), space.index_of(sb)
@@ -62,7 +58,7 @@ class Wedge2Element:
 def poisson_bracket(x, y):
     """Bilinear extension of the four-term monomial bracket."""
     space = x.space
-    monos = _monomials(space.l)
+    monos = all_monomials(space.l)
     xm = [monos[p] for p in bit_indices(x.bits)]
     out = 0
     for q in bit_indices(y.bits):
@@ -121,8 +117,8 @@ def test_poisson_hand_value():
 
 def test_poisson_alternating():
     s = SymplecticSpace(3)
-    for m in _monomials(3):
-        x = Wedge2Element(s, 1 << _monomials(3).index(m))
+    for m in all_monomials(3):
+        x = Wedge2Element(s, 1 << all_monomials(3).index(m))
         assert poisson_bracket(x, x).is_zero()
 
 
@@ -134,7 +130,7 @@ def test_poisson_no_dual_pairs_gives_zero():
 @pytest.mark.parametrize("l", [3, 5])
 def test_poisson_jacobi_on_monomials(l):
     s = SymplecticSpace(l)
-    monos = [Wedge2Element(s, 1 << p) for p in range(len(_monomials(l)))]
+    monos = [Wedge2Element(s, 1 << p) for p in range(len(all_monomials(l)))]
     for x, y, z in combinations(monos, 3):
         acc = poisson_bracket(poisson_bracket(x, y), z).bits
         acc ^= poisson_bracket(poisson_bracket(y, z), x).bits
@@ -146,7 +142,7 @@ def test_poisson_jacobi_on_monomials(l):
 def test_invariant_line_is_poisson_central(l):
     s = SymplecticSpace(l)
     omega = Wedge2Element(s, omega_bits(s))
-    for p in range(len(_monomials(l))):
+    for p in range(len(all_monomials(l))):
         assert poisson_bracket(omega, Wedge2Element(s, 1 << p)).is_zero()
 
 
@@ -172,21 +168,27 @@ def test_model_rank3_for_testing(model3):
 
 
 def test_reduce_rewrites_dropped_monomial(model5):
-    pos = _monomial_pos(5)
-    dropped_bit = 1 << pos[(4, 5)]  # e_5 e_-5
-    reduced = model5.reduce(dropped_bit)
-    labels = {model5.monomials[p] for p in bit_indices(reduced)}
-    assert labels == {(i, model5.space.partner(i)) for i in range(4)}
+    # e_5 e_-5 is the sum of the other dual pairs, in the oracle and in the model's table.
+    dropped_bit = 1 << monomial_pos(5)[(4, 5)]
+    expected = {(i, model5.space.partner(i)) for i in range(4)}
+    for reduced in (per_bit_reduce(model5, dropped_bit), model5.wedge[4][5]):
+        assert {model5.monomials[p] for p in bit_indices(reduced)} == expected
 
 
-def test_reduce_matches_per_bit_oracle(model5, model7):
-    # Every single monomial, then 50 seeded random wedge vectors per rank.
-    rng = random.Random(41)
-    for model in (model5, model7):
-        n = len(_monomials(model.l))
-        inputs = [1 << p for p in range(n)] + [rng.getrandbits(n) for _ in range(50)]
-        for bits in inputs:
-            assert model.reduce(bits) == per_bit_reduce(model, bits)
+def test_wedge_table_matches_per_bit_oracle(model3, model5, model7, model9):
+    # The library's e_x e_y in model coordinates, for every x != y, is the
+    # per-bit reduction of that monomial's bit in full coordinates; the
+    # holding lists and dual positions are those of a scan of the monomials.
+    for model in (model3, model5, model7, model9):
+        pos, dim, partner = monomial_pos(model.l), model.space.dim, model.space.partner
+        assert model.monomials == tuple(m for m in all_monomials(model.l) if m != (model.l - 1, model.l))
+        for x in range(dim):
+            for y in range(dim):
+                if x != y:
+                    assert model.wedge[x][y] == per_bit_reduce(model, 1 << pos[min(x, y), max(x, y)]), (x, y)
+            held = [(i, b if a == x else a) for i, (a, b) in enumerate(model.monomials) if x in (a, b)]
+            assert model.holding[x] == held
+        assert model.duals == tuple(i for i, (a, b) in enumerate(model.monomials) if b == partner(a))
 
 
 def test_model_bracket_matches_poisson_oracle(model3, model5, model7, model9):
@@ -211,7 +213,7 @@ def test_phi_paper_values(model5):
     i1 = monomial_index(model5, -4, -5)
     i2 = monomial_index(model5, -4, 5)
     i3 = monomial_index(model5, 3, -4)
-    e5em5 = model5.reduce(1 << _monomial_pos(5)[(4, 5)])
+    e5em5 = per_bit_reduce(model5, 1 << monomial_pos(5)[(4, 5)])
     assert eval_basis(psi, i1, i2) == e5em5
     e3e4 = 1 << model5.monomials.index((2, 3))
     assert psi.eval_vec_basis(e5em5, i3) == e3e4
@@ -257,17 +259,17 @@ def test_phi_well_defined_modulo_relation(model5):
     v = basis_vector(s, 4)
     for other in [(1 << s.index_of(3), 1 << s.index_of(-4)),
                   (1 << s.index_of(1), 1 << s.index_of(2))]:
-        direct = model5.reduce(phi_eval(s, v, dropped, other))
+        direct = per_bit_reduce(model5, phi_eval(s, v, dropped, other))
         via_rewrite = 0
         for rep in rewrite:
             via_rewrite ^= phi_eval(s, v, rep, other)
-        assert direct == model5.reduce(via_rewrite)
+        assert direct == per_bit_reduce(model5, via_rewrite)
         # symmetric slot
-        direct2 = model5.reduce(phi_eval(s, v, other, dropped))
+        direct2 = per_bit_reduce(model5, phi_eval(s, v, other, dropped))
         via2 = 0
         for rep in rewrite:
             via2 ^= phi_eval(s, v, other, rep)
-        assert direct2 == model5.reduce(via2)
+        assert direct2 == per_bit_reduce(model5, via2)
 
 
 def phi_eval_poisson_form(
@@ -414,11 +416,11 @@ def test_phi_equivariance_under_random_transvections(model5):
             if gv == 0:
                 continue
             for (m1, m2) in pair_sample:
-                lhs = model5.reduce(phi_eval(s, gv, m1, m2))
+                lhs = per_bit_reduce(model5, phi_eval(s, gv, m1, m2))
                 inner = phi_eval(
                     s, v, (g(m1[0]), g(m1[1])), (g(m2[0]), g(m2[1]))
                 )  # g^-1 = g
-                rhs = model5.reduce(g.apply_to_wedge(inner))
+                rhs = per_bit_reduce(model5, g.apply_to_wedge(inner))
                 assert lhs == rhs
 
 

@@ -141,24 +141,29 @@ def test_weyl_group_acts_by_even_signed_permutations():
 
 def test_express_simple_root_is_unit_vector():
     sys = build_root_system(5)
-    assert express_in_simple_roots(sys.simple[2], sys) == (0, 0, 1, 0, 0)
+    assert express_in_simple_roots(sys.simple[2]) == (0, 0, 1, 0, 0)
 
 
 def test_express_2e1_l5():
-    sys = build_root_system(5)
     mu = (2, 0, 0, 0, 0)
-    assert express_in_simple_roots(mu, sys) == (2, 2, 2, 1, 1)
+    assert express_in_simple_roots(mu) == (2, 2, 2, 1, 1)
 
 
 def test_express_outside_root_lattice():
-    sys = build_root_system(5)
-    assert express_in_simple_roots(eps(5, 1), sys) is None
+    assert express_in_simple_roots(eps(5, 1)) is None
+
+
+def test_express_reads_the_rank_off_the_weight():
+    # 2 eps_1 = 2 alpha_1 + alpha_2 + alpha_3 at D_3; below rank 3 there is no D_l.
+    assert express_in_simple_roots((2, 0, 0)) == (2, 1, 1)
+    with pytest.raises(ValueError, match="rank"):
+        express_in_simple_roots((2, 0))
 
 
 def test_express_roundtrip_all_roots():
     sys = build_root_system(6)
     for r in sys.roots:
-        c = express_in_simple_roots(r, sys)
+        c = express_in_simple_roots(r)
         assert c is not None
         acc = wzero(6)
         for coeff, a in zip(c, sys.simple):
