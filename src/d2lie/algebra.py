@@ -2,10 +2,13 @@
 
 A LieAlgebra is a finite basis, a bracket table storing [b_i, b_j] for
 i < j as packed coordinate vectors, and an integer weight tuple per
-basis vector.  Instances are immutable after construction.  Weights stay
-tuples where they leave the library (L.weights, reports, row order); the
-weight sums, the block enumeration and the homogeneity and additivity
-scans add them as packed ints (weight_codes), one integer addition each.
+basis vector, all of one length.  Instances are immutable after
+construction.  Weights stay tuples where they leave the library
+(L.weights, reports, row order); the weight sums, the block enumeration
+and the homogeneity and additivity scans add them as packed ints
+(weight_codes), one integer addition each.  The bracket's cached term
+tables (term_tables) are its one adjacency, and the centre is the kernel
+of ad, each ad(b_i) one row of the codes table.
 
 build_chevalley_D(l) reduces the Chevalley basis of type D_l mod 2.
 All simply laced structure constants are ±1, so mod 2 the table needs
@@ -19,7 +22,7 @@ from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
-from .gf2 import GF2Matrix, PivotBasis, bit_indices
+from .gf2 import GF2Matrix, PivotBasis, bit_indices, eliminate_columns
 from .roots import (
     Weight,
     build_root_system,
@@ -48,6 +51,9 @@ class LieAlgebra:
         weights = tuple(tuple(w) for w in weights)
         if len(labels) != len(weights):
             raise ValueError("labels and weights must align")
+        for i, w in enumerate(weights):
+            if len(w) != len(weights[0]):
+                raise ValueError(f"basis weight {i} has length {len(w)}, expected {len(weights[0])}")
         dim = len(labels)
         table = {}
         for (i, j), v in brackets.items():
@@ -62,7 +68,7 @@ class LieAlgebra:
         self.weights = weights
         self.brackets = table
         self._automorphisms = None
-        self._term_codes = None
+        self._term_tables = None
         self._center = None
         self._graded = None
         self._weight_codes = None
@@ -80,6 +86,12 @@ class LieAlgebra:
         return self.brackets.get((i, j), 0)
 
     # -- cached indexes ------------------------------------------------
+
+    def term_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The term tables of the bracket in key order (_term_tables), built on first use."""
+        if self._term_tables is None:
+            self._term_tables = _term_tables(dict(sorted(self.brackets.items())), self.dim)
+        return self._term_tables
 
     def weight_codes(self) -> tuple[int, ...]:
         """The basis weights packed by roots.pack_weight on first use, in fields that hold
@@ -168,14 +180,13 @@ def odd_coords(terms: list[int], dim: int, n: int) -> dict[tuple[int, ...], int]
     return data
 
 
-def jacobiator(table: dict[tuple[int, int], int], dim: int) -> dict[tuple[int, int, int], int]:
+def jacobiator(tables: tuple, dim: int) -> dict[tuple[int, int, int], int]:
     """The cyclic sum f(f(x, y), z) + f(f(y, z), x) + f(f(z, x), y) on basis triples.
 
-    table is an alternating map {(i, j): packed f(b_i, b_j)}, i < j, on dim basis
+    tables are the term tables (_term_tables) of an alternating map on dim basis
     vectors.  The result maps each sorted triple with a nonzero sum to that sum:
     on a bracket table the Jacobi defect, on a degree-2 cochain the cup square.
     """
-    tables = _term_tables(table, dim)
     return odd_coords(composed_terms(tables, tables), dim, 3)
 
 
@@ -243,23 +254,18 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 
 
 def center(L: LieAlgebra) -> GF2Matrix:
-    """Nullspace of the stacked adjoint maps z -> [z, b_j], row-reduced once per algebra."""
+    """The kernel of b_i -> ad(b_i), each ad(b_i) a row of the codes table; row-reduced once per algebra."""
     if L._center is None:
-        # Row (j, m): coefficient of b_m in [b_i, b_j], as a function of i.
-        row_map: dict[tuple[int, int], int] = {}
-        for (i, j), v in L.brackets.items():
-            for m in bit_indices(v):
-                # [b_i, b_j] contributes to constraint rows of both arguments.
-                row_map[(j, m)] = row_map.get((j, m), 0) | (1 << i)
-                row_map[(i, m)] = row_map.get((i, m), 0) | (1 << j)
-        rows = [row_map[k] for k in sorted(row_map)]
-        L._center = GF2Matrix(len(rows), L.dim, rows).nullspace().row_reduce()
+        pos: dict[int, int] = {}
+        cols = [sum(1 << pos.setdefault(t, len(pos)) for t in row) for row in L.term_tables()[0]]
+        kernel = eliminate_columns(cols, len(pos))[1]
+        L._center = GF2Matrix(len(kernel), L.dim, kernel).row_reduce()
     return L._center
 
 
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Jacobi identity on all basis triples; a failure names the lex-first triple."""
-    defects = jacobiator(L.brackets, L.dim)
+    defects = jacobiator(L.term_tables(), L.dim)
     if not defects:
         return JacobiReport(True)
     triple = min(defects)

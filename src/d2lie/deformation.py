@@ -47,11 +47,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import LieAlgebra, center, chevalley_rank, expected_center_generators, jacobiator
+from .algebra import LieAlgebra, _term_tables, center, chevalley_rank, expected_center_generators, jacobiator
 from .cohomology import (
     Cochain,
     cochain_weight,
-    h2_weight_survey,
+    h2_survey_rows,
     is_coboundary,
     require_cocycle,
 )
@@ -75,7 +75,7 @@ def cup_square(L: LieAlgebra, psi: Cochain) -> Cochain:
         raise ValueError("cup square needs a degree-2 cochain")
     if psi.dim != L.dim:
         raise ValueError(f"cochain of dimension {psi.dim} on an algebra of dimension {L.dim}")
-    return Cochain(3, L.dim, jacobiator(psi.data, L.dim))
+    return Cochain(3, L.dim, jacobiator(_term_tables(psi.data, L.dim), L.dim))
 
 
 # -- verdicts -----------------------------------------------------------
@@ -117,9 +117,9 @@ def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
         return ObstructionReport(w, VERDICT_ZERO, psi)
     # psi(psi(b_i, b_j), b_k) has weight w_i + w_j + w_k + 2w: the cup square's weight is 2w.
     ow = tuple(2 * c for c in w)
-    if is_coboundary(L, cup)[0]:
+    if is_coboundary(L, cup):
         return ObstructionReport(w, VERDICT_COBOUNDARY, psi, obstruction_weight=ow)
-    key, val = cup.items_sorted()[0]
+    key, val = min(cup.data.items())
     return ObstructionReport(
         w,
         VERDICT_NONTRIVIAL,
@@ -182,7 +182,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     paper = expected_center_generators(l)[1]
     for z in sorted(span[1:], key=lambda z: z != paper):
         psi = Cochain(2, L.dim, dict.fromkeys(keys, z))
-        if not is_coboundary(L, psi)[0]:
+        if not is_coboundary(L, psi):
             return psi
     raise ValueError(f"no central value gives a nontrivial class at weight {mu}")
 
@@ -235,7 +235,7 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
     if l % 2 or l < 4:
         raise ValueError("integrability scan applies at even rank >= 4")
     reports = []
-    for mu in sorted(h2_weight_survey(L)):
+    for mu in [row["weight"] for row in h2_survey_rows(L)]:
         try:
             psi = build_even_cocycle(L, mu)
             report = obstruction_verdict(L, psi)

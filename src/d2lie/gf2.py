@@ -2,18 +2,20 @@
 
 Bit i of a packed row is coordinate i.  Matrices are immutable.
 
-PivotBasis is the one elimination: every rank, canonical form, kernel
-and solve reduces packed ints against it, and each result equals the
-one a reduced row echelon form (RREF) gives, bit for bit.
+PivotBasis is the one elimination: every rank, canonical form, span
+test, kernel and solve reduces packed ints against it, and each result
+equals the one a reduced row echelon form (RREF) gives, bit for bit.
 
 - Rank and canonical form eliminate the rows.  The RREF of a row space
   is unique, and the basis sorted by pivot and back-substituted is one.
+  A vector is in the span when it reduces to 0 (the coboundary test).
 - Kernel and solve eliminate the columns in order, column j tagged with
   bit nrows + j, above every row bit.  A column that reduces to a pure
   tag is e_f plus the earlier independent columns summing to column f;
   reducing b leaves in the tag bits a solution supported on the columns
   independent of those before them.  Both vectors are unique, so they
-  are the RREF kernel basis and the RREF solution with free coordinates 0.
+  are the RREF kernel basis and the RREF solution with free coordinates
+  0.  The kernel serves the centre, the solve only the torus functionals.
 """
 
 from __future__ import annotations
@@ -146,11 +148,6 @@ class GF2Matrix:
                 v ^= reduced[1 << q]
             reduced[low] = v
         return GF2Matrix(len(reduced), self.ncols, [reduced[p] for p in sorted(reduced)])
-
-    def nullspace(self) -> GF2Matrix:
-        """Basis of {v : Mv = 0}, one kernel vector per row."""
-        _, kernel = eliminate_columns(self.transpose().rows, self.nrows)
-        return GF2Matrix(len(kernel), self.ncols, kernel)
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,8 +7,15 @@
   failure, obstruction_verdict's error its t^1 failure and a
   NONTRIVIAL witness its t^2 failure.
 - The dense column-sweep reduced row echelon form over GF(2); the
-  library's rank, row_reduce, nullspace and solve must equal what it
-  gives, bit for bit.
+  library's rank, row_reduce, kernel (column_kernel) and solve must
+  equal what it gives, bit for bit.
+- The centre from constraint rows (constraint_center): row (j, m) has
+  bit i when b_m is in [b_i, b_j], and its RREF kernel, reduced, must
+  equal center(L).
+- The coboundary test by a dense solve (coboundary_preimage) on the
+  block's dense differential (dense_differential): is_coboundary must
+  answer whether c is in its column span, and d of the preimage is c.
+- The weight -> dim H^2 map of the survey rows (h2_weight_survey).
 - The unpruned H^2 survey, which ranks every weight block of C^2, the
   per-weight survey, which ranks every block torus pruning keeps, and
   the ungraded H^2, which ranks the whole complex at once; the orbit
@@ -61,11 +68,14 @@ from d2lie.cohomology import (
     _c2_weights,
     _image_rank,
     _torus_functionals,
+    cochain_weight,
+    differential,
+    h2_survey_rows,
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace
 from d2lie.algebra import LieAlgebra, _coord_code, odd_coords
-from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices, eliminate_columns
 from d2lie.roots import (
     RootSystem,
     Weight,
@@ -211,6 +221,11 @@ def rref_solve(m, b):
     return x
 
 
+def column_kernel(m):
+    """One kernel vector of m per dependent column, by eliminate_columns on m's columns, the path center takes."""
+    return tuple(eliminate_columns(m.transpose().rows, m.nrows)[1])
+
+
 def mul_vector(m, x):
     """m x for a packed vector x over the columns of m, packed over its rows."""
     bits = 0
@@ -220,7 +235,28 @@ def mul_vector(m, x):
     return bits
 
 
+# -- the centre ----------------------------------------------------------
+
+
+def constraint_center(L):
+    """The reduced rows of the centre from constraint rows: row (j, m), in (j, m) order, has
+    bit i when b_m is in [b_i, b_j]; the RREF kernel of their matrix, in RREF."""
+    row_map = {}
+    for (i, j), v in L.brackets.items():
+        for m in bit_indices(v):
+            row_map[(j, m)] = row_map.get((j, m), 0) | 1 << i
+            row_map[(i, m)] = row_map.get((i, m), 0) | 1 << j
+    rows = [row_map[k] for k in sorted(row_map)]
+    kernel = rref_nullspace(GF2Matrix(len(rows), L.dim, rows))
+    return rref_row_reduce(GF2Matrix(len(kernel), L.dim, kernel))
+
+
 # -- second cohomology --------------------------------------------------
+
+
+def h2_weight_survey(L):
+    """Map weight -> dim H^2 over the weights where it is nonzero, from h2_survey_rows."""
+    return {r["weight"]: r["dim_h2"] for r in h2_survey_rows(L)}
 
 
 def unpruned_survey_rows(L):
@@ -266,10 +302,40 @@ def representative(L, mu):
     """
     block = weight_block(L, mu)
     coboundaries = PivotBasis(block.d1.transpose().rows)
-    for v in block.d2.nullspace().rows:
+    for v in column_kernel(block.d2):
         if not coboundaries.contains(v):
             return Cochain(2, L.dim, odd_coords([block.c2[p] for p in bit_indices(v)], L.dim, 2))
     raise ValueError(f"H^2 vanishes at weight {mu}")
+
+
+def dense_differential(L, c):
+    """(d on the weight block below c as a dense matrix, c packed over its rows, the source basis).
+
+    For a degree-2 c the matrix is weight_block(L, mu).d1, rows over the
+    block's c2.  For a degree-3 c column j is differential of the j-th basis
+    cochain of C^2_mu, and the rows run over c's coordinates, then the
+    others the columns reach, in the order they do.
+    """
+    mu = cochain_weight(L, c)
+    coords = [_coord_code(key, k, L.dim) for key, v in sorted(c.data.items()) for k in bit_indices(v)]
+    if c.degree == 2:
+        block = weight_block(L, mu)
+        pos = {code: p for p, code in enumerate(block.c2)}
+        return block.d1, sum(1 << pos[t] for t in coords), cochain_basis(L, 1, mu)
+    src = cochain_basis(L, 2, mu)
+    pos = {t: p for p, t in enumerate(coords)}
+    cols = []
+    for b in src:
+        image = [_coord_code(key, k, L.dim) for key, v in differential(L, b).data.items() for k in bit_indices(v)]
+        cols.append(sum(1 << pos.setdefault(t, len(pos)) for t in image))
+    return GF2Matrix(len(cols), len(pos), cols).transpose(), (1 << len(coords)) - 1, src
+
+
+def coboundary_preimage(L, c):
+    """A cochain whose differential is the nonzero homogeneous c, by rref_solve on dense_differential, or None."""
+    m, b, src = dense_differential(L, c)
+    x = rref_solve(m, b)
+    return None if x is None else sum((src[p] for p in bit_indices(x)), Cochain(c.degree - 1, L.dim))
 
 
 def cochain_basis(L, n, mu):

@@ -12,9 +12,11 @@ from oracles import (
     basis_vector,
     bracket,
     cochain_basis,
+    column_kernel,
     composite_is_zero,
     coord_of_code,
     eval_basis,
+    h2_weight_survey,
     monomial_index,
     monomial_pos,
     per_bit_reduce,
@@ -38,7 +40,6 @@ from d2lie.cohomology import (
     cochain_weight,
     cohomology_dim,
     differential,
-    h2_weight_survey,
     is_coboundary,
     weight_block,
 )
@@ -161,8 +162,7 @@ def test_criterion_5_worked_computation(model5):
     mu4 = (0, 0, 0, 4, 0)
     assert cochain_basis(A, 2, mu4) == []
     assert cochain_weight(A, cup) == mu4
-    trivial, _ = is_coboundary(A, cup)
-    assert not trivial
+    assert not is_coboundary(A, cup)
     _stamp(5, "worked cup-square computation", t0)
 
 
@@ -251,13 +251,13 @@ def test_criterion_9_property_suites(model5, d4):
     sys4 = build_root_system(4)
     mu = wadd(sys4.simple[3], sys4.simple[2])
     block = weight_block(d4, mu)
-    kernel = block.d2.nullspace()
+    kernel = column_kernel(block.d2)
     tested = 0
     for _ in range(8):
         combo = 0
-        for r in range(kernel.nrows):
+        for r in range(len(kernel)):
             if rng.getrandbits(1):
-                combo ^= kernel.rows[r]
+                combo ^= kernel[r]
         if not combo:
             continue
         data = {}

@@ -4,12 +4,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from oracles import bracket_vec_basis, quotient_with_projection
+from oracles import bracket_vec_basis, constraint_center, quotient_with_projection
 
+import d2lie.algebra
 from d2lie.algebra import (
     JacobiReport,
     LieAlgebra,
     _coord_code,
+    _term_tables,
     build_chevalley_D,
     center,
     check_jacobi,
@@ -18,7 +20,7 @@ from d2lie.algebra import (
     format_label,
     jacobiator,
 )
-from d2lie.cohomology import _term_codes
+from d2lie.cohomology import h2_survey_rows
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import build_root_system, wadd, wsub, wzero
 
@@ -105,6 +107,31 @@ def test_center_is_reduced_once_per_algebra(d3, d4, d5, d6, model5):
         assert center(L) is Z
 
 
+def test_center_equals_the_constraint_row_oracle(d3, d4, d5, d6, d7, d8, model3, model5, model7, model9):
+    # The kernel of ad against the kernel of the constraint rows (j, m), both
+    # reduced: every D_l the paper works, the odd-rank models, whose centre is
+    # 0, and a small algebra whose only bracket [b_0, b_1] = b_2 leaves the
+    # centre spanned by b_2 and b_3.
+    small = LieAlgebra("wxyz", [(0,)] * 4, {(0, 1): 0b100})
+    for L in (d3, d4, d5, d6, d7, d8, model3.algebra, model5.algebra, model7.algebra, model9.algebra, small):
+        assert center(L).rows == constraint_center(L)
+    assert center(small).rows == (0b100, 0b1000)
+
+
+def test_term_tables_are_built_once_per_algebra(monkeypatch):
+    # The Jacobi check, the centre and the survey read the algebra's one copy.
+    calls = []
+
+    def spy(data, dim):
+        calls.append(dim)
+        return _term_tables(data, dim)
+
+    monkeypatch.setattr(d2lie.algebra, "_term_tables", spy)
+    L = build_chevalley_D(4)
+    assert check_jacobi(L).ok and center(L).nrows == 2 and len(h2_survey_rows(L)) == 24
+    assert calls == [L.dim]
+
+
 def test_center_l3():
     L = build_chevalley_D(3)
     Z = center(L)
@@ -145,7 +172,7 @@ def test_jacobi_small_ranks():
 def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
     rng = random.Random(36)
     for L in (d3, d4, model5.algebra, d5_quotient):
-        assert jacobiator(L.brackets, L.dim) == jacobi_defects(L) == {}
+        assert jacobiator(L.term_tables(), L.dim) == jacobi_defects(L) == {}
         assert check_jacobi(L) == JacobiReport(True)
         # One random structure constant flipped.
         bad = dict(L.brackets)
@@ -153,7 +180,7 @@ def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
         bad[key] = bad.get(key, 0) ^ (1 << rng.randrange(L.dim))
         broken = LieAlgebra(L.labels, L.weights, bad)
         oracle = jacobi_defects(broken)
-        assert oracle and jacobiator(broken.brackets, broken.dim) == oracle
+        assert oracle and jacobiator(broken.term_tables(), broken.dim) == oracle
         first = min(oracle)
         assert check_jacobi(broken) == JacobiReport(False, first, oracle[first])
     # Random alternating tables with multi-bit values on the rank-5 model's
@@ -163,7 +190,7 @@ def test_jacobiator_matches_triple_loop(d3, d4, model5, d5_quotient):
     for density in (0.01, 0.05, 0.2):
         table = {key: rng.getrandbits(A.dim) for key in combinations(range(A.dim), 2) if rng.random() < density}
         oracle = jacobi_defects(LieAlgebra(A.labels, A.weights, table))
-        assert oracle and jacobiator(table, A.dim) == oracle
+        assert oracle and jacobiator(_term_tables(table, A.dim), A.dim) == oracle
 
 
 def test_jacobi_catches_corruption():
@@ -180,7 +207,7 @@ def test_jacobi_catches_corruption():
     assert report.triple is not None
     assert report.defect != 0
     oracle = jacobi_defects(broken)
-    assert jacobiator(broken.brackets, broken.dim) == oracle
+    assert jacobiator(broken.term_tables(), broken.dim) == oracle
     first = min(oracle)  # the triple loop meets triples in lex order
     assert (report.triple, report.defect) == (first, oracle[first])
 
@@ -193,6 +220,16 @@ def test_bracket_values_outside_the_basis_rejected():
             LieAlgebra(["x", "y", "z"], [(0,)] * 3, {(0, 1): v})
 
 
+def test_ragged_weights_rejected():
+    # (1,) and (0, 1) would pack to one int, so the additivity check and the
+    # survey would read them as one weight.  Weights of length 0 all agree.
+    with pytest.raises(ValueError, match="basis weight 1 has length 2, expected 1"):
+        LieAlgebra(["x", "y", "z"], [(1,), (0, 1), (2,)], {(0, 1): 0b100})
+    with pytest.raises(ValueError, match="basis weight 2 has length 1, expected 0"):
+        LieAlgebra(["x", "y", "z"], [(), (), (0,)], {})
+    assert LieAlgebra(["x", "y"], [(), ()], {}).weights == ((), ())
+
+
 def test_bracket_keys_outside_the_upper_triangle_rejected():
     # The table stores [b_i, b_j] only for i < j < dim, so a diagonal,
     # reversed or out-of-range key is an error: alternation of every
@@ -203,10 +240,10 @@ def test_bracket_keys_outside_the_upper_triangle_rejected():
 
 
 def test_pairs_with_support_are_masks(d4, model5):
-    # The pair-mask table lives in cohomology's term tables; for each m it
+    # The pair-mask table lives in the algebra's term tables; for each m it
     # lists the bracket keys whose value involves b_m, in key order.
     for L in (d4, model5.algebra):
-        pairs = _term_codes(L)[1]
+        pairs = L.term_tables()[1]
         for k in range(L.dim):
             assert pairs[k] == [_coord_code(key, 0, L.dim) for key, v in sorted(L.brackets.items()) if (v >> k) & 1]
 

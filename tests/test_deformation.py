@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    column_kernel,
     coord_of_code,
     eval_basis,
     first_truncated_failures,
+    h2_weight_survey,
     monomial_index,
     representative,
     root_pair_keys,
@@ -27,7 +29,6 @@ from d2lie.cohomology import (
     Cochain,
     cochain_weight,
     differential,
-    h2_weight_survey,
     is_coboundary,
     weight_block,
 )
@@ -60,7 +61,7 @@ def e_weight(l, i, c):
 
 
 def test_cup_square_of_zero(d4):
-    assert cup_square(d4, Cochain.zero(2, d4.dim)).is_zero()
+    assert cup_square(d4, Cochain(2, d4.dim)).is_zero()
 
 
 def test_cup_square_paper_triple(model5):
@@ -229,7 +230,7 @@ def test_phi_not_central_valued(model5):
 
 
 def test_zero_cochain_centre_properties(d4):
-    z = Cochain.zero(2, d4.dim)
+    z = Cochain(2, d4.dim)
     assert central_valued(d4, z)
     assert vanishes_on_center(d4, z)
 
@@ -245,8 +246,7 @@ def test_even_cocycle_structure_l4(d4):
     assert set(psi.data.values()) == {z}
     assert cochain_weight(d4, psi) == (0, 0, 2, 0)
     assert differential(d4, psi).is_zero()
-    trivial, _ = is_coboundary(d4, psi)
-    assert not trivial
+    assert not is_coboundary(d4, psi)
 
 
 def test_even_cocycle_requires_even_rank(d5):
@@ -275,7 +275,7 @@ def test_even_cocycle_keys_at_every_pair_sum_weight(d4, monkeypatch):
     # With every psi taken as nontrivial, the keys at -s, for each sum s of two
     # basis weights, are still the root pairs: a pair holding a Cartan index
     # (s a root or 0) is left out.
-    monkeypatch.setattr("d2lie.deformation.is_coboundary", lambda L, c: (False, None))
+    monkeypatch.setattr("d2lie.deformation.is_coboundary", lambda L, c: False)
     for s in d4.weight_sums(2):
         mu = wneg(d4.weight_of_code(s))
         assert set(build_even_cocycle(d4, mu).data) == root_pair_keys(d4, mu), mu
@@ -348,7 +348,7 @@ def assert_decision_agrees(L, psi):
 
 
 def test_deform_with_zero_cochain_is_base_bracket(d4):
-    zero = Cochain.zero(2, d4.dim)
+    zero = Cochain(2, d4.dim)
     assert first_truncated_failures(d4, zero) == {}
     assert check_jacobi(d4).ok
     assert obstruction_verdict(d4, zero).verdict == VERDICT_ZERO
@@ -393,7 +393,7 @@ def test_deformation_fails_at_t0_for_corrupted_base(d4):
     broken = LieAlgebra(d4.labels, d4.weights, bad)
     report = check_jacobi(broken)
     assert not report.ok
-    for psi in (Cochain.zero(2, d4.dim), build_even_cocycle(d4)):
+    for psi in (Cochain(2, d4.dim), build_even_cocycle(d4)):
         assert (report.triple, report.defect) == first_truncated_failures(broken, psi)[0]
 
 
@@ -449,13 +449,13 @@ def test_random_cocycles_obstruction_equals_t2(d4):
     sys4 = build_root_system(4)
     mu = wadd(sys4.simple[3], sys4.simple[2])
     block = weight_block(d4, mu)
-    kernel = block.d2.nullspace()
-    assert kernel.nrows > 0
+    kernel = column_kernel(block.d2)
+    assert len(kernel) > 0
     for _ in range(5):
         combo = 0
-        for r in range(kernel.nrows):
+        for r in range(len(kernel)):
             if rng.getrandbits(1):
-                combo ^= kernel.rows[r]
+                combo ^= kernel[r]
         if not combo:
             continue
         data = {}
