@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
-from .gf2 import GF2Matrix, PivotBasis, bit_indices, eliminate_columns
+from .gf2 import GF2Matrix, PivotBasis, bit_indices, column_kernel
 from .roots import (
     Weight,
     build_root_system,
@@ -254,11 +254,14 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 
 
 def center(L: LieAlgebra) -> GF2Matrix:
-    """The kernel of b_i -> ad(b_i), each ad(b_i) a row of the codes table; row-reduced once per algebra."""
+    """The kernel of b_i -> ad(b_i), each ad(b_i) a row of the codes table; made canonical once per algebra.
+
+    column_kernel's basis depends on the column order, so it is row-reduced.
+    """
     if L._center is None:
         pos: dict[int, int] = {}
         cols = [sum(1 << pos.setdefault(t, len(pos)) for t in row) for row in L.term_tables()[0]]
-        kernel = eliminate_columns(cols, len(pos))[1]
+        kernel = column_kernel(cols, len(pos))
         L._center = GF2Matrix(len(kernel), L.dim, kernel).row_reduce()
     return L._center
 

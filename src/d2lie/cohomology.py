@@ -15,16 +15,18 @@ the test suite.
 
 The survey skips the blocks a torus element makes acyclic.  For a
 weight-0 element h, Cartan's formula L_h = d i_h + i_h d holds over any
-ring, and i_h keeps the weight.  Let h act diagonally, [h, b_k] = chi(k) b_k
-with chi(k) in {0, 1}, and let chi be linear: lambda . w_k = chi(k) mod 2
-for some lambda in GF(2)^l.  Then L_h multiplies the basis cochain
-key -> b_k by chi(k) + sum of chi(i) over the key, which is lambda . mu
-mod 2 on the whole weight-mu block.  Where that is 1, every cocycle z is
-L_h z = d(i_h z), so H^n_mu = 0 and the block need not be ranked.  An h
-that is not diagonal or whose character is not linear gives no
-functional; that only prunes fewer blocks, so dropping it is always
-safe.  The survey enumerates just the weights with lambda . mu even for
-every functional; _c2_groups is the unpruned view, every C^2 block.
+ring, and i_h keeps the weight.  Let h act diagonally,
+[h, b_k] = chi(k) b_k with chi(k) in {0, 1}, and let chi be linear:
+packed over the basis, it lies in the span of the weight parities, the
+l vectors whose bit k is coordinate i of w_k mod 2.  Then
+chi(k) = lambda . w_k mod 2 for some lambda in GF(2)^l, and L_h
+multiplies the basis cochain key -> b_k by chi(k) + sum of chi(i) over
+the key, which is lambda . mu mod 2 on the whole weight-mu block.  Where
+that is 1, every cocycle z is L_h z = d(i_h z), so H^n_mu = 0 and the
+block need not be ranked.  An h that is not diagonal or whose character
+is not linear is left out; that only prunes fewer blocks, so dropping it
+is always safe.  The survey enumerates just the weights where every kept
+L_h is 0; _c2_groups is the unpruned view, every C^2 block.
 
 The survey then ranks one block per orbit of the signed permutations of
 the eps coordinates.  An automorphism theta of L that moves each weight
@@ -67,7 +69,7 @@ from .algebra import (
     find_graded_isomorphism,
     odd_coords,
 )
-from .gf2 import GF2Matrix, PivotBasis, bit_indices, solve_columns
+from .gf2 import GF2Matrix, PivotBasis, bit_indices
 from .roots import Weight, is_zero_weight
 
 
@@ -130,9 +132,6 @@ class Cochain:
             and self.dim == other.dim
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.degree, self.dim, tuple(sorted(self.data.items()))))
 
     def __repr__(self) -> str:
         return f"Cochain(degree={self.degree}, support={len(self.data)})"
@@ -306,38 +305,37 @@ def cohomology_dim(L: LieAlgebra, mu: Weight) -> int:
 # -- full weight survey ------------------------------------------------
 
 
-def _torus_functionals(L: LieAlgebra) -> tuple[int, ...]:
-    """The lambda in GF(2)^l, packed, of the weight-0 basis elements with a linear diagonal character.
+def _torus_characters(L: LieAlgebra) -> tuple[int, ...]:
+    """The characters chi_h, packed over the basis, of the weight-0 diagonal h whose chi_h is linear.
 
-    h qualifies when [h, b_k] is 0 or b_k for every k and some lambda has
-    lambda . w_k = chi_h(k) mod 2 for every k; the other h are left out.
+    h is diagonal when [h, b_k] is 0 or b_k for every k, and chi_h has
+    bit k when it is b_k; it is linear when it lies in the span of the
+    weight parities, parity i with bit k when coordinate i of w_k is odd.
     """
-    # Column i is coordinate i of every weight mod 2, packed over the basis.
-    cols = [sum((c & 1) << k for k, c in enumerate(coord)) for coord in zip(*L.weights)]
+    parities = PivotBasis(sum((c & 1) << k for k, c in enumerate(coord)) for coord in zip(*L.weights))
     s = L.dim.bit_length()
     low = (1 << s) - 1
-    functionals = []
-    # Row h of the codes table holds ((a,), m) for b_m in [b_a, b_h]: h qualifies when m = a throughout.
+    characters = []
+    # Row h of the codes table holds ((a,), m) for b_m in [b_a, b_h]: h is diagonal when m = a throughout.
     for h, row in enumerate(L.term_tables()[0]):
-        if not is_zero_weight(L.weights[h]) or any(c >> s != 1 << (c & low) for c in row):
-            continue
-        lam = solve_columns(cols, L.dim, sum(c >> s for c in row))
-        if lam is not None:
-            functionals.append(lam)
-    return tuple(functionals)
+        if is_zero_weight(L.weights[h]) and all(c >> s == 1 << (c & low) for c in row):
+            chi = sum(c >> s for c in row)
+            if parities.contains(chi):
+                characters.append(chi)
+    return tuple(characters)
 
 
-def _c2_weights(L: LieAlgebra, functionals: tuple[int, ...] = ()) -> list[Weight]:
-    """The weights mu with C^2_mu != 0 and lambda . mu even for every functional, sorted.
+def _c2_weights(L: LieAlgebra, characters: tuple[int, ...] = ()) -> list[Weight]:
+    """The weights mu with C^2_mu != 0 on whose block every character's L_h is 0, sorted.
 
-    mu = w - s for a value weight w and a pair sum s, and lambda . mu is
-    even exactly when w and s have the same parity under every lambda, so
-    only those pairs are formed.
+    On the block of mu = w - s, for a value weight w and a pair sum s, L_h
+    multiplies by chi_h of the value plus chi_h of the pair, which is
+    lambda . mu mod 2, so it is 0 exactly when the two agree, and only
+    those pairs are formed.
     """
-
-    # Parities are linear, so a pair sum has the sum of its indices' parities.
-    odd = [sum((c & 1) << i for i, c in enumerate(w)) for w in L.weights]
-    par = [sum(((b & lam).bit_count() & 1) << j for j, lam in enumerate(functionals)) for b in odd]
+    # Bit j of par[k] is chi_j(k).  A linear character is a function of the
+    # weight, and a pair sum takes the sum of its indices' bits.
+    par = [sum((chi >> k & 1) << j for j, chi in enumerate(characters)) for k in range(L.dim)]
     sums: dict[int, list[int]] = {}
     for s, ((i, j), *_) in L.weight_sums(2).items():
         sums.setdefault(par[i] ^ par[j], []).append(s)
@@ -381,7 +379,7 @@ def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:
     """Rows for the nonzero-H^2 weights in weight order; ranks one block at a time.
 
-    Only the blocks no torus functional makes acyclic are ranked.  When
+    Only the blocks no torus character makes acyclic are ranked.  When
     _automorphisms finds all the generators, one block serves its whole
     orbit: the first admissible weight with a given sorted |coordinates|
     is ranked and its row, with each weight's own mu, is copied to the
@@ -391,7 +389,7 @@ def h2_survey_rows(L: LieAlgebra) -> list[dict]:
     orbits = bool(_automorphisms(L))
     ranked: dict[Weight, dict] = {}
     rows = []
-    for mu in _c2_weights(L, _torus_functionals(L)):
+    for mu in _c2_weights(L, _torus_characters(L)):
         key = tuple(sorted(map(abs, mu))) if orbits else mu
         if key not in ranked:
             ranked[key] = _block_row(L, mu, key if orbits else None)

@@ -3,19 +3,17 @@
 Bit i of a packed row is coordinate i.  Matrices are immutable.
 
 PivotBasis is the one elimination: every rank, canonical form, span
-test, kernel and solve reduces packed ints against it, and each result
-equals the one a reduced row echelon form (RREF) gives, bit for bit.
+test and kernel reduces packed ints against it.
 
 - Rank and canonical form eliminate the rows.  The RREF of a row space
-  is unique, and the basis sorted by pivot and back-substituted is one.
-  A vector is in the span when it reduces to 0 (the coboundary test).
-- Kernel and solve eliminate the columns in order, column j tagged with
-  bit nrows + j, above every row bit.  A column that reduces to a pure
-  tag is e_f plus the earlier independent columns summing to column f;
-  reducing b leaves in the tag bits a solution supported on the columns
-  independent of those before them.  Both vectors are unique, so they
-  are the RREF kernel basis and the RREF solution with free coordinates
-  0.  The kernel serves the centre, the solve only the torus functionals.
+  is unique, and the basis sorted by pivot and back-substituted is one,
+  so row_reduce equals the RREF bit for bit.  A vector is in the span
+  when it reduces to 0 (the coboundary and torus-character tests).
+- The kernel eliminates the columns, column j tagged with bit nrows + j,
+  above every row bit.  A stored row with no row bit left names in its
+  tag bits columns that sum to 0, and those rows are a kernel basis.
+  It depends on the column order, so it is canonical only after
+  row_reduce, as the centre takes it.
 """
 
 from __future__ import annotations
@@ -76,36 +74,10 @@ class PivotBasis:
         return len(self.pivots)
 
 
-def eliminate_columns(cols: Sequence[int], nrows: int) -> tuple[PivotBasis, list[int]]:
-    """Eliminate the columns in order, column j tagged with bit nrows + j.
-
-    Returns the basis of the independent columns, each carrying the
-    columns it sums in its tag bits, and one kernel vector per dependent
-    column f: e_f plus the earlier independent columns that sum to it.
-    """
-    mask = (1 << nrows) - 1
-    basis = PivotBasis()
-    kernel = []
-    for j, c in enumerate(cols):
-        v = basis.reduce(c | 1 << (nrows + j))
-        if v & mask:
-            basis.add(v)
-        else:
-            kernel.append(v >> nrows)
-    return basis, kernel
-
-
-def solve_columns(cols: Sequence[int], nrows: int, b: int) -> int | None:
-    """x with the sum of the columns j in x equal to b, or None if b is outside their span.
-
-    x is supported on the columns independent of those before them.  A b
-    with bits at or above nrows has the wrong length, and raises.
-    """
-    if b < 0 or b >> nrows:
-        raise ValueError(f"right-hand side has bits outside the {nrows} rows")
-    basis, _ = eliminate_columns(cols, nrows)
-    v = basis.reduce(b)
-    return None if v & ((1 << nrows) - 1) else v >> nrows
+def column_kernel(cols: Sequence[int], nrows: int) -> list[int]:
+    """A basis of the x with the sum of the columns j in x equal to 0, packed over the columns."""
+    rows = PivotBasis(c | 1 << (nrows + j) for j, c in enumerate(cols)).pivots.values()
+    return [v >> nrows for v in rows if not v & ((1 << nrows) - 1)]
 
 
 class GF2Matrix:
@@ -156,9 +128,6 @@ class GF2Matrix:
             and self.ncols == other.ncols
             and self.rows == other.rows
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.rows))
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"

@@ -7,8 +7,8 @@
   failure, obstruction_verdict's error its t^1 failure and a
   NONTRIVIAL witness its t^2 failure.
 - The dense column-sweep reduced row echelon form over GF(2); the
-  library's rank, row_reduce, kernel (column_kernel) and solve must
-  equal what it gives, bit for bit.
+  library's rank and row_reduce must equal what it gives, bit for bit,
+  and column_kernel after row_reduce its kernel basis in RREF.
 - The centre from constraint rows (constraint_center): row (j, m) has
   bit i when b_m is in [b_i, b_j], and its RREF kernel, reduced, must
   equal center(L).
@@ -16,6 +16,10 @@
   block's dense differential (dense_differential): is_coboundary must
   answer whether c is in its column span, and d of the preimage is c.
 - The weight -> dim H^2 map of the survey rows (h2_weight_survey).
+- The torus pruning by functionals (functional_pruned_weights): for each
+  diagonal weight-0 h, lambda with lambda . w_k = chi_h(k) mod 2 by
+  rref_solve on the weight parities, and the C^2 weights with every
+  lambda . mu even; _c2_weights on _torus_characters must list the same.
 - The unpruned H^2 survey, which ranks every weight block of C^2, the
   per-weight survey, which ranks every block torus pruning keeps, and
   the ungraded H^2, which ranks the whole complex at once; the orbit
@@ -67,7 +71,7 @@ from d2lie.cohomology import (
     _block_row,
     _c2_weights,
     _image_rank,
-    _torus_functionals,
+    _torus_characters,
     cochain_weight,
     differential,
     h2_survey_rows,
@@ -75,7 +79,7 @@ from d2lie.cohomology import (
 )
 from d2lie.exterior import SymplecticSpace
 from d2lie.algebra import LieAlgebra, _coord_code, odd_coords
-from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices, eliminate_columns
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import (
     RootSystem,
     Weight,
@@ -221,11 +225,6 @@ def rref_solve(m, b):
     return x
 
 
-def column_kernel(m):
-    """One kernel vector of m per dependent column, by eliminate_columns on m's columns, the path center takes."""
-    return tuple(eliminate_columns(m.transpose().rows, m.nrows)[1])
-
-
 def mul_vector(m, x):
     """m x for a packed vector x over the columns of m, packed over its rows."""
     bits = 0
@@ -267,8 +266,33 @@ def unpruned_survey_rows(L):
 
 def per_weight_survey_rows(L):
     """h2_survey_rows without orbits: every block torus pruning keeps is ranked."""
-    rows = (_block_row(L, mu) for mu in _c2_weights(L, _torus_functionals(L)))
+    rows = (_block_row(L, mu) for mu in _c2_weights(L, _torus_characters(L)))
     return [r for r in rows if r["dim_h2"]]
+
+
+def functional_pruned_weights(L):
+    """The C^2 weights mu with lambda . mu even for every torus functional lambda, sorted.
+
+    h gives a functional when it has weight 0 and [h, b_k] is 0 or b_k for
+    every k (from bracket_basis) and rref_solve finds lambda in GF(2)^l with
+    lambda . w_k = chi_h(k) mod 2 on the matrix of weight parities.  Pair
+    sums are grouped by the parities lambda . w of their indices.
+    """
+    odd = [sum((c & 1) << i for i, c in enumerate(w)) for w in L.weights]
+    parities = GF2Matrix(L.dim, len(L.weights[0]) if L.weights else 0, odd)
+    functionals = []
+    for h in range(L.dim):
+        ad = [L.bracket_basis(h, k) for k in range(L.dim)]
+        if is_zero_weight(L.weights[h]) and all(v in (0, 1 << k) for k, v in enumerate(ad)):
+            lam = rref_solve(parities, sum(1 << k for k, v in enumerate(ad) if v))
+            if lam is not None:
+                functionals.append(lam)
+    par = [sum(((b & lam).bit_count() & 1) << j for j, lam in enumerate(functionals)) for b in odd]
+    sums = {}
+    for s, ((i, j), *_) in L.weight_sums(2).items():
+        sums.setdefault(par[i] ^ par[j], []).append(s)
+    weights = {w - s for w, ((k,), *_) in L.weight_sums(1).items() for s in sums.get(par[k], ())}
+    return [L.weight_of_code(mu) for mu in sorted(weights)]
 
 
 def ungraded_h2_dim(L):
@@ -302,7 +326,7 @@ def representative(L, mu):
     """
     block = weight_block(L, mu)
     coboundaries = PivotBasis(block.d1.transpose().rows)
-    for v in column_kernel(block.d2):
+    for v in rref_nullspace(block.d2):
         if not coboundaries.contains(v):
             return Cochain(2, L.dim, odd_coords([block.c2[p] for p in bit_indices(v)], L.dim, 2))
     raise ValueError(f"H^2 vanishes at weight {mu}")

@@ -12,7 +12,6 @@ from oracles import (
     basis_vector,
     bracket,
     cochain_basis,
-    column_kernel,
     composite_is_zero,
     coord_of_code,
     eval_basis,
@@ -22,6 +21,7 @@ from oracles import (
     per_bit_reduce,
     phi_eval,
     quotient_with_projection,
+    rref_nullspace,
     transvection,
     truncated_jacobi,
     ungraded_h2_dim,
@@ -251,7 +251,7 @@ def test_criterion_9_property_suites(model5, d4):
     sys4 = build_root_system(4)
     mu = wadd(sys4.simple[3], sys4.simple[2])
     block = weight_block(d4, mu)
-    kernel = column_kernel(block.d2)
+    kernel = rref_nullspace(block.d2)
     tested = 0
     for _ in range(8):
         combo = 0

@@ -13,6 +13,7 @@ from oracles import (
     coord_of_code,
     dense_differential,
     eval_basis,
+    functional_pruned_weights,
     h2_weight_survey,
     model_automorphism,
     per_weight_survey_rows,
@@ -46,7 +47,7 @@ from d2lie.cohomology import (
     _c2_groups,
     _c2_weights,
     _signed_permutation_generators,
-    _torus_functionals,
+    _torus_characters,
 )
 from d2lie.deformation import cup_square, rigidity_scan
 from d2lie.exterior import build_quotient_model, phi
@@ -423,8 +424,8 @@ def test_pruned_survey_equals_unpruned_oracle(d4, d5, d6, model5):
         assert h2_survey_rows(L) == unpruned_survey_rows(L)
 
 
-def test_torus_functionals_and_block_counts(d4, d5, d6, model5, model7, monkeypatch):
-    # (algebra, functionals, C^2 blocks, blocks torus pruning keeps, orbits ranked)
+def test_torus_characters_and_block_counts(d4, d5, d6, model5, model7, monkeypatch):
+    # (algebra, characters, C^2 blocks, blocks torus pruning keeps, orbits ranked)
     cases = (
         (d4, 4, 601, 145, 6),
         (d5, 5, 2011, 131, 4),
@@ -439,19 +440,27 @@ def test_torus_functionals_and_block_counts(d4, d5, d6, model5, model7, monkeypa
         return _block_row(L, mu, orbit)
 
     monkeypatch.setattr("d2lie.cohomology._block_row", spy)
-    for L, n_functionals, n_blocks, n_kept, n_ranked in cases:
-        functionals = _torus_functionals(L)
-        assert len(functionals) == n_functionals
+    for L, n_characters, n_blocks, n_kept, n_ranked in cases:
+        characters = _torus_characters(L)
+        assert len(characters) == n_characters
         assert len(_c2_groups(L)) == n_blocks
-        assert len(_c2_weights(L, functionals)) == n_kept
+        assert len(_c2_weights(L, characters)) == n_kept
         ranked.clear()
         h2_survey_rows(L)
         assert len(ranked) == n_ranked
-    # H_i scales E_a by <a, alpha_i> mod 2, the parity lambda_i gives a.
+    # H_i scales E_a by <a, alpha_i> mod 2, and every H_i is kept.
     simple = build_root_system(4).simple
-    for lam, alpha in zip(_torus_functionals(d4), simple, strict=True):
-        for w in d4.weights:
-            assert sum(w[i] for i in bit_indices(lam)) % 2 == wdot(w, alpha) % 2
+    for chi, alpha in zip(_torus_characters(d4), simple, strict=True):
+        for k, w in enumerate(d4.weights):
+            assert chi >> k & 1 == wdot(w, alpha) % 2
+
+
+def test_character_pruning_equals_functional_oracle(d3, d4, d5, d6, d7, d8, model3, model5, model7, model9):
+    # Span membership of chi_h keeps the weights the slow route keeps: a
+    # solved lambda per diagonal h and pair sums grouped by lambda . w.
+    algebras = [d3, d4, d5, d6, d7, d8] + [m.algebra for m in (model3, model5, model7, model9)]
+    for L in algebras + list(_toy_algebras()):
+        assert _c2_weights(L, _torus_characters(L)) == functional_pruned_weights(L)
 
 
 def _lie_derivative_is_one(L, ad, pre, n, mu):
@@ -485,7 +494,7 @@ def test_pruned_blocks_are_acyclic_by_torus_action(d4, model5):
             if is_zero_weight(L.weights[h]) and all(v in (0, 1 << m) for m, v in enumerate(ad)):
                 pre = [[m for m in range(L.dim) if ad[m] >> j & 1] for j in range(L.dim)]
                 actions.append((ad, pre))
-        every, kept = set(_c2_groups(L)), set(_c2_weights(L, _torus_functionals(L)))
+        every, kept = set(_c2_groups(L)), set(_c2_weights(L, _torus_characters(L)))
         assert kept < every
         for mu in sorted(every - kept):
             assert any(
@@ -494,16 +503,25 @@ def test_pruned_blocks_are_acyclic_by_torus_action(d4, model5):
             ), f"no torus element acts by 1 at weight {mu}"
 
 
-def test_survey_drops_torus_elements_without_a_functional():
-    # In A, h sends x and y to x + y: nilpotent, yet every vector of odd
-    # weight meets it, so reading its bracket support as a character would
-    # prune the odd weight -1, where H^2 has dimension 2.  In B, h scales x
-    # but not y of the same weight: diagonal, but no functional of the weights.
+def _toy_algebras():
+    """A and B, whose one weight-0 element h gives no linear character.
+
+    In A, h sends x and y to x + y: nilpotent, yet every vector of odd
+    weight meets it, so reading its bracket support as a character would
+    prune the odd weight -1, where H^2 has dimension 2.  In B, h scales x
+    but not y of the same weight: diagonal, but its character is no
+    function of the weights.
+    """
     A = LieAlgebra(["h", "x", "y"], [(0,), (1,), (1,)], {(0, 1): 0b110, (0, 2): 0b110})
     B = LieAlgebra(["h", "x", "y"], [(0,), (1,), (1,)], {(0, 1): 0b10})
+    return A, B
+
+
+def test_survey_drops_torus_elements_without_a_functional():
+    A, B = _toy_algebras()
     for L in (A, B):
         assert check_jacobi(L).ok and check_weight_additivity(L)
-        assert _torus_functionals(L) == ()
+        assert _torus_characters(L) == ()
         assert _automorphisms(L) == {}
         assert h2_survey_rows(L) == unpruned_survey_rows(L)
     assert {r["weight"]: r["dim_h2"] for r in h2_survey_rows(A)}[(-1,)] == 2

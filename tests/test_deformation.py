@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 from oracles import (
-    column_kernel,
     coord_of_code,
     eval_basis,
     first_truncated_failures,
@@ -12,6 +11,7 @@ from oracles import (
     monomial_index,
     representative,
     root_pair_keys,
+    rref_nullspace,
     rref_solve,
     truncated_jacobi,
 )
@@ -449,7 +449,7 @@ def test_random_cocycles_obstruction_equals_t2(d4):
     sys4 = build_root_system(4)
     mu = wadd(sys4.simple[3], sys4.simple[2])
     block = weight_block(d4, mu)
-    kernel = column_kernel(block.d2)
+    kernel = rref_nullspace(block.d2)
     assert len(kernel) > 0
     for _ in range(5):
         combo = 0
