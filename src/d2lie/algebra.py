@@ -19,21 +19,12 @@ algebra here.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from operator import add
 from typing import NamedTuple
 
 from .gf2 import GF2Matrix, PivotBasis, bit_indices, column_kernel
-from .roots import (
-    Weight,
-    build_root_system,
-    express_in_simple_roots,
-    is_zero_weight,
-    pack_weight,
-    unpack_weight,
-    wadd,
-    wdot,
-    wzero,
-)
+from .roots import Weight, express_in_simple_roots, pack_weight, unpack_weight, wzero
 
 Label = tuple
 
@@ -203,48 +194,46 @@ class JacobiReport(NamedTuple):
 
 
 def build_chevalley_D(l: int) -> LieAlgebra:
-    """Type D_l over GF(2): Cartans H_1..H_l, then root vectors in lex order.
+    """Type D_l over GF(2): Cartans H_1..H_l, then the root vectors of
+    ±eps_p ± eps_q, p < q, in lex order.
 
     Brackets mod 2:
       [H_i, H_j] = 0
-      [H_i, E_a] = <a, alpha_i> E_a
+      [H_i, E_a] = <a, alpha_i> E_a: odd iff a is nonzero at just one of
+        i, i+1 for alpha_i = eps_i - eps_(i+1) (i < l), or of l-1, l for
+        alpha_l = eps_(l-1) + eps_l, as a root's coordinates are 0 or ±1
       [E_a, E_-a] = H_a, the mod-2 simple-root coordinates of a
       [E_a, E_b] = E_(a+b) when a+b is a root, else 0
     Coefficients of 2 in H_a vanish; that is correct behaviour, not data
     loss.
     """
-    system = build_root_system(l)
-    roots = system.roots
-    dim = l + len(roots)
+    if l < 3:
+        raise ValueError(f"type D needs rank l >= 3, got {l}")
+    roots = sorted(
+        tuple(sp * (k == p) + sq * (k == q) for k in range(l))
+        for p, q in combinations(range(l), 2)
+        for sp, sq in product((1, -1), repeat=2)
+    )
     labels: list[Label] = [("CARTAN", i) for i in range(1, l + 1)]
     labels += [("ROOTVEC", r) for r in roots]
-    weights: list[Weight] = [wzero(l)] * l + list(roots)
+    weights: list[Weight] = [wzero(l)] * l + roots
     idx_of_root = {r: l + k for k, r in enumerate(roots)}
-
-    h_alpha: dict[Weight, int] = {}
-    for r in roots:
-        coeffs = express_in_simple_roots(r)
-        if coeffs is None:
-            raise ArithmeticError(f"root {r} is outside the simple-root lattice")
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << i
-        h_alpha[r] = bits
+    touched = [(i, i + 1) for i in range(l - 1)] + [(l - 2, l - 1)]
 
     brackets: dict[tuple[int, int], int] = {}
     for k, a in enumerate(roots):
         ia = l + k
-        for i in range(l):
-            if wdot(a, system.simple[i]) & 1:
+        for i, (x, y) in enumerate(touched):
+            if (a[x] != 0) ^ (a[y] != 0):
                 brackets[(i, ia)] = 1 << ia
-        for b in roots[k + 1:]:
-            ib = idx_of_root[b]
-            s = wadd(a, b)
-            if is_zero_weight(s):
-                if h_alpha[a]:
-                    brackets[(ia, ib)] = h_alpha[a]
-            elif s in system.root_set:
+        for ib, b in enumerate(roots[k + 1:], ia + 1):
+            s = tuple(map(add, a, b))
+            if not any(s):
+                coeffs = express_in_simple_roots(a)
+                if coeffs is None:
+                    raise ArithmeticError(f"root {a} is outside the simple-root lattice")
+                brackets[(ia, ib)] = sum((c & 1) << i for i, c in enumerate(coeffs))
+            elif s in idx_of_root:
                 brackets[(ia, ib)] = 1 << idx_of_root[s]
 
     return LieAlgebra(labels, weights, brackets)

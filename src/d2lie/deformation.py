@@ -191,11 +191,12 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
 
 
 def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
-    """Verdict per second-cohomology class of the odd-rank model.
+    """Verdict per basis class phi of the odd-rank model's H^2.
 
-    Every class is represented by the quadratic cocycle of a basis
-    vector of V, one per weight ±2 eps_i; the algebra is rigid iff all
-    verdicts come back NONTRIVIAL.  Each weight is checked directly
+    The classes judged are the 2l quadratic cocycles of the basis vectors of
+    V, one per weight ±2 eps_i; each must come back NONTRIVIAL.  That they
+    span H^2 and that their nonzero combinations are obstructed too, as
+    rigidity needs, is not checked here.  Each weight is checked directly
     rather than transported by symmetry.  Both scans re-raise a ValueError
     from building or judging their own cocycles as ArithmeticError naming
     the class.

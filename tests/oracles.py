@@ -1,5 +1,12 @@
 """Slow references shared by the test modules.
 
+- The root system of D_l (build_root_system, RootSystem, eps, wsub,
+  wdot) and the Chevalley algebra built on it
+  (chevalley_D_from_root_system): <a, alpha_i> as a dot product with
+  the simple roots, and every root pair summed with wadd and looked up
+  in the root set.  build_chevalley_D, which enumerates the roots
+  itself and reads <a, alpha_i> mod 2 off two coordinates, must equal
+  it in labels, weights and bracket items, insertion order included.
 - The truncated-ring Jacobi sum: f_t = [,] + t psi over K[t]/(t^3),
   evaluated at one basis triple at a time.  The decision the
   integrability command makes, check_jacobi on L and a ZERO verdict,
@@ -64,6 +71,8 @@ the model index of a monomial, symplectic transvections and Weyl orbits.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
+from typing import NamedTuple
 
 from d2lie.cohomology import (
     Cochain,
@@ -78,18 +87,115 @@ from d2lie.cohomology import (
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace
-from d2lie.algebra import LieAlgebra, _coord_code, odd_coords
+from d2lie.algebra import Label, LieAlgebra, _coord_code, odd_coords
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 from d2lie.roots import (
-    RootSystem,
     Weight,
-    build_root_system,
     express_in_simple_roots,
     is_zero_weight,
-    wdot,
+    wadd,
     wneg,
-    wsub,
+    wzero,
 )
+
+
+# -- the root system of D_l ------------------------------------------------
+
+
+def wsub(a: Weight, b: Weight) -> Weight:
+    if len(a) != len(b):
+        raise ValueError(f"weights {a} and {b} differ in length")
+    return tuple(map(sub, a, b))
+
+
+def wdot(a: Weight, b: Weight) -> int:
+    return sum(x * y for x, y in zip(a, b, strict=True))
+
+
+def eps(l: int, i: int) -> Weight:
+    """The coordinate weight eps_i, 1-based."""
+    if not 1 <= i <= l:
+        raise ValueError(f"eps index {i} out of range 1..{l}")
+    return tuple(1 if j == i - 1 else 0 for j in range(l))
+
+
+class RootSystem(NamedTuple):
+    """All roots of D_l plus the simple roots alpha_1..alpha_l.
+
+    The enumeration puts alpha_i = eps_i - eps_(i+1) for i < l and
+    alpha_l = eps_(l-1) + eps_l, so alpha_l attaches to alpha_(l-2) on
+    the Dynkin diagram and <alpha_l, alpha_(l-1)> = 0.
+    """
+
+    l: int
+    roots: tuple[Weight, ...]
+    simple: tuple[Weight, ...]
+    root_set: frozenset[Weight]
+
+
+def build_root_system(l: int) -> RootSystem:
+    """All 2l(l-1) roots {±eps_i ± eps_j, i < j} with the fixed enumeration."""
+    if l < 3:
+        raise ValueError(f"type D needs rank l >= 3, got {l}")
+    roots = []
+    for i in range(l):
+        for j in range(i + 1, l):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [0] * l
+                    v[i] = si
+                    v[j] = sj
+                    roots.append(tuple(v))
+    roots.sort()
+    simple = [wsub(eps(l, i), eps(l, i + 1)) for i in range(1, l)]
+    simple.append(wadd(eps(l, l - 1), eps(l, l)))
+    return RootSystem(l, tuple(roots), tuple(simple), frozenset(roots))
+
+
+def chevalley_D_from_root_system(l: int) -> LieAlgebra:
+    """Type D_l over GF(2) from build_root_system: Cartans H_1..H_l, then
+    root vectors in lex order, with the brackets of build_chevalley_D.
+
+    Brackets mod 2:
+      [H_i, H_j] = 0
+      [H_i, E_a] = <a, alpha_i> E_a
+      [E_a, E_-a] = H_a, the mod-2 simple-root coordinates of a
+      [E_a, E_b] = E_(a+b) when a+b is a root, else 0
+    """
+    system = build_root_system(l)
+    roots = system.roots
+    labels: list[Label] = [("CARTAN", i) for i in range(1, l + 1)]
+    labels += [("ROOTVEC", r) for r in roots]
+    weights: list[Weight] = [wzero(l)] * l + list(roots)
+    idx_of_root = {r: l + k for k, r in enumerate(roots)}
+
+    h_alpha: dict[Weight, int] = {}
+    for r in roots:
+        coeffs = express_in_simple_roots(r)
+        if coeffs is None:
+            raise ArithmeticError(f"root {r} is outside the simple-root lattice")
+        bits = 0
+        for i, c in enumerate(coeffs):
+            if c & 1:
+                bits |= 1 << i
+        h_alpha[r] = bits
+
+    brackets: dict[tuple[int, int], int] = {}
+    for k, a in enumerate(roots):
+        ia = l + k
+        for i in range(l):
+            if wdot(a, system.simple[i]) & 1:
+                brackets[(i, ia)] = 1 << ia
+        for b in roots[k + 1:]:
+            ib = idx_of_root[b]
+            s = wadd(a, b)
+            if is_zero_weight(s):
+                if h_alpha[a]:
+                    brackets[(ia, ib)] = h_alpha[a]
+            elif s in system.root_set:
+                brackets[(ia, ib)] = 1 << idx_of_root[s]
+
+    return LieAlgebra(labels, weights, brackets)
 
 
 # -- brackets and cochain values ------------------------------------------

@@ -11,6 +11,7 @@ import time
 from oracles import (
     basis_vector,
     bracket,
+    build_root_system,
     cochain_basis,
     composite_is_zero,
     coord_of_code,
@@ -25,6 +26,7 @@ from oracles import (
     transvection,
     truncated_jacobi,
     ungraded_h2_dim,
+    wdot,
     weyl_orbit,
 )
 
@@ -53,7 +55,7 @@ from d2lie.deformation import (
 )
 from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import GF2Matrix, bit_indices
-from d2lie.roots import build_root_system, wadd, wdot, wzero
+from d2lie.roots import wadd, wzero
 
 
 def _stamp(num: int, name: str, t0: float) -> None:

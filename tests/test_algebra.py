@@ -4,7 +4,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from oracles import bracket_vec_basis, constraint_center, quotient_with_projection
+from oracles import (
+    bracket_vec_basis,
+    build_root_system,
+    chevalley_D_from_root_system,
+    constraint_center,
+    quotient_with_projection,
+    wsub,
+)
 
 import d2lie.algebra
 from d2lie.algebra import (
@@ -22,7 +29,7 @@ from d2lie.algebra import (
 )
 from d2lie.cohomology import h2_survey_rows
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
-from d2lie.roots import build_root_system, wadd, wsub, wzero
+from d2lie.roots import wadd, wzero
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +67,22 @@ def test_dimension():
 def test_rank_below_three_rejected():
     with pytest.raises(ValueError):
         build_chevalley_D(2)
+
+
+def test_rank_below_three_raises_the_rank_error():
+    with pytest.raises(ValueError, match=r"^type D needs rank l >= 3, got 2$"):
+        build_chevalley_D(2)
+
+
+def test_chevalley_build_equals_the_root_system_construction():
+    # The builder enumerates the roots itself and reads <a, alpha_i> mod 2
+    # off two coordinates; the reference goes through the root system.
+    # Bracket items are compared as lists, so insertion order counts too.
+    for l in range(3, 13):
+        L, ref = build_chevalley_D(l), chevalley_D_from_root_system(l)
+        assert L.labels == ref.labels
+        assert L.weights == ref.weights
+        assert list(L.brackets.items()) == list(ref.brackets.items())
 
 
 def test_bracket_of_last_two_simple_root_vectors_vanishes():
@@ -239,7 +262,7 @@ def test_bracket_keys_outside_the_upper_triangle_rejected():
             LieAlgebra(["x", "y", "z"], [(0,)] * 3, {key: 1})
 
 
-def test_pairs_with_support_are_masks(d4, model5):
+def test_term_tables_pair_masks_follow_the_bracket_support(d4, model5):
     # The pair-mask table lives in the algebra's term tables; for each m it
     # lists the bracket keys whose value involves b_m, in key order.
     for L in (d4, model5.algebra):

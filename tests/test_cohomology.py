@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     basis_cochain_weight,
     bracket_vec_basis,
+    build_root_system,
     chevalley_automorphism,
     coboundary_preimage,
     cochain_basis,
@@ -21,6 +22,8 @@ from oracles import (
     rref_rank,
     ungraded_h2_dim,
     unpruned_survey_rows,
+    wdot,
+    wsub,
 )
 
 from d2lie.algebra import (
@@ -52,7 +55,7 @@ from d2lie.cohomology import (
 from d2lie.deformation import cup_square, rigidity_scan
 from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import GF2Matrix, bit_indices
-from d2lie.roots import build_root_system, is_zero_weight, wadd, wdot, wsub, wzero
+from d2lie.roots import is_zero_weight, wadd, wzero
 
 
 def e4_weight(c):
@@ -346,7 +349,7 @@ def test_coordinate_code_round_trips(d4):
         assert len(codes) == len(list(combinations(range(dim), n))) * dim
 
 
-def test_term_codes_match_bracket_table(d4, model5):
+def test_term_tables_match_bracket_table(d4, model5):
     for L in (d4, model5.algebra):
         dim = L.dim
         tables = L.term_tables()

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    build_root_system,
     coord_of_code,
     eval_basis,
     first_truncated_failures,
@@ -48,7 +49,7 @@ from d2lie.deformation import (
 )
 from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import PivotBasis, bit_indices
-from d2lie.roots import build_root_system, wadd, wneg
+from d2lie.roots import wadd, wneg
 
 
 def e_weight(l, i, c):

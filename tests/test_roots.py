@@ -6,17 +6,14 @@ from pathlib import Path
 
 import d2lie
 import pytest
-from oracles import cartan_number, reflect, weyl_orbit
+from oracles import build_root_system, cartan_number, eps, reflect, weyl_orbit, wsub
 
 from d2lie.roots import (
-    build_root_system,
-    eps,
     express_in_simple_roots,
     pack_weight,
     unpack_weight,
     wadd,
     wneg,
-    wsub,
     wzero,
 )
 
