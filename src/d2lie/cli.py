@@ -8,11 +8,17 @@ integrability passes a class's deformation on check_jacobi, run once per
 command, and the class's ZERO verdict; the deformation module says why.
 
 Each command runs in a fresh process, mostly start-up at the checked
-ranks, so deformation and exterior are imported inside the commands that
-run them: rigidity loads both, integrability deformation, and verify and
-cohomology exterior only under --model exterior.  build_chevalley_D and
-h2_survey_rows stay module-level: the tests and the benchmark's tracing
-look them up on this module.
+ranks, so a command imports only the modules it runs:
+
+- verify: algebra, gf2 and roots, plus exterior under --model exterior;
+- cohomology: adds cohomology, the largest module;
+- integrability: adds cohomology and deformation;
+- rigidity: everything.
+
+h2_survey_rows is therefore a function of this module that imports the
+survey when called.  The tests patch it here, and the benchmark's
+tracing wraps the survey on cohomology, which each call looks up afresh.
+build_chevalley_D stays a module-level import, patched here likewise.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .algebra import (
     expected_center_generators,
     format_label,
 )
-from .cohomology import h2_survey_rows
 from .gf2 import GF2Matrix, bit_indices
 from .roots import express_in_simple_roots, wzero
 
@@ -126,6 +131,12 @@ def _build(args):
 
         return build_quotient_model(args.l).algebra
     return build_chevalley_D(args.l)
+
+
+def h2_survey_rows(L) -> list[dict]:
+    from . import cohomology
+
+    return cohomology.h2_survey_rows(L)
 
 
 def _weight_row(w) -> dict:

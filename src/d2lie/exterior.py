@@ -31,17 +31,20 @@ general-vector formula is a test oracle):
 Both are built in model coordinates from the start: the model's table
 gives e_x e_y as model bits, with e_l e_-l already rewritten, so a value
 is a sum of table entries.  The full wedge square, in which omega is
-not yet zero, lives only in the test oracles.
+not yet zero, lives only in the test oracles.  phi loads the cochain
+type when called, so building the model compiles no cochain code.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import LieAlgebra
-from .cohomology import Cochain
 from .roots import Weight, wadd
+
+if TYPE_CHECKING:
+    from .cohomology import Cochain
 
 
 class SymplecticSpace:
@@ -147,6 +150,8 @@ def build_quotient_model(l: int) -> QuotientModel:
 def phi(label: int, model: QuotientModel) -> Cochain:
     """Cochain of phi at the basis vector e_label (e.g. 4 or -4), in the
     module docstring's closed form; a label outside +-1..+-l is a ValueError."""
+    from .cohomology import Cochain
+
     p = model.space.index_of(label)
     wedge, holds_q = model.wedge, model.holding[model.space.partner(p)]
     sums: dict[tuple[int, int], int] = defaultdict(int)

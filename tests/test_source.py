@@ -67,12 +67,14 @@ def _imported_modules(*args) -> set[str]:
 def test_cli_processes_load_only_what_they_run(tmp_path):
     # Start-up is most of a benchmark command's process.  No command pays
     # for dataclasses and the inspect module it pulls in, and a command
-    # loads deformation and exterior only if it runs them (cli docstring).
-    # What the bare interpreter imports on its own is not the CLI's doing.
+    # loads cohomology, deformation and exterior only if it runs them (cli
+    # docstring).  What the bare interpreter imports on its own is not the
+    # CLI's doing.
     bare = _imported_modules("-c", "pass")
     never = {"dataclasses", "inspect"}
     not_run = {
-        "verify_l4": {"d2lie.deformation", "d2lie.exterior"},
+        "verify_l4": {"d2lie.cohomology", "d2lie.deformation", "d2lie.exterior"},
+        "verify_exterior_l7": {"d2lie.cohomology", "d2lie.deformation"},
         "cohomology_l5": {"d2lie.deformation", "d2lie.exterior"},
         "integrability_l4": {"d2lie.exterior"},
     }
@@ -83,6 +85,27 @@ def test_cli_processes_load_only_what_they_run(tmp_path):
         loaded = _imported_modules("-m", "d2lie.cli", *cmd.argv, "--out", str(out)) - bare
         assert "d2lie.algebra" in loaded, cmd.name
         assert not loaded & (never | not_run.get(cmd.name, set())), cmd.name
+
+
+def test_building_the_algebras_loads_no_cochain_code():
+    # The benchmark's set-up path: importing the builders and building D_l
+    # and the model compiles no cochain code; phi loads it when called.
+    code = """
+import sys
+import d2lie.algebra, d2lie.exterior
+d2lie.algebra.build_chevalley_D(5)
+model = d2lie.exterior.build_quotient_model(5)
+print(sorted(m for m in sys.modules if m.startswith("d2lie.")))
+cochain = d2lie.exterior.phi(1, model)
+from d2lie.cohomology import Cochain
+print(type(cochain) is Cochain)
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['d2lie.algebra', 'd2lie.exterior', 'd2lie.gf2', 'd2lie.roots']",
+        "True",
+    ]
 
 
 def test_library_does_not_import_dataclasses():
