@@ -6,7 +6,9 @@ basis vector, all of one length.  Instances are immutable after
 construction.  Weights stay tuples where they leave the library
 (L.weights, reports, row order); the weight sums, the block enumeration
 and the homogeneity and additivity scans add them as packed ints
-(weight_codes), one integer addition each.  The bracket's cached term
+(weight_codes), one integer addition each.  The weight index, the codes
+and their field widths, is built with the algebra, so no reader depends
+on what ran before it.  The bracket's cached term
 tables (term_tables) are its one adjacency, and the centre is the kernel
 of ad, each ad(b_i) one row of the codes table.
 
@@ -23,7 +25,7 @@ from itertools import combinations, product
 from operator import add
 from typing import NamedTuple
 
-from .gf2 import GF2Matrix, PivotBasis, bit_indices, column_kernel
+from .gf2 import GF2Matrix, bit_indices, column_kernel
 from .roots import Weight, express_in_simple_roots, pack_weight, unpack_weight, wzero
 
 Label = tuple
@@ -62,9 +64,12 @@ class LieAlgebra:
         self._term_tables = None
         self._center = None
         self._graded = None
-        self._weight_codes = None
-        self._weight_field = (0, 0)  # rank and field width of the packed weights
-        self._weight_top = 0  # the largest |coordinate| of a basis weight
+        # weight_codes packs the basis weights by roots.pack_weight in _weight_field,
+        # (rank, field width): fields that hold any signed sum of five of them, the
+        # weight of a degree-4 basis cochain.  _weight_top is their largest |coordinate|.
+        self._weight_top = top = max((abs(c) for w in weights for c in w), default=0)
+        self._weight_field = (len(weights[0]) if weights else 0, (5 * top).bit_length() + 1)
+        self.weight_codes = tuple(pack_weight(w, self._weight_field[1]) for w in weights)
         self._weight_sums: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
 
     # -- bracket evaluation -------------------------------------------
@@ -84,18 +89,8 @@ class LieAlgebra:
             self._term_tables = _term_tables(dict(sorted(self.brackets.items())), self.dim)
         return self._term_tables
 
-    def weight_codes(self) -> tuple[int, ...]:
-        """The basis weights packed by roots.pack_weight on first use, in fields that hold
-        any signed sum of five of them, the weight of a degree-4 basis cochain."""
-        if self._weight_codes is None:
-            self._weight_top = top = max((abs(c) for w in self.weights for c in w), default=0)
-            self._weight_field = (len(self.weights[0]) if self.weights else 0, (5 * top).bit_length() + 1)
-            self._weight_codes = tuple(pack_weight(w, self._weight_field[1]) for w in self.weights)
-        return self._weight_codes
-
     def weight_code(self, w: Weight) -> int | None:
         """w packed like weight_codes, or None past the fields, where no basis cochain's weight lies."""
-        self.weight_codes()
         l, bits = self._weight_field
         if len(w) != l:
             raise ValueError(f"weight {w} has length {len(w)}, expected {l}")
@@ -103,14 +98,13 @@ class LieAlgebra:
 
     def weight_of_code(self, code: int) -> Weight:
         """The weight tuple of a packed weight of this algebra."""
-        self.weight_codes()
         return unpack_weight(code, *self._weight_field)
 
     def weight_sums(self, n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
         """Packed weight -> the sorted index n-tuples whose weights add up to it, in lex order."""
         if n not in self._weight_sums:
             idx: dict[int, list[tuple[int, ...]]] = {}
-            sums = map(sum, combinations(self.weight_codes(), n))
+            sums = map(sum, combinations(self.weight_codes, n))
             for key, w in zip(combinations(range(self.dim), n), sums):
                 idx.setdefault(w, []).append(key)
             self._weight_sums[n] = {w: tuple(v) for w, v in idx.items()}
@@ -267,92 +261,13 @@ def check_jacobi(L: LieAlgebra) -> JacobiReport:
 def check_weight_additivity(L: LieAlgebra) -> bool:
     """Every stored bracket entry lands in the weight-(mu+nu) subspace; checked once per algebra."""
     if L._graded is None:
-        codes = L.weight_codes()
+        codes = L.weight_codes
         L._graded = all(
             codes[m] == codes[i] + codes[j]
             for (i, j), v in L.brackets.items()
             for m in bit_indices(v)
         )
     return L._graded
-
-
-# -- graded isomorphisms ----------------------------------------------
-
-
-def is_homomorphism(A: LieAlgebra, B: LieAlgebra, theta: list[int]) -> bool:
-    """Whether b_i -> theta[i], packed over the basis of B, keeps the bracket of every basis pair.
-
-    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
-    and b_b in theta b_j, so each bracket entry of B is spread over the pairs
-    whose images meet it, and the pairs that none meets bracket to 0.
-    """
-    preimages: list[list[int]] = [[] for _ in range(B.dim)]
-    for i, t in enumerate(theta):
-        for m in bit_indices(t):
-            preimages[m].append(i)
-    lhs = {}
-    for key, v in A.brackets.items():
-        image = 0
-        for m in bit_indices(v):
-            image ^= theta[m]
-        lhs[key] = image
-    rhs: dict[tuple[int, int], int] = {}
-    for (a, b), v in B.brackets.items():
-        for i in preimages[a]:
-            for j in preimages[b]:
-                if i != j:
-                    key = (i, j) if i < j else (j, i)
-                    rhs[key] = rhs.get(key, 0) ^ v
-    return all(lhs.get(k, 0) == rhs.get(k, 0) for k in lhs.keys() | rhs.keys())
-
-
-def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
-    """The packed images theta(b_i) of an isomorphism A -> B that keeps every weight, or None.
-
-    Each nonzero weight space must be a line on both sides, which forces
-    theta(b_w) = b'_w.  At weight 0, theta [b_w, b_-w] = [b'_w, b'_-w] for
-    every dual pair: one row reduction of these equations, the image of
-    each bracket tagged above bit dim, must leave a unit row on every
-    weight-0 basis vector, its image in the tag.  The candidate is returned
-    only if it has full rank and is_homomorphism accepts it.
-
-    None does not prove that no isomorphism exists: a nonzero weight space
-    of dimension above 1, or a weight-0 part that the dual pairs leave
-    undetermined, gives None as well.
-    """
-    dim = A.dim
-    wa, wb = ({w: [i for (i,) in keys] for w, keys in X.weight_sums(1).items()} for X in (A, B))
-    # Packed weights are compared in one set of fields; other fields mean other weights.
-    if B.dim != dim or A._weight_field != B._weight_field or wa.keys() != wb.keys():
-        return None
-    if any(len(wa[w]) != len(wb[w]) for w in wa):
-        return None
-    theta = [0] * dim
-    rows = []
-    zero_a = zero_b = 0
-    for w, ia in wa.items():
-        if not w:
-            zero_a, zero_b = sum(1 << i for i in ia), sum(1 << i for i in wb[w])
-        elif len(ia) != 1:
-            return None
-        else:
-            theta[ia[0]] = 1 << wb[w][0]
-            # A weight whose negative is absent has no dual pair.
-            if w < -w and -w in wa:
-                pair = A.bracket_basis(ia[0], wa[-w][0])
-                rows.append(pair | B.bracket_basis(wb[w][0], wb[-w][0]) << dim)
-    solved = 0
-    for v in GF2Matrix(len(rows), 2 * dim, rows).row_reduce().rows:
-        low, image = v & ((1 << dim) - 1), v >> dim
-        # Any row but a unit row on a weight-0 vector with a weight-0 image
-        # leaves theta undetermined, off weight or inconsistent.
-        if low & (low - 1) or not low & zero_a or image & ~zero_b:
-            return None
-        theta[low.bit_length() - 1] = image
-        solved |= low
-    if solved != zero_a or PivotBasis(theta).rank != dim or not is_homomorphism(A, B, theta):
-        return None
-    return theta
 
 
 # -- expected centre generators ---------------------------------------

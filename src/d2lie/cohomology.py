@@ -39,7 +39,8 @@ their sorted absolute coordinates agree, and that is the orbit key.
 theta is derived from the algebra, not supplied: on the one-dimensional
 nonzero weight spaces it must send b_w to b_(g w), and at weight 0 the
 brackets of the dual pairs fix it; the candidate is kept only if it has
-full rank and keeps every bracket (find_graded_isomorphism).  It exists
+full rank and keeps every bracket (find_graded_isomorphism, which lives
+here beside the survey, the one code that runs it).  It exists
 on D_l because W(D_l) and the graph automorphism act on the Chevalley
 Z-form (Chevalley 1955; Steinberg 1967) with signs that vanish mod 2,
 and on the model because a signed permutation of the basis of V keeps
@@ -66,7 +67,6 @@ from .algebra import (
     _term_tables,
     check_weight_additivity,
     composed_terms,
-    find_graded_isomorphism,
     odd_coords,
 )
 from .gf2 import GF2Matrix, PivotBasis, bit_indices
@@ -139,7 +139,7 @@ class Cochain:
 
 def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
     """Weight of a homogeneous cochain; None when zero; error when mixed."""
-    codes = L.weight_codes()
+    codes = L.weight_codes
     ws = {codes[m] - sum(map(codes.__getitem__, key)) for key, bits in c.data.items() for m in bit_indices(bits)}
     if len(ws) > 1:
         raise ValueError("cochain is not weight-homogeneous")
@@ -222,12 +222,6 @@ def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[i
     return images
 
 
-def _diff_matrix(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> GF2Matrix:
-    """Matrix of the differential, columns over src, rows over target_pos."""
-    images = _images(L, src, target_pos)
-    return GF2Matrix(len(src), len(target_pos), images).transpose()
-
-
 class WeightBlock(NamedTuple):
     """One weight's slice of the complex with its two differentials."""
 
@@ -252,9 +246,12 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     _require_graded(L)
     c1 = _block_coords(L, 1, mu)
     c2 = _block_coords(L, 2, mu)
-    d1 = _diff_matrix(L, c1, {code: p for p, code in enumerate(c2)})
-    d2 = _diff_matrix(L, c2, {})
-    return WeightBlock(mu, tuple(c1), tuple(c2), d1, d2)
+    d = []
+    for src, target_pos in ((c1, {code: p for p, code in enumerate(c2)}), (c2, {})):
+        # _images numbers new targets in place, so the row count is read after it.
+        images = _images(L, src, target_pos)
+        d.append(GF2Matrix(len(src), len(target_pos), images).transpose())
+    return WeightBlock(mu, tuple(c1), tuple(c2), *d)
 
 
 # -- ranks without materializing the target basis ----------------------
@@ -302,6 +299,113 @@ def cohomology_dim(L: LieAlgebra, mu: Weight) -> int:
     return _block_row(L, mu)["dim_h2"]
 
 
+# -- graded isomorphisms ----------------------------------------------
+
+
+def is_homomorphism(A: LieAlgebra, B: LieAlgebra, theta: list[int]) -> bool:
+    """Whether b_i -> theta[i], packed over the basis of B, keeps the bracket of every basis pair.
+
+    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
+    and b_b in theta b_j, so each bracket entry of B is spread over the pairs
+    whose images meet it, and the pairs that none meets bracket to 0.
+    """
+    preimages: list[list[int]] = [[] for _ in range(B.dim)]
+    for i, t in enumerate(theta):
+        for m in bit_indices(t):
+            preimages[m].append(i)
+    lhs = {}
+    for key, v in A.brackets.items():
+        image = 0
+        for m in bit_indices(v):
+            image ^= theta[m]
+        lhs[key] = image
+    rhs: dict[tuple[int, int], int] = {}
+    for (a, b), v in B.brackets.items():
+        for i in preimages[a]:
+            for j in preimages[b]:
+                if i != j:
+                    key = (i, j) if i < j else (j, i)
+                    rhs[key] = rhs.get(key, 0) ^ v
+    return all(lhs.get(k, 0) == rhs.get(k, 0) for k in lhs.keys() | rhs.keys())
+
+
+def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
+    """The packed images theta(b_i) of an isomorphism A -> B that keeps every weight, or None.
+
+    Each nonzero weight space must be a line on both sides, which forces
+    theta(b_w) = b'_w.  At weight 0, theta [b_w, b_-w] = [b'_w, b'_-w] for
+    every dual pair: one row reduction of these equations, the image of
+    each bracket tagged above bit dim, must leave a unit row on every
+    weight-0 basis vector, its image in the tag.  The candidate is returned
+    only if it has full rank and is_homomorphism accepts it.
+
+    None does not prove that no isomorphism exists: a nonzero weight space
+    of dimension above 1, or a weight-0 part that the dual pairs leave
+    undetermined, gives None as well.
+    """
+    dim = A.dim
+    wa, wb = ({w: [i for (i,) in keys] for w, keys in X.weight_sums(1).items()} for X in (A, B))
+    # Packed weights are compared in one set of fields; other fields mean other weights.
+    if B.dim != dim or A._weight_field != B._weight_field or wa.keys() != wb.keys():
+        return None
+    if any(len(wa[w]) != len(wb[w]) for w in wa):
+        return None
+    theta = [0] * dim
+    rows = []
+    zero_a = zero_b = 0
+    for w, ia in wa.items():
+        if not w:
+            zero_a, zero_b = sum(1 << i for i in ia), sum(1 << i for i in wb[w])
+        elif len(ia) != 1:
+            return None
+        else:
+            theta[ia[0]] = 1 << wb[w][0]
+            # A weight whose negative is absent has no dual pair.
+            if w < -w and -w in wa:
+                pair = A.bracket_basis(ia[0], wa[-w][0])
+                rows.append(pair | B.bracket_basis(wb[w][0], wb[-w][0]) << dim)
+    solved = 0
+    for v in GF2Matrix(len(rows), 2 * dim, rows).row_reduce().rows:
+        low, image = v & ((1 << dim) - 1), v >> dim
+        # Any row but a unit row on a weight-0 vector with a weight-0 image
+        # leaves theta undetermined, off weight or inconsistent.
+        if low & (low - 1) or not low & zero_a or image & ~zero_b:
+            return None
+        theta[low.bit_length() - 1] = image
+        solved |= low
+    if solved != zero_a or PivotBasis(theta).rank != dim or not is_homomorphism(A, B, theta):
+        return None
+    return theta
+
+
+def _signed_permutation_generators(l: int) -> dict:
+    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name; none at l = 0."""
+    gens = {
+        f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
+        for i in range(1, l)
+    }
+    if l:
+        gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
+    return gens
+
+
+def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
+    """The basis images of an automorphism of L over each generator, found once per algebra.
+
+    theta_g is find_graded_isomorphism from L with every weight w relabelled
+    g(w) onto L.  Empty unless every generator gets one, and then the
+    survey ranks every weight.
+    """
+    if L._automorphisms is None:
+        gens = _signed_permutation_generators(len(L.weights[0])) if L.weights else {}
+        found = {
+            name: find_graded_isomorphism(LieAlgebra(L.labels, map(g, L.weights), L.brackets), L)
+            for name, g in gens.items()
+        }
+        L._automorphisms = found if None not in found.values() else {}
+    return L._automorphisms
+
+
 # -- full weight survey ------------------------------------------------
 
 
@@ -346,34 +450,6 @@ def _c2_weights(L: LieAlgebra, characters: tuple[int, ...] = ()) -> list[Weight]
 def _c2_groups(L: LieAlgebra) -> dict[Weight, list[int]]:
     """All degree-2 basis cochains grouped by weight, the unpruned view of the survey."""
     return {mu: _block_coords(L, 2, mu) for mu in _c2_weights(L)}
-
-
-def _signed_permutation_generators(l: int) -> dict:
-    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name; none at l = 0."""
-    gens = {
-        f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
-        for i in range(1, l)
-    }
-    if l:
-        gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
-    return gens
-
-
-def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
-    """The basis images of an automorphism of L over each generator, found once per algebra.
-
-    theta_g is find_graded_isomorphism from L with every weight w relabelled
-    g(w) onto L.  Empty unless every generator gets one, and then the
-    survey ranks every weight.
-    """
-    if L._automorphisms is None:
-        gens = _signed_permutation_generators(len(L.weights[0])) if L.weights else {}
-        found = {
-            name: find_graded_isomorphism(LieAlgebra(L.labels, map(g, L.weights), L.brackets), L)
-            for name, g in gens.items()
-        }
-        L._automorphisms = found if None not in found.values() else {}
-    return L._automorphisms
 
 
 def h2_survey_rows(L: LieAlgebra) -> list[dict]:

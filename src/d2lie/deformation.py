@@ -172,7 +172,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     if mu is None:
         mu = tuple(2 * (k == l - 2) for k in range(l))
     # E_-g ^ E_-d has weight -mu; a pair with a weight-0 index is no root pair.
-    codes = L.weight_codes()
+    codes = L.weight_codes
     keys = [(i, j) for i, j in L.weight_sums(2).get(L.weight_code(wneg(mu)), ()) if codes[i] and codes[j]]
     if not keys:
         raise ValueError(f"no root pairs add up to {mu}")
@@ -230,14 +230,19 @@ def integrability_scan(L: LieAlgebra) -> list[ObstructionReport]:
 
     Uses the central-valued generator at each weight and cross-checks
     the structural reason for integrability: central values plus
-    vanishing on the centre force a vanishing cup square.
+    vanishing on the centre force a vanishing cup square.  It judges one
+    class per weight, so a weight with dim H^2 other than 1 is reported
+    as a discrepancy naming that weight.
     """
     l = chevalley_rank(L)
     if l % 2 or l < 4:
         raise ValueError("integrability scan applies at even rank >= 4")
     reports = []
-    for mu in [row["weight"] for row in h2_survey_rows(L)]:
+    for row in h2_survey_rows(L):
+        mu = row["weight"]
         try:
+            if row["dim_h2"] != 1:
+                raise ValueError(f"dim H^2 is {row['dim_h2']}, but the scan judges one class per weight")
             psi = build_even_cocycle(L, mu)
             report = obstruction_verdict(L, psi)
         except ValueError as exc:

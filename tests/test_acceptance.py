@@ -35,13 +35,13 @@ from d2lie.algebra import (
     center,
     check_jacobi,
     expected_center_generators,
-    find_graded_isomorphism,
 )
 from d2lie.cohomology import (
     Cochain,
     cochain_weight,
     cohomology_dim,
     differential,
+    find_graded_isomorphism,
     is_coboundary,
     weight_block,
 )

@@ -290,7 +290,7 @@ def test_weight_codes_add_like_tuples(d4, model5):
     # of them, the weight of a degree-4 basis cochain, decode to the tuple sum.
     rng = random.Random(43)
     for L in (d4, model5.algebra):
-        codes = L.weight_codes()
+        codes = L.weight_codes
         assert [L.weight_of_code(c) for c in codes] == list(L.weights)
         for _ in range(200):
             picks = [(rng.randrange(L.dim), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]

@@ -176,6 +176,24 @@ def test_integrability_without_a_nontrivial_central_value_exits_2(monkeypatch, c
     assert "weight (-2, 0, 0, 0): no central value gives a nontrivial class" in capsys.readouterr().err
 
 
+def test_integrability_with_two_classes_at_a_weight_exits_2(monkeypatch, capsys):
+    # The scan judges one class per weight, so a survey row of dimension 2
+    # would leave a class unjudged under "all integrable"; it is a
+    # discrepancy that names the weight.
+    survey = d2lie.deformation.h2_survey_rows
+    mu = (0, 0, 2, 0)
+
+    def doubled(L):
+        return [{**r, "dim_h2": 2} if r["weight"] == mu else r for r in survey(L)]
+
+    assert mu in [r["weight"] for r in survey(build_chevalley_D(4))]
+    monkeypatch.setattr("d2lie.deformation.h2_survey_rows", doubled)
+    assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
+    out, err = capsys.readouterr()
+    assert f"weight {mu}: dim H^2 is 2" in err
+    assert "all integrable" not in out
+
+
 def test_help_lists_exit_codes_without_code_notes():
     # The help text is a constant, so it survives python -OO, which drops docstrings.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}

@@ -33,16 +33,16 @@ from d2lie.algebra import (
     center,
     check_jacobi,
     check_weight_additivity,
-    find_graded_isomorphism,
-    is_homomorphism,
 )
 from d2lie.cohomology import (
     Cochain,
     cochain_weight,
     cohomology_dim,
     differential,
+    find_graded_isomorphism,
     h2_survey_rows,
     is_coboundary,
+    is_homomorphism,
     weight_block,
     _automorphisms,
     _block_coords,

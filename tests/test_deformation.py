@@ -230,6 +230,19 @@ def test_phi_not_central_valued(model5):
     assert vanishes_on_center(A, psi)  # vacuous: no central directions
 
 
+def test_value_on_a_central_cartan_index_breaks_vanishing_on_center(d4):
+    # H_1 (index 0) lies in the central element H_1 + H_4, so psi(H_1 + H_4, b_4)
+    # is psi(b_0, b_4) = b_5 and psi does not vanish on the centre.
+    psi = Cochain(2, d4.dim, {(0, 4): 1 << 5})
+    rows = center(d4).rows
+    assert 0b1001 in rows
+    assert psi.eval_vec_basis(0b1001, 4) == 1 << 5
+    assert not vanishes_on_center(d4, psi)
+    # The verdict is the one-sided definition, over every centre row and basis vector.
+    values = [psi.eval_vec_basis(z, x) for z in rows for x in range(d4.dim)]
+    assert vanishes_on_center(d4, psi) == (not any(values))
+
+
 def test_zero_cochain_centre_properties(d4):
     z = Cochain(2, d4.dim)
     assert central_valued(d4, z)

@@ -26,9 +26,8 @@ from d2lie.algebra import (
     center,
     check_jacobi,
     check_weight_additivity,
-    find_graded_isomorphism,
 )
-from d2lie.cohomology import cochain_weight, differential
+from d2lie.cohomology import cochain_weight, differential, find_graded_isomorphism
 from d2lie.exterior import SymplecticSpace, build_quotient_model, phi
 from d2lie.gf2 import PivotBasis, bit_indices
 

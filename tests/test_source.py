@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import d2lie
+from d2lie.algebra import build_chevalley_D
 
 SRC = Path(d2lie.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -106,6 +107,13 @@ print(type(cochain) is Cochain)
         "['d2lie.algebra', 'd2lie.exterior', 'd2lie.gf2', 'd2lie.roots']",
         "True",
     ]
+    # The symmetry search is survey code, so the algebra module leaves it
+    # to cohomology; and an algebra carries its weight index from the start.
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"find_graded_isomorphism", "is_homomorphism", "weight_codes"}
+    codes = build_chevalley_D(5).weight_codes
+    assert type(codes) is tuple and len(codes) == 45 and all(type(c) is int for c in codes)
 
 
 def test_library_does_not_import_dataclasses():
