@@ -3,14 +3,22 @@
 A LieAlgebra is a finite basis, a bracket table storing [b_i, b_j] for
 i < j as packed coordinate vectors, and an integer weight tuple per
 basis vector, all of one length.  Instances are immutable after
-construction.  Weights stay tuples where they leave the library
-(L.weights, reports, row order); the weight sums, the block enumeration
-and the homogeneity and additivity scans add them as packed ints
-(weight_codes), one integer addition each.  The weight index, the codes
-and their field widths, is built with the algebra, so no reader depends
-on what ran before it.  The bracket's cached term
-tables (term_tables) are its one adjacency, and the centre is the kernel
-of ad, each ad(b_i) one row of the codes table.
+construction.  The bracket's cached term tables (term_tables) are its
+one adjacency, and the centre is the kernel of ad, each ad(b_i) one row
+of the codes table.
+
+Weights are exact integer tuples, on D_l the coefficients of the
+orthonormal characters eps_1..eps_l.  They live in a free abelian group
+and are never reduced mod 2: the torus character lattice stays integral
+even though every coefficient of the algebra lives in GF(2).  They stay
+tuples where they leave the library (L.weights, reports, row order);
+the weight sums, the block enumeration and the homogeneity and
+additivity scans add them as packed ints (weight_codes), one integer
+addition each.  pack_weight puts coordinate i in the i-th field of a
+fixed width from the top, so packing is additive, and while every
+|coordinate| stays below half the field, one-to-one and order-keeping.
+The weight index, the codes and their field widths, is built with the
+algebra, so no reader depends on what ran before it.
 
 build_chevalley_D(l) reduces the Chevalley basis of type D_l mod 2.
 All simply laced structure constants are ±1, so mod 2 the table needs
@@ -21,14 +29,35 @@ algebra here.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import add
 from typing import NamedTuple
 
 from .gf2 import GF2Matrix, bit_indices, column_kernel
-from .roots import Weight, express_in_simple_roots, pack_weight, unpack_weight, wzero
 
 Label = tuple
+Weight = tuple[int, ...]
+
+
+# -- packed weights (weight_codes, weight_code, weight_of_code) --------
+
+
+def pack_weight(w: Weight, bits: int) -> int:
+    """w as one int, coordinate i in the i-th bits-wide field from the top: additive, and while
+    every |c_i| < 2^(bits-1), which it checks, one-to-one and keeping the tuple order."""
+    p = 0
+    for c in w:
+        if abs(c) >> (bits - 1):
+            raise ValueError(f"weight coordinate {c} of {w} does not fit a {bits}-bit field")
+        p = (p << bits) + c
+    return p
+
+
+def unpack_weight(p: int, l: int, bits: int) -> Weight:
+    """The weight of length l that pack_weight(., bits) maps to p."""
+    half = 1 << (bits - 1)
+    q = p + sum(half << bits * i for i in range(l))  # every field shifted into 0 .. 2 half - 1
+    return tuple((q >> bits * (l - 1 - i) & (2 * half - 1)) - half for i in range(l))
 
 
 class LieAlgebra:
@@ -64,7 +93,7 @@ class LieAlgebra:
         self._term_tables = None
         self._center = None
         self._graded = None
-        # weight_codes packs the basis weights by roots.pack_weight in _weight_field,
+        # weight_codes packs the basis weights by pack_weight in _weight_field,
         # (rank, field width): fields that hold any signed sum of five of them, the
         # weight of a degree-4 basis cochain.  _weight_top is their largest |coordinate|.
         self._weight_top = top = max((abs(c) for w in weights for c in w), default=0)
@@ -187,6 +216,25 @@ class JacobiReport(NamedTuple):
 # -- construction -----------------------------------------------------
 
 
+def express_in_simple_roots(w: Weight) -> tuple[int, ...] | None:
+    """Integer coordinates of w over the simple roots of D_l, l = len(w), or
+    None outside the lattice.
+
+    For the simple roots alpha_i = eps_i - eps_(i+1), i < l, and
+    alpha_l = eps_(l-1) + eps_l of build_chevalley_D, and partial sums
+    s_j = w_1 + ... + w_j, w = sum_i c_i alpha_i solves to c_j = s_j for
+    j <= l-2, c_(l-1) = (s_(l-1) - w_l) / 2 and c_l = s_l / 2, so the root
+    lattice is the weights with an even coordinate sum.
+    """
+    l = len(w)
+    if l < 3:
+        raise ValueError(f"type D needs rank l >= 3, got weight {w}")
+    s = list(accumulate(w))
+    if s[-1] % 2:
+        return None
+    return (*s[: l - 2], (s[l - 2] - w[-1]) // 2, s[-1] // 2)
+
+
 def build_chevalley_D(l: int) -> LieAlgebra:
     """Type D_l over GF(2): Cartans H_1..H_l, then the root vectors of
     ±eps_p ± eps_q, p < q, in lex order.
@@ -210,7 +258,7 @@ def build_chevalley_D(l: int) -> LieAlgebra:
     )
     labels: list[Label] = [("CARTAN", i) for i in range(1, l + 1)]
     labels += [("ROOTVEC", r) for r in roots]
-    weights: list[Weight] = [wzero(l)] * l + roots
+    weights: list[Weight] = [(0,) * l] * l + roots
     idx_of_root = {r: l + k for k, r in enumerate(roots)}
     touched = [(i, i + 1) for i in range(l - 1)] + [(l - 2, l - 1)]
 

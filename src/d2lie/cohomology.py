@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 from .algebra import (
     LieAlgebra,
+    Weight,
     _coord_code,
     _term_tables,
     check_weight_additivity,
@@ -70,7 +71,6 @@ from .algebra import (
     odd_coords,
 )
 from .gf2 import GF2Matrix, PivotBasis, bit_indices
-from .roots import Weight, is_zero_weight
 
 
 class Cochain:
@@ -422,7 +422,7 @@ def _torus_characters(L: LieAlgebra) -> tuple[int, ...]:
     characters = []
     # Row h of the codes table holds ((a,), m) for b_m in [b_a, b_h]: h is diagonal when m = a throughout.
     for h, row in enumerate(L.term_tables()[0]):
-        if is_zero_weight(L.weights[h]) and all(c >> s == 1 << (c & low) for c in row):
+        if not L.weight_codes[h] and all(c >> s == 1 << (c & low) for c in row):
             chi = sum(c >> s for c in row)
             if parities.contains(chi):
                 characters.append(chi)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import LieAlgebra, _term_tables, center, chevalley_rank, expected_center_generators, jacobiator
+from .algebra import LieAlgebra, Weight, _term_tables, center, chevalley_rank, expected_center_generators, jacobiator
 from .cohomology import (
     Cochain,
     cochain_weight,
@@ -56,7 +56,6 @@ from .cohomology import (
     require_cocycle,
 )
 from .gf2 import PivotBasis, bit_indices
-from .roots import Weight, wneg
 
 if TYPE_CHECKING:
     from .exterior import QuotientModel
@@ -173,7 +172,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
         mu = tuple(2 * (k == l - 2) for k in range(l))
     # E_-g ^ E_-d has weight -mu; a pair with a weight-0 index is no root pair.
     codes = L.weight_codes
-    keys = [(i, j) for i, j in L.weight_sums(2).get(L.weight_code(wneg(mu)), ()) if codes[i] and codes[j]]
+    keys = [(i, j) for i, j in L.weight_sums(2).get(L.weight_code(tuple(-c for c in mu)), ()) if codes[i] and codes[j]]
     if not keys:
         raise ValueError(f"no root pairs add up to {mu}")
     span = [0]

@@ -38,10 +38,10 @@ type when called, so building the model compiles no cochain code.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import LieAlgebra
-from .roots import Weight, wadd
+from .algebra import LieAlgebra, Weight
 
 if TYPE_CHECKING:
     from .cohomology import Cochain
@@ -138,7 +138,7 @@ def build_quotient_model(l: int) -> QuotientModel:
     sums: dict[tuple[int, int], int] = defaultdict(int)
     for i, (a, b) in enumerate(monomials):
         labels.append(("MONO", (space.label_of(a), space.label_of(b))))
-        weights.append(wadd(space.weight_of_index(a), space.weight_of_index(b)))
+        weights.append(tuple(map(add, space.weight_of_index(a), space.weight_of_index(b))))
         for x, x_other in ((a, b), (b, a)):
             for j, y_other in holding[partner(x)]:
                 if j > i:

@@ -1,12 +1,12 @@
 """Slow references shared by the test modules.
 
-- The root system of D_l (build_root_system, RootSystem, eps, wsub,
-  wdot) and the Chevalley algebra built on it
-  (chevalley_D_from_root_system): <a, alpha_i> as a dot product with
-  the simple roots, and every root pair summed with wadd and looked up
-  in the root set.  build_chevalley_D, which enumerates the roots
-  itself and reads <a, alpha_i> mod 2 off two coordinates, must equal
-  it in labels, weights and bracket items, insertion order included.
+- The root system of D_l (build_root_system, RootSystem) and the
+  Chevalley algebra built on it (chevalley_D_from_root_system):
+  <a, alpha_i> as a dot product with the simple roots, and every root
+  pair summed with wadd and looked up in the root set.
+  build_chevalley_D, which enumerates the roots itself and reads
+  <a, alpha_i> mod 2 off two coordinates, must equal it in labels,
+  weights and bracket items, insertion order included.
 - The truncated-ring Jacobi sum: f_t = [,] + t psi over K[t]/(t^3),
   evaluated at one basis triple at a time.  The decision the
   integrability command makes, check_jacobi on L and a ZERO verdict,
@@ -62,7 +62,9 @@
   g + d = mu.  build_even_cocycle, which reads them off the weight-sum
   index, must key its psi on the same set.
 
-It also holds helpers that more than one test module uses: brackets and
+It also holds helpers that more than one test module uses: the weight
+tuple arithmetic (wadd, wsub, wneg, wzero, is_zero_weight, wdot, eps),
+which the library does inline at its few call sites, brackets and
 cochain values on packed vectors and basis indices, the decode of a
 packed coordinate (coord_of_code), the basis cochains of a weight block,
 the model index of a monomial, symplectic transvections and Weyl orbits.
@@ -71,7 +73,7 @@ the model index of a monomial, symplectic transvections and Weyl orbits.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from d2lie.cohomology import (
@@ -87,19 +89,29 @@ from d2lie.cohomology import (
     weight_block,
 )
 from d2lie.exterior import SymplecticSpace
-from d2lie.algebra import Label, LieAlgebra, _coord_code, odd_coords
+from d2lie.algebra import Label, LieAlgebra, Weight, _coord_code, express_in_simple_roots, odd_coords
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
-from d2lie.roots import (
-    Weight,
-    express_in_simple_roots,
-    is_zero_weight,
-    wadd,
-    wneg,
-    wzero,
-)
 
 
 # -- the root system of D_l ------------------------------------------------
+
+
+def wadd(a: Weight, b: Weight) -> Weight:
+    if len(a) != len(b):
+        raise ValueError(f"weights {a} and {b} differ in length")
+    return tuple(map(add, a, b))
+
+
+def wneg(a: Weight) -> Weight:
+    return tuple(-x for x in a)
+
+
+def wzero(l: int) -> Weight:
+    return (0,) * l
+
+
+def is_zero_weight(a: Weight) -> bool:
+    return all(x == 0 for x in a)
 
 
 def wsub(a: Weight, b: Weight) -> Weight:

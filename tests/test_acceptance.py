@@ -26,8 +26,10 @@ from oracles import (
     transvection,
     truncated_jacobi,
     ungraded_h2_dim,
+    wadd,
     wdot,
     weyl_orbit,
+    wzero,
 )
 
 from d2lie.algebra import (
@@ -55,7 +57,6 @@ from d2lie.deformation import (
 )
 from d2lie.exterior import build_quotient_model, phi
 from d2lie.gf2 import GF2Matrix, bit_indices
-from d2lie.roots import wadd, wzero
 
 
 def _stamp(num: int, name: str, t0: float) -> None:

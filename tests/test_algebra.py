@@ -10,7 +10,9 @@ from oracles import (
     chevalley_D_from_root_system,
     constraint_center,
     quotient_with_projection,
+    wadd,
     wsub,
+    wzero,
 )
 
 import d2lie.algebra
@@ -29,7 +31,6 @@ from d2lie.algebra import (
 )
 from d2lie.cohomology import h2_survey_rows
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
-from d2lie.roots import wadd, wzero
 
 GOLDEN = Path(__file__).parent / "golden"
 

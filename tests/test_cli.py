@@ -345,3 +345,20 @@ def test_cohomology_names_each_differing_weight(model, l, monkeypatch, tmp_path,
         f"weight {list(extra)}: expected dim 0, computed 1",
         f"expected total {total}, computed {total + 1}",
     ]
+
+
+def test_odd_rank_cohomology_with_a_class_off_weight_0_exits_2(monkeypatch, tmp_path, capsys):
+    # Odd-rank D_l has H^2 = 0 at every weight, not only at weight 0, so a
+    # class at (2, 0, 0, 0, 0) is a discrepancy that names its weight.  The
+    # report keeps "expected_total" null: no total is claimed.
+    mu = (2, 0, 0, 0, 0)
+
+    def with_a_class(L):
+        return [{"weight": mu, "dim_c2": 10, "dim_z2": 3, "dim_b2": 2, "dim_h2": 1}]
+
+    monkeypatch.setattr("d2lie.cli.h2_survey_rows", with_a_class)
+    out = tmp_path / "report.json"
+    assert main(["cohomology", "--l", "5", "--out", str(out)]) == EXIT_DISCREPANCY
+    assert capsys.readouterr().err.splitlines() == [f"weight {list(mu)}: expected dim 0, computed 1"]
+    doc = json.loads(out.read_text())
+    assert (doc["total_dim_h2"], doc["dim_h2_at_zero"], doc["expected_total"], doc["pass"]) == (1, 0, None, False)

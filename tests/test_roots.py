@@ -6,16 +6,9 @@ from pathlib import Path
 
 import d2lie
 import pytest
-from oracles import build_root_system, cartan_number, eps, reflect, weyl_orbit, wsub
+from oracles import build_root_system, cartan_number, eps, reflect, wadd, weyl_orbit, wneg, wsub, wzero
 
-from d2lie.roots import (
-    express_in_simple_roots,
-    pack_weight,
-    unpack_weight,
-    wadd,
-    wneg,
-    wzero,
-)
+from d2lie.algebra import express_in_simple_roots, pack_weight, unpack_weight
 
 
 def test_root_count_l4():
@@ -198,7 +191,7 @@ def test_packed_weight_too_wide_for_its_field_raises():
     # The check is a raise, not an assert, so it survives python -O.
     env = {**os.environ, "PYTHONPATH": str(Path(d2lie.__file__).parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", "from d2lie.roots import pack_weight; pack_weight((8,), 4)"],
+        [sys.executable, "-O", "-c", "from d2lie.algebra import pack_weight; pack_weight((8,), 4)"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1 and "ValueError" in proc.stderr

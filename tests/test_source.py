@@ -69,8 +69,9 @@ def test_cli_processes_load_only_what_they_run(tmp_path):
     # Start-up is most of a benchmark command's process.  No command pays
     # for dataclasses and the inspect module it pulls in, and a command
     # loads cohomology, deformation and exterior only if it runs them (cli
-    # docstring).  What the bare interpreter imports on its own is not the
-    # CLI's doing.
+    # docstring).  verify loads just the package, algebra and gf2: d2lie.cli
+    # itself runs as __main__, so -X importtime does not list it.  What the
+    # bare interpreter imports on its own is not the CLI's doing.
     bare = _imported_modules("-c", "pass")
     never = {"dataclasses", "inspect"}
     not_run = {
@@ -86,6 +87,8 @@ def test_cli_processes_load_only_what_they_run(tmp_path):
         loaded = _imported_modules("-m", "d2lie.cli", *cmd.argv, "--out", str(out)) - bare
         assert "d2lie.algebra" in loaded, cmd.name
         assert not loaded & (never | not_run.get(cmd.name, set())), cmd.name
+        if cmd.name == "verify_l4":
+            assert {m for m in loaded if m.partition(".")[0] == "d2lie"} == {"d2lie", "d2lie.algebra", "d2lie.gf2"}
 
 
 def test_building_the_algebras_loads_no_cochain_code():
@@ -104,7 +107,7 @@ print(type(cochain) is Cochain)
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "['d2lie.algebra', 'd2lie.exterior', 'd2lie.gf2', 'd2lie.roots']",
+        "['d2lie.algebra', 'd2lie.exterior', 'd2lie.gf2']",
         "True",
     ]
     # The symmetry search is survey code, so the algebra module leaves it
