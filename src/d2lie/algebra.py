@@ -163,9 +163,7 @@ def _term_tables(data: dict[tuple[int, ...], int], dim: int) -> tuple[list[list[
     pairs: list[list[int]] = [[] for _ in range(dim)]
     for key, v in data.items():
         mask = sum(map(bit.__getitem__, key))
-        while v:
-            m = (v & -v).bit_length() - 1
-            v ^= 1 << m
+        for m in bit_indices(v):
             pairs[m].append(mask)
             for i in key:
                 codes[i].append(mask ^ bit[i] | m)
@@ -186,11 +184,7 @@ def odd_coords(terms: list[int], dim: int, n: int) -> dict[tuple[int, ...], int]
     data: dict[tuple[int, ...], int] = {}
     for t in [t for t, count in Counter(terms).items() if count & 1]:
         if (key := t >> s).bit_count() == n:
-            indices = []
-            while key:  # bit_indices(key) inline, most of the decode of a sparse sum
-                indices.append((key & -key).bit_length() - 1)
-                key &= key - 1
-            data[k] = data.get(k := tuple(indices), 0) | 1 << (t & low)
+            data[k] = data.get(k := tuple(bit_indices(key)), 0) | 1 << (t & low)
     return data
 
 

@@ -114,17 +114,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.data
 
-    def eval_vec_basis(self, x: int, c: int) -> int:
-        """Bilinear value on (packed vector, basis index c); degree 2 only."""
-        if self.degree != 2:
-            raise ValueError("eval_vec_basis needs a degree-2 cochain")
-        data = self.data
-        out = 0
-        for m in bit_indices(x):
-            if m != c:
-                out ^= data.get((m, c) if m < c else (c, m), 0)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cochain)

@@ -47,7 +47,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import LieAlgebra, Weight, _term_tables, center, chevalley_rank, expected_center_generators, jacobiator
+from .algebra import (
+    LieAlgebra,
+    Weight,
+    _term_tables,
+    center,
+    chevalley_rank,
+    expected_center_generators,
+    jacobiator,
+    odd_coords,
+)
 from .cohomology import (
     Cochain,
     cochain_weight,
@@ -145,12 +154,17 @@ def vanishes_on_center(L: LieAlgebra, psi: Cochain) -> bool:
     is what the cup-square argument actually consumes; for the
     weight-homogeneous representatives used here it holds because
     central elements sit in weight 0.
+
+    psi(z, b_x) is the sum of psi(b_i, b_x) over the basis vectors b_i
+    of the centre row z.  psi's term tables list each b_m in psi(b_i, b_x)
+    as the coordinate ((x,), m) in codes[i], so the check is a parity:
+    over the codes rows of z's basis vectors, no coordinate may occur an
+    odd number of times.
     """
-    for z in center(L).rows:
-        for x in range(L.dim):
-            if psi.eval_vec_basis(z, x):
-                return False
-    return True
+    if psi.degree != 2:
+        raise ValueError("vanishes_on_center needs a degree-2 cochain")
+    codes = _term_tables(psi.data, L.dim)[0]
+    return not any(odd_coords([t for i in bit_indices(z) for t in codes[i]], L.dim, 1) for z in center(L).rows)
 
 
 # -- distinguished even-rank cocycles ------------------------------------

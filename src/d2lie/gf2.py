@@ -2,8 +2,12 @@
 
 Bit i of a packed row is coordinate i.  Matrices are immutable.
 
+bit_indices is the one walk over the set bits of a packed int; the
+rest of the library calls it rather than repeat its loop.
+
 PivotBasis is the one elimination: every rank, canonical form, span
-test and kernel reduces packed ints against it.
+test and kernel reduces packed ints against it, and add is reduce plus
+one insert of what is left, pivoted on its lowest set bit.
 
 - Rank and canonical form eliminate the rows.  The RREF of a row space
   is unique, and the basis sorted by pivot and back-substituted is one,
@@ -56,15 +60,9 @@ class PivotBasis:
 
     def add(self, v: int) -> bool:
         """Insert v if independent of the current rows; True when inserted."""
-        pivots = self.pivots
-        while v:
-            low = v & -v
-            row = pivots.get(low)
-            if row is None:
-                pivots[low] = v
-                return True
-            v ^= row
-        return False
+        if v := self.reduce(v):
+            self.pivots[v & -v] = v
+        return bool(v)
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0

@@ -13,6 +13,10 @@
   must agree with it power by power: check_jacobi names its t^0
   failure, obstruction_verdict's error its t^1 failure and a
   NONTRIVIAL witness its t^2 failure.
+- The value psi(x, b_c) of a 2-cochain on a packed vector x, summed
+  pair by pair (eval_vec_basis).  vanishes_on_center, a parity over
+  psi's term tables, must agree with it on every centre row and basis
+  vector; the truncated-ring Jacobi sum evaluates psi with it too.
 - The dense column-sweep reduced row echelon form over GF(2); the
   library's rank and row_reduce must equal what it gives, bit for bit,
   and column_kernel after row_reduce its kernel basis in RREF.
@@ -244,6 +248,17 @@ def coord_of_code(code, dim):
     return tuple(bit_indices(code >> s)), code & ((1 << s) - 1)
 
 
+def eval_vec_basis(psi, x, c):
+    """psi(x, b_c) for a packed vector x and a basis index c, pair by pair; degree 2 only."""
+    if psi.degree != 2:
+        raise ValueError("eval_vec_basis needs a degree-2 cochain")
+    out = 0
+    for m in bit_indices(x):
+        if m != c:
+            out ^= psi.data.get((m, c) if m < c else (c, m), 0)
+    return out
+
+
 def eval_basis(c, *indices):
     """c on the basis vectors b_i for i in indices: symmetric, and 0 when an index repeats."""
     if len(indices) != c.degree:
@@ -263,8 +278,8 @@ def truncated_jacobi(L, psi, i, j, k):
     for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
         c0, c1 = L.bracket_basis(x, y), eval_basis(psi, x, y)
         out[0] ^= bracket_vec_basis(L, c0, z)
-        out[1] ^= bracket_vec_basis(L, c1, z) ^ psi.eval_vec_basis(c0, z)
-        out[2] ^= psi.eval_vec_basis(c1, z)
+        out[1] ^= bracket_vec_basis(L, c1, z) ^ eval_vec_basis(psi, c0, z)
+        out[2] ^= eval_vec_basis(psi, c1, z)
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ from oracles import (
     composite_is_zero,
     coord_of_code,
     eval_basis,
+    eval_vec_basis,
     h2_weight_survey,
     monomial_index,
     monomial_pos,
@@ -157,7 +158,7 @@ def test_criterion_5_worked_computation(model5):
     e5em5 = per_bit_reduce(model5, 1 << monomial_pos(5)[(4, 5)])
     assert eval_basis(psi, i1, i2) == e5em5
     e3e4 = 1 << model5.monomials.index((2, 3))
-    assert psi.eval_vec_basis(e5em5, i3) == e3e4
+    assert eval_vec_basis(psi, e5em5, i3) == e3e4
 
     cup = cup_square(A, psi)
     assert eval_basis(cup, i1, i2, i3) == e3e4

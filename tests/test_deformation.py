@@ -7,6 +7,7 @@ from oracles import (
     build_root_system,
     coord_of_code,
     eval_basis,
+    eval_vec_basis,
     first_truncated_failures,
     h2_weight_survey,
     monomial_index,
@@ -30,6 +31,7 @@ from d2lie.algebra import (
 )
 from d2lie.cohomology import (
     Cochain,
+    _block_coords,
     cochain_weight,
     differential,
     is_coboundary,
@@ -77,17 +79,17 @@ def test_cup_square_paper_triple(model5):
     assert eval_basis(cup, i1, i2, i3) == e3e4
     # The displayed computation keeps only one cyclic term; the other two
     # vanish individually.
-    assert psi.eval_vec_basis(eval_basis(psi, i2, i3), i1) == 0
-    assert psi.eval_vec_basis(eval_basis(psi, i3, i1), i2) == 0
-    assert psi.eval_vec_basis(eval_basis(psi, i1, i2), i3) == e3e4
+    assert eval_vec_basis(psi, eval_basis(psi, i2, i3), i1) == 0
+    assert eval_vec_basis(psi, eval_basis(psi, i3, i1), i2) == 0
+    assert eval_vec_basis(psi, eval_basis(psi, i1, i2), i3) == e3e4
 
 
 def cup_square_at(psi, i: int, j: int, k: int) -> int:
     """Direct evaluation of the cyclic sum at one basis triple; an oracle for cup_square."""
     return (
-        psi.eval_vec_basis(eval_basis(psi, i, j), k)
-        ^ psi.eval_vec_basis(eval_basis(psi, j, k), i)
-        ^ psi.eval_vec_basis(eval_basis(psi, i, k), j)
+        eval_vec_basis(psi, eval_basis(psi, i, j), k)
+        ^ eval_vec_basis(psi, eval_basis(psi, j, k), i)
+        ^ eval_vec_basis(psi, eval_basis(psi, i, k), j)
     )
 
 
@@ -236,11 +238,40 @@ def test_value_on_a_central_cartan_index_breaks_vanishing_on_center(d4):
     psi = Cochain(2, d4.dim, {(0, 4): 1 << 5})
     rows = center(d4).rows
     assert 0b1001 in rows
-    assert psi.eval_vec_basis(0b1001, 4) == 1 << 5
+    assert eval_vec_basis(psi, 0b1001, 4) == 1 << 5
     assert not vanishes_on_center(d4, psi)
     # The verdict is the one-sided definition, over every centre row and basis vector.
-    values = [psi.eval_vec_basis(z, x) for z in rows for x in range(d4.dim)]
+    values = [eval_vec_basis(psi, z, x) for z in rows for x in range(d4.dim)]
     assert vanishes_on_center(d4, psi) == (not any(values))
+
+
+def test_vanishing_on_center_is_a_parity_over_each_centre_row(d4):
+    # The centre rows are H_1 + H_4 and H_3 + H_4.  Each sends b_4 to two equal
+    # values that cancel, so psi vanishes on the centre although it is nonzero
+    # at every central basis vector.
+    rows = center(d4).rows
+    assert set(rows) == {0b1001, 0b1100}
+    v = 1 << 5
+    psi = Cochain(2, d4.dim, {(0, 4): v, (2, 4): v, (3, 4): v})
+    assert all(eval_basis(psi, i, 4) for i in (0, 2, 3))
+    assert vanishes_on_center(d4, psi)
+
+
+def test_vanishing_on_center_matches_the_pair_by_pair_oracle(d4, d6, timed_survey):
+    # Every class integrability builds, checked against psi(z, b_x) summed pair by pair.
+    for L, classes in ((d4, 24), (d6, 12)):
+        weights = list(timed_survey(L)[0])
+        assert len(weights) == classes
+        rows = center(L).rows
+        for mu in weights:
+            psi = build_even_cocycle(L, mu)
+            values = [eval_vec_basis(psi, z, x) for z in rows for x in range(L.dim)]
+            assert vanishes_on_center(L, psi) == (not any(values)), mu
+
+
+def test_vanishing_on_center_needs_a_degree_two_cochain(d4):
+    with pytest.raises(ValueError, match="degree-2"):
+        vanishes_on_center(d4, Cochain(3, d4.dim, {(0, 4, 5): 1 << 6}))
 
 
 def test_zero_cochain_centre_properties(d4):
@@ -493,6 +524,22 @@ def test_rigidity_scan_l5(model5):
         doubled = tuple(2 * c for c in r.weight)
         assert r.obstruction_weight == doubled
     assert [r.weight for r in reports] == sorted(r.weight for r in reports)
+
+
+def test_cup_square_weights_hold_no_other_term(model5, model7, model9, timed_survey):
+    # Rigidity's weight argument on the survey's own weights: C^2 is empty at
+    # +-4 eps_i, so B^3 is 0 there, and no two distinct H^2 weights add up to
+    # +-4 eps_i.  So the +-4 eps_i part of the cup square of sum c_i phi_i is
+    # c_i^2 (phi_i cup phi_i), nonzero whenever c_i is.
+    for model in (model5, model7, model9):
+        L, l = model.algebra, model.l
+        weights = list(timed_survey(L)[0])
+        assert len(weights) == 2 * l
+        for i in range(1, l + 1):
+            for sign in (1, -1):
+                target = e_weight(l, i, 4 * sign)
+                assert _block_coords(L, 2, target) == [], (l, target)
+                assert not [(a, b) for a, b in combinations(weights, 2) if wadd(a, b) == target], (l, target)
 
 
 def test_rigidity_scan_rejects_small_rank(model3):

@@ -9,6 +9,7 @@ from oracles import (
     bracket,
     dense_phi_of_vector,
     eval_basis,
+    eval_vec_basis,
     form,
     monomial_index,
     monomial_pos,
@@ -215,7 +216,7 @@ def test_phi_paper_values(model5):
     e5em5 = per_bit_reduce(model5, 1 << monomial_pos(5)[(4, 5)])
     assert eval_basis(psi, i1, i2) == e5em5
     e3e4 = 1 << model5.monomials.index((2, 3))
-    assert psi.eval_vec_basis(e5em5, i3) == e3e4
+    assert eval_vec_basis(psi, e5em5, i3) == e3e4
 
 
 def test_phi_alternating(model5):

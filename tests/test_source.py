@@ -191,3 +191,27 @@ def test_library_has_no_dead_definitions():
             and n.name not in used
         ]
     assert not dead, f"defined in the library but named nowhere in src/ or bench/: {dead}"
+
+
+def _is_lowest_set_bit(node) -> bool:
+    """node is X & -X, the lowest set bit of X."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and ast.dump(node.right.operand) == ast.dump(node.left)
+    )
+
+
+def test_only_gf2_walks_set_bits_by_hand():
+    # gf2.bit_indices is the one walk over the set bits of a packed int, and
+    # PivotBasis pivots on the lowest set bit; any other module that takes
+    # X & -X repeats one of them by hand.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_lowest_set_bit(n)]
+    assert not found, f"set bits walked outside gf2: {found}"
