@@ -33,7 +33,7 @@ from itertools import accumulate, combinations, product
 from operator import add
 from typing import NamedTuple
 
-from .gf2 import GF2Matrix, bit_indices, column_kernel
+from .gf2 import bit_indices, column_kernel, row_reduce
 
 Label = tuple
 Weight = tuple[int, ...]
@@ -278,16 +278,17 @@ def build_chevalley_D(l: int) -> LieAlgebra:
 # -- structural queries -----------------------------------------------
 
 
-def center(L: LieAlgebra) -> GF2Matrix:
-    """The kernel of b_i -> ad(b_i), each ad(b_i) a row of the codes table; made canonical once per algebra.
+def center(L: LieAlgebra) -> tuple[int, ...]:
+    """The centre as its RREF rows sorted by pivot (gf2.row_reduce), found once per algebra.
 
-    column_kernel's basis depends on the column order, so it is row-reduced.
+    It is the kernel of b_i -> ad(b_i), each ad(b_i) a row of the codes
+    table.  column_kernel's basis depends on the column order, so it is
+    row-reduced.
     """
     if L._center is None:
         pos: dict[int, int] = {}
         cols = [sum(1 << pos.setdefault(t, len(pos)) for t in row) for row in L.term_tables()[0]]
-        kernel = column_kernel(cols, len(pos))
-        L._center = GF2Matrix(len(kernel), L.dim, kernel).row_reduce()
+        L._center = row_reduce(column_kernel(cols, len(pos)))
     return L._center
 
 

@@ -70,7 +70,7 @@ from .algebra import (
     composed_terms,
     odd_coords,
 )
-from .gf2 import GF2Matrix, PivotBasis, bit_indices
+from .gf2 import GF2Matrix, PivotBasis, bit_indices, row_reduce
 
 
 class Cochain:
@@ -354,7 +354,7 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
                 pair = A.bracket_basis(ia[0], wa[-w][0])
                 rows.append(pair | B.bracket_basis(wb[w][0], wb[-w][0]) << dim)
     solved = 0
-    for v in GF2Matrix(len(rows), 2 * dim, rows).row_reduce().rows:
+    for v in row_reduce(rows):
         low, image = v & ((1 << dim) - 1), v >> dim
         # Any row but a unit row on a weight-0 vector with a weight-0 image
         # leaves theta undetermined, off weight or inconsistent.

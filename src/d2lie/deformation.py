@@ -143,7 +143,7 @@ def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
 
 def central_valued(L: LieAlgebra, psi: Cochain) -> bool:
     """Every value of psi on basis pairs lies in the centre."""
-    Z = PivotBasis(center(L).rows)
+    Z = PivotBasis(center(L))
     return all(Z.contains(v) for v in psi.data.values())
 
 
@@ -164,7 +164,7 @@ def vanishes_on_center(L: LieAlgebra, psi: Cochain) -> bool:
     if psi.degree != 2:
         raise ValueError("vanishes_on_center needs a degree-2 cochain")
     codes = _term_tables(psi.data, L.dim)[0]
-    return not any(odd_coords([t for i in bit_indices(z) for t in codes[i]], L.dim, 1) for z in center(L).rows)
+    return not any(odd_coords([t for i in bit_indices(z) for t in codes[i]], L.dim, 1) for z in center(L))
 
 
 # -- distinguished even-rank cocycles ------------------------------------
@@ -190,7 +190,7 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
     if not keys:
         raise ValueError(f"no root pairs add up to {mu}")
     span = [0]
-    for row in center(L).rows:
+    for row in center(L):
         span += [s ^ row for s in span]
     paper = expected_center_generators(l)[1]
     for z in sorted(span[1:], key=lambda z: z != paper):

@@ -1,6 +1,9 @@
 """Exact linear algebra over GF(2) with rows bit-packed into Python ints.
 
-Bit i of a packed row is coordinate i.  Matrices are immutable.
+Bit i of a packed row is coordinate i.  The library passes rows as ints
+or tuples of ints; GF2Matrix, an immutable dense matrix, is only the
+view of a weight block (cohomology.weight_block) that the benchmark's
+probe ranks.
 
 bit_indices is the one walk over the set bits of a packed int; the
 rest of the library calls it rather than repeat its loop.
@@ -11,8 +14,9 @@ one insert of what is left, pivoted on its lowest set bit.
 
 - Rank and canonical form eliminate the rows.  The RREF of a row space
   is unique, and the basis sorted by pivot and back-substituted is one,
-  so row_reduce equals the RREF bit for bit.  A vector is in the span
-  when it reduces to 0 (the coboundary and torus-character tests).
+  so the function row_reduce returns the RREF bit for bit, as a tuple
+  of rows sorted by pivot.  A vector is in the span when it reduces to
+  0 (the coboundary and torus-character tests).
 - The kernel eliminates the columns, column j tagged with bit nrows + j,
   above every row bit.  A stored row with no row bit left names in its
   tag bits columns that sum to 0, and those rows are a kernel basis.
@@ -72,6 +76,21 @@ class PivotBasis:
         return len(self.pivots)
 
 
+def row_reduce(rows: Iterable[int]) -> tuple[int, ...]:
+    """The RREF of the span of rows, zero rows dropped, sorted by pivot; canonical for row-space comparison."""
+    pivots = PivotBasis(rows).pivots
+    mask = sum(pivots)  # the pivots are distinct powers of two
+    reduced: dict[int, int] = {}
+    # A row's other pivot bits lie above its own; rows reduced earlier
+    # carry no pivot bit but their own, so one pass clears each.
+    for low in sorted(pivots, reverse=True):
+        v = pivots[low]
+        for q in bit_indices((v & mask) ^ low):
+            v ^= reduced[1 << q]
+        reduced[low] = v
+    return tuple(reversed(reduced.values()))
+
+
 def column_kernel(cols: Sequence[int], nrows: int) -> list[int]:
     """A basis of the x with the sum of the columns j in x equal to 0, packed over the columns."""
     rows = PivotBasis(c | 1 << (nrows + j) for j, c in enumerate(cols)).pivots.values()
@@ -79,7 +98,7 @@ def column_kernel(cols: Sequence[int], nrows: int) -> list[int]:
 
 
 class GF2Matrix:
-    """Immutable matrix over GF(2); rows stored as packed ints."""
+    """Immutable dense matrix over GF(2), rows stored as packed ints: the weight-block view."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -104,28 +123,3 @@ class GF2Matrix:
 
     def rank(self) -> int:
         return PivotBasis(self.rows).rank
-
-    def row_reduce(self) -> GF2Matrix:
-        """RREF with zero rows dropped; canonical for row-space comparison."""
-        pivots = PivotBasis(self.rows).pivots
-        mask = sum(pivots)  # the pivots are distinct powers of two
-        reduced: dict[int, int] = {}
-        # A row's other pivot bits lie above its own; rows reduced earlier
-        # carry no pivot bit but their own, so one pass clears each.
-        for low in sorted(pivots, reverse=True):
-            v = pivots[low]
-            for q in bit_indices((v & mask) ^ low):
-                v ^= reduced[1 << q]
-            reduced[low] = v
-        return GF2Matrix(len(reduced), self.ncols, [reduced[p] for p in sorted(reduced)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GF2Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self) -> str:
-        return f"GF2Matrix({self.nrows}x{self.ncols})"

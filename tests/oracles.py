@@ -18,8 +18,10 @@
   psi's term tables, must agree with it on every centre row and basis
   vector; the truncated-ring Jacobi sum evaluates psi with it too.
 - The dense column-sweep reduced row echelon form over GF(2); the
-  library's rank and row_reduce must equal what it gives, bit for bit,
-  and column_kernel after row_reduce its kernel basis in RREF.
+  library's rank and row_reduce, a function that returns the RREF as a
+  tuple of rows sorted by pivot (center(L) is one), must equal what it
+  gives, bit for bit, and column_kernel after row_reduce its kernel
+  basis in RREF.
 - The centre from constraint rows (constraint_center): row (j, m) has
   bit i when b_m is in [b_i, b_j], and its RREF kernel, reduced, must
   equal center(L).
@@ -94,7 +96,7 @@ from d2lie.cohomology import (
 )
 from d2lie.exterior import SymplecticSpace
 from d2lie.algebra import Label, LieAlgebra, Weight, _coord_code, express_in_simple_roots, odd_coords
-from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices, row_reduce
 
 
 # -- the root system of D_l ------------------------------------------------
@@ -652,15 +654,16 @@ def monomial_index(model, sa, sb):
 def quotient_with_projection(L, Z):
     """Quotient by a central subspace plus the old-basis projection matrix.
 
-    Coset representatives drop the lowest index of each row of
-    Z.row_reduce(), its RREF pivot; the choice is arbitrary but fixed,
+    Z is the subspace's packed rows over the basis of L, as center(L)
+    gives them.  Coset representatives drop the lowest index of each row
+    of row_reduce(Z), its RREF pivot; the choice is arbitrary but fixed,
     and every downstream quantity is representative-independent because
     Z is central.
     """
     dim = L.dim
-    if Z.ncols != dim:
+    if any(z >> dim for z in Z):
         raise ValueError("subspace ambient dimension mismatch")
-    for z in Z.rows:
+    for z in Z:
         for j in range(dim):
             if bracket_vec_basis(L, z, j):
                 raise ValueError("subspace is not central")
@@ -670,7 +673,7 @@ def quotient_with_projection(L, Z):
 
     # An RREF row's pivot appears in no other row, so adding the row
     # rewrites b_pivot as the rest of the row, modulo Z.
-    pivot_rows = {z & -z: z for z in Z.row_reduce().rows}
+    pivot_rows = {z & -z: z for z in row_reduce(Z)}
     dropped = {low.bit_length() - 1 for low in pivot_rows}
     kept = [i for i in range(dim) if i not in dropped]
     new_pos = {old: new for new, old in enumerate(kept)}

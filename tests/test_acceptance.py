@@ -57,7 +57,7 @@ from d2lie.deformation import (
     rigidity_scan,
 )
 from d2lie.exterior import build_quotient_model, phi
-from d2lie.gf2 import GF2Matrix, bit_indices
+from d2lie.gf2 import GF2Matrix, bit_indices, row_reduce
 
 
 def _stamp(num: int, name: str, t0: float) -> None:
@@ -93,9 +93,9 @@ def test_criterion_2_centre_claims():
     for l in range(4, 9):
         L = build_chevalley_D(l)
         Z = center(L)
-        assert Z.nrows == (1 if l % 2 else 2), f"centre dim wrong at rank {l}"
+        assert len(Z) == (1 if l % 2 else 2), f"centre dim wrong at rank {l}"
         gens = expected_center_generators(l)
-        assert Z == GF2Matrix(len(gens), L.dim, gens).row_reduce(), f"centre generators differ at rank {l}"
+        assert Z == row_reduce(gens), f"centre generators differ at rank {l}"
     _stamp(2, "centre claims", t0)
 
 

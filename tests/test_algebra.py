@@ -30,7 +30,7 @@ from d2lie.algebra import (
     jacobiator,
 )
 from d2lie.cohomology import h2_survey_rows
-from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices, row_reduce
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -119,15 +119,15 @@ def test_center_dimensions_and_generators():
         L = build_chevalley_D(l)
         Z = center(L)
         gens = expected_center_generators(l)
-        assert Z.nrows == (1 if l % 2 else 2)
-        assert Z == GF2Matrix(len(gens), L.dim, gens).row_reduce()
+        assert len(Z) == (1 if l % 2 else 2)
+        assert Z == row_reduce(gens)
 
 
 def test_center_is_reduced_once_per_algebra(d3, d4, d5, d6, model5):
     for L in (d3, d4, d5, d6, model5.algebra):
         Z = center(L)
-        assert Z.ncols == L.dim
-        assert Z == Z.row_reduce()
+        assert type(Z) is tuple and not any(z >> L.dim for z in Z)
+        assert Z == row_reduce(Z)
         assert center(L) is Z
 
 
@@ -138,8 +138,8 @@ def test_center_equals_the_constraint_row_oracle(d3, d4, d5, d6, d7, d8, model3,
     # centre spanned by b_2 and b_3.
     small = LieAlgebra("wxyz", [(0,)] * 4, {(0, 1): 0b100})
     for L in (d3, d4, d5, d6, d7, d8, model3.algebra, model5.algebra, model7.algebra, model9.algebra, small):
-        assert center(L).rows == constraint_center(L)
-    assert center(small).rows == (0b100, 0b1000)
+        assert center(L) == constraint_center(L)
+    assert center(small) == (0b100, 0b1000)
 
 
 def test_term_tables_are_built_once_per_algebra(monkeypatch):
@@ -152,15 +152,15 @@ def test_term_tables_are_built_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(d2lie.algebra, "_term_tables", spy)
     L = build_chevalley_D(4)
-    assert check_jacobi(L).ok and center(L).nrows == 2 and len(h2_survey_rows(L)) == 24
+    assert check_jacobi(L).ok and len(center(L)) == 2 and len(h2_survey_rows(L)) == 24
     assert calls == [L.dim]
 
 
 def test_center_l3():
     L = build_chevalley_D(3)
     Z = center(L)
-    assert Z.nrows == 1
-    assert PivotBasis(Z.rows).contains(0b110)  # H2 + H3
+    assert len(Z) == 1
+    assert PivotBasis(Z).contains(0b110)  # H2 + H3
     assert center(L) is Z  # computed once per algebra
 
 
@@ -350,7 +350,7 @@ def test_quotient_identifies_h5_with_h4():
 
 def test_quotient_by_zero_subspace_is_identity():
     L = build_chevalley_D(4)
-    Q, _ = quotient_with_projection(L, GF2Matrix(0, L.dim, ()))
+    Q, _ = quotient_with_projection(L, ())
     assert Q.dim == L.dim
     assert Q.labels == L.labels
     assert Q.brackets == L.brackets
@@ -358,7 +358,7 @@ def test_quotient_by_zero_subspace_is_identity():
 
 def test_quotient_rejects_noncentral_subspace():
     L = build_chevalley_D(4)
-    not_central = GF2Matrix(1, L.dim, [1])  # H1 alone
+    not_central = (1,)  # H1 alone
     with pytest.raises(ValueError):
         quotient_with_projection(L, not_central)
 
@@ -377,7 +377,7 @@ def test_central_generators_bracket_to_zero_before_quotient():
     # central generator z and basis vector b.
     L = build_chevalley_D(6)
     Z = center(L)
-    for z in Z.rows:
+    for z in Z:
         for j in range(L.dim):
             assert bracket_vec_basis(L, z, j) == 0
 

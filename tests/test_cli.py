@@ -168,6 +168,35 @@ def test_scan_non_cocycle_exits_2(monkeypatch, model5, d4, capsys):
     assert f"basis triple {triple}" in err
 
 
+def test_rigidity_class_of_another_weight_exits_2(monkeypatch, capsys):
+    # phi(-label) has the weight of phi(label) negated; rigidity_scan checks
+    # the class at -2 eps_1 (label -1) first and must refuse its weight.
+    phi = d2lie.exterior.phi
+    monkeypatch.setattr("d2lie.exterior.phi", lambda label, model: phi(-label, model))
+    assert main(["rigidity", "--l", "5"]) == EXIT_DISCREPANCY
+    err = capsys.readouterr().err
+    assert "quadratic cocycle -1 has weight (2, 0, 0, 0, 0), expected (-2, 0, 0, 0, 0)" in err
+
+
+def test_integrability_unkilled_cup_square_of_a_central_twist_exits_2(monkeypatch, capsys):
+    # Central values and vanishing on the centre force a ZERO verdict, so a
+    # NONTRIVIAL one on such a class is the scan's own discrepancy, named
+    # by the weight of the first class.
+    verdict = d2lie.deformation.obstruction_verdict
+    monkeypatch.setattr(
+        "d2lie.deformation.obstruction_verdict",
+        lambda L, psi: verdict(L, psi)._replace(verdict=d2lie.deformation.VERDICT_NONTRIVIAL),
+    )
+    L = build_chevalley_D(4)
+    mu = d2lie.deformation.h2_survey_rows(L)[0]["weight"]
+    psi = d2lie.deformation.build_even_cocycle(L, mu)
+    assert d2lie.deformation.central_valued(L, psi) and d2lie.deformation.vanishes_on_center(L, psi)
+    assert main(["integrability", "--l", "4"]) == EXIT_DISCREPANCY
+    out, err = capsys.readouterr()
+    assert f"weight {mu}: central values with vanishing on the centre must kill the cup square, got NONTRIVIAL" in err
+    assert "all integrable" not in out
+
+
 def test_integrability_without_a_nontrivial_central_value_exits_2(monkeypatch, capsys):
     # When no central value gives a nontrivial class, the scan reports the
     # weight as a discrepancy instead of raising out of main.

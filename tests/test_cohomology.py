@@ -586,6 +586,35 @@ def test_survey_without_a_negative_weight_ranks_per_weight():
     assert h2_survey_rows(L) == unpruned_survey_rows(L)
 
 
+def test_graded_isomorphism_needs_equal_weight_multiplicities():
+    # A and A with every weight negated have the weights {-1, 0, 1}, but A
+    # has weight 1 twice and weight -1 once, so the sign flip of eps_1 gets
+    # no automorphism.
+    A = LieAlgebra("hxyz", [(0,), (1,), (1,), (-1,)], {})
+    flipped = LieAlgebra(A.labels, [(-c,) for (c,) in A.weights], A.brackets)
+    assert find_graded_isomorphism(flipped, A) is None
+    assert _automorphisms(A) == {}
+
+
+def test_graded_isomorphism_needs_one_dimensional_nonzero_weight_spaces():
+    # Weights 1 and -1 are planes, which force no image, so the search
+    # gives up although the identity is an automorphism.
+    L = LieAlgebra("wxyz", [(1,), (1,), (-1,), (-1,)], {})
+    assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
+    assert find_graded_isomorphism(L, L) is None
+    assert _automorphisms(L) == {}
+
+
+def test_graded_isomorphism_needs_the_dual_pairs_to_fix_weight_0():
+    # [e, f] = h + k is the one equation at weight 0: its reduced row h + k
+    # is no unit row, so theta(h) and theta(k) stay undetermined.
+    L = LieAlgebra("hkef", [(0,), (0,), (1,), (-1,)], {(2, 3): 0b11})
+    assert check_jacobi(L).ok and check_weight_additivity(L)
+    assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
+    assert find_graded_isomorphism(L, L) is None
+    assert _automorphisms(L) == {}
+
+
 def test_d2_failure_names_the_ranked_representative(monkeypatch):
     monkeypatch.setattr("d2lie.cohomology._image_rank", lambda L, src: len(src))
     with pytest.raises(ArithmeticError) as exc:

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from oracles import (
     build_root_system,
+    cochain_basis,
     coord_of_code,
     eval_basis,
     eval_vec_basis,
@@ -216,6 +217,24 @@ def test_verdict_class_insensitive_to_coboundary_shift(d4, model5):
         assert obstruction_verdict(A, shifted).verdict == VERDICT_NONTRIVIAL
 
 
+def test_trivial_classes_with_a_nonzero_cup_square_get_the_coboundary_verdict(d4, model5):
+    # psi = d eta for each basis 1-cochain eta of weight w = (-1, -1, 0, ..)
+    # whose psi has a nonzero cup square: 11 of the 16 at D_4 and 14 of the
+    # 20 on the rank-5 model.  Each square is a coboundary, and the report
+    # gives its weight 2w and no witness.
+    for L, count in ((d4, 11), (model5.algebra, 14)):
+        w = (-1, -1) + (0,) * (len(L.weights[0]) - 2)
+        reports = []
+        for eta in cochain_basis(L, 1, w):
+            psi = differential(L, eta)
+            if not cup_square(L, psi).is_zero():
+                reports.append(obstruction_verdict(L, psi))
+        assert len(reports) == count
+        for r in reports:
+            assert (r.weight, r.verdict, r.obstruction_weight) == (w, VERDICT_COBOUNDARY, tuple(2 * c for c in w))
+            assert (r.witness_key, r.witness_value_support, r.central_valued, r.vanishes_on_center) == (None,) * 4
+
+
 # -- centre interaction --------------------------------------------------------
 
 
@@ -236,7 +255,7 @@ def test_value_on_a_central_cartan_index_breaks_vanishing_on_center(d4):
     # H_1 (index 0) lies in the central element H_1 + H_4, so psi(H_1 + H_4, b_4)
     # is psi(b_0, b_4) = b_5 and psi does not vanish on the centre.
     psi = Cochain(2, d4.dim, {(0, 4): 1 << 5})
-    rows = center(d4).rows
+    rows = center(d4)
     assert 0b1001 in rows
     assert eval_vec_basis(psi, 0b1001, 4) == 1 << 5
     assert not vanishes_on_center(d4, psi)
@@ -249,7 +268,7 @@ def test_vanishing_on_center_is_a_parity_over_each_centre_row(d4):
     # The centre rows are H_1 + H_4 and H_3 + H_4.  Each sends b_4 to two equal
     # values that cancel, so psi vanishes on the centre although it is nonzero
     # at every central basis vector.
-    rows = center(d4).rows
+    rows = center(d4)
     assert set(rows) == {0b1001, 0b1100}
     v = 1 << 5
     psi = Cochain(2, d4.dim, {(0, 4): v, (2, 4): v, (3, 4): v})
@@ -262,7 +281,7 @@ def test_vanishing_on_center_matches_the_pair_by_pair_oracle(d4, d6, timed_surve
     for L, classes in ((d4, 24), (d6, 12)):
         weights = list(timed_survey(L)[0])
         assert len(weights) == classes
-        rows = center(L).rows
+        rows = center(L)
         for mu in weights:
             psi = build_even_cocycle(L, mu)
             values = [eval_vec_basis(psi, z, x) for z in rows for x in range(L.dim)]
@@ -328,7 +347,7 @@ def test_even_cocycle_keys_at_every_pair_sum_weight(d4, monkeypatch):
 
 def test_even_cocycle_value_is_central(d4):
     psi = build_even_cocycle(d4)
-    Z = PivotBasis(center(d4).rows)
+    Z = PivotBasis(center(d4))
     for v in psi.data.values():
         assert Z.contains(v)
 

@@ -154,7 +154,7 @@ def test_model_dimension_and_structure(model5):
     assert A.dim == 44
     assert check_jacobi(A).ok
     assert check_weight_additivity(A)
-    assert center(A).nrows == 0
+    assert center(A) == ()
 
 
 def test_model_even_rank_rejected():

@@ -215,3 +215,35 @@ def test_only_gf2_walks_set_bits_by_hand():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_lowest_set_bit(n)]
     assert not found, f"set bits walked outside gf2: {found}"
+
+
+def _names_gf2matrix(node) -> bool:
+    return (
+        isinstance(node, ast.Name) and node.id == "GF2Matrix"
+        or isinstance(node, ast.Attribute) and node.attr == "GF2Matrix"
+        or isinstance(node, ast.alias) and node.name == "GF2Matrix"
+    )
+
+
+def test_only_the_weight_block_view_names_gf2matrix():
+    # The library passes GF(2) rows as ints and tuples of ints: row_reduce
+    # is a function and the centre is its tuple.  GF2Matrix is the dense
+    # view of a weight block, which the benchmark's probe ranks, so outside
+    # gf2.py only cohomology's WeightBlock and weight_block name it, with
+    # the import that serves them; and the class keeps no row reduction.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if path.name == "cohomology.py" and (
+                getattr(top, "name", None) in ("WeightBlock", "weight_block")
+                or isinstance(top, ast.ImportFrom) and top.module == "gf2"
+            ):
+                continue
+            found += [f"{path.name}:{n.lineno}" for n in ast.walk(top) if _names_gf2matrix(n)]
+    assert not found, f"GF2Matrix named outside the weight-block view: {found}"
+    from d2lie.gf2 import GF2Matrix
+
+    assert not {"row_reduce", "__eq__"} & set(vars(GF2Matrix))
