@@ -36,16 +36,22 @@ from the bracket alone; so the rows of mu and g(mu) agree.  The eps_i <->
 eps_(i+1) and eps_l -> -eps_l generate every signed permutation, so once
 each of them has a theta, two weights lie in one orbit exactly when
 their sorted absolute coordinates agree, and that is the orbit key.
-theta is derived from the algebra, not supplied: on the one-dimensional
-nonzero weight spaces it must send b_w to b_(g w), and at weight 0 the
-brackets of the dual pairs fix it; the candidate is kept only if it has
-full rank and keeps every bracket (find_graded_isomorphism, which lives
-here beside the survey, the one code that runs it).  It exists
-on D_l because W(D_l) and the graph automorphism act on the Chevalley
-Z-form (Chevalley 1955; Steinberg 1967) with signs that vanish mod 2,
-and on the model because a signed permutation of the basis of V keeps
-the form and omega.  Where a generator gets no theta, every weight is
-ranked.
+theta is derived from the algebra, not supplied: find_graded_isomorphism
+relabels each basis weight w as g(w), by the weight map it is given, so
+on the one-dimensional nonzero weight spaces theta must send b_w to
+b_(g w), and at weight 0 the brackets of the dual pairs fix it; the
+candidate is kept only if it has full rank and keeps every bracket.  It
+exists on D_l because W(D_l) and the graph automorphism act on the
+Chevalley Z-form (Chevalley 1955; Steinberg 1967) with signs that
+vanish mod 2, and on the model because a signed permutation of the
+basis of V keeps the form and omega.  Where a generator gets no theta,
+every weight is ranked.
+
+transport applies theta to a cochain itself, key by key, with theta^-1
+from invert.  The survey only needs theta to exist; the rigidity scan
+(deformation.rigidity_scan) transports each phi along the orbit of one
+signed cyclic shift, so that d phi = 0 is checked on one class and
+carried to the rest.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (algebra._coord_code): the key's index mask shifted left by
@@ -59,6 +65,7 @@ PivotBasis membership.  Cochain is the type at the module's boundary.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .algebra import (
@@ -318,26 +325,33 @@ def is_homomorphism(A: LieAlgebra, B: LieAlgebra, theta: list[int]) -> bool:
     return all(lhs.get(k, 0) == rhs.get(k, 0) for k in lhs.keys() | rhs.keys())
 
 
-def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
-    """The packed images theta(b_i) of an isomorphism A -> B that keeps every weight, or None.
+def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra, g) -> list[int] | None:
+    """The packed images theta(b_i) of an isomorphism A -> B that moves each weight w to g(w), or None.
 
-    Each nonzero weight space must be a line on both sides, which forces
-    theta(b_w) = b'_w.  At weight 0, theta [b_w, b_-w] = [b'_w, b'_-w] for
-    every dual pair: one row reduction of these equations, the image of
-    each bracket tagged above bit dim, must leave a unit row on every
-    weight-0 basis vector, its image in the tag.  The candidate is returned
-    only if it has full rank and is_homomorphism accepts it.
+    g maps a weight tuple of A to one of B; pass the identity for an
+    isomorphism that keeps every weight.  Each nonzero weight space must
+    be a line on both sides, which forces theta(b_w) = b'_(g w).  At
+    weight 0, theta [b_w, b_-w] = [b'_(g w), b'_-(g w)] for every dual
+    pair: one row reduction of these equations, the image of each bracket
+    tagged above bit dim, must leave a unit row on every weight-0 basis
+    vector, its image in the tag.  The candidate is returned only if it
+    has full rank and is_homomorphism accepts it, so a g that is not
+    linear can only give None.
 
     None does not prove that no isomorphism exists: a nonzero weight space
     of dimension above 1, or a weight-0 part that the dual pairs leave
     undetermined, gives None as well.
     """
     dim = A.dim
-    wa, wb = ({w: [i for (i,) in keys] for w, keys in X.weight_sums(1).items()} for X in (A, B))
-    # Packed weights are compared in one set of fields; other fields mean other weights.
-    if B.dim != dim or A._weight_field != B._weight_field or wa.keys() != wb.keys():
+    moved = [g(w) for w in A.weights]
+    # Both sides are packed in B's fields; a weight past them has no basis vector of B.
+    if B.dim != dim or any(len(w) != B._weight_field[0] for w in moved):
         return None
-    if any(len(wa[w]) != len(wb[w]) for w in wa):
+    wa: dict[int | None, list[int]] = {}
+    for i, w in enumerate(moved):
+        wa.setdefault(B.weight_code(w), []).append(i)
+    wb = {w: [i for (i,) in keys] for w, keys in B.weight_sums(1).items()}
+    if wa.keys() != wb.keys() or any(len(wa[w]) != len(wb[w]) for w in wa):
         return None
     theta = [0] * dim
     rows = []
@@ -367,6 +381,49 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra) -> list[int] | None:
     return theta
 
 
+def invert(theta: list[int]) -> list[int]:
+    """The packed images of theta^-1, for a theta given by its packed images theta(b_i).
+
+    Row i, theta(b_i) tagged with bit dim + i, is reduced once: the RREF
+    has a unit row on each b_j exactly when theta is invertible, and its
+    tag is theta^-1(b_j).
+    """
+    dim = len(theta)
+    rows = row_reduce(t | 1 << (dim + i) for i, t in enumerate(theta))
+    if [r & ((1 << dim) - 1) for r in rows] != [1 << j for j in range(dim)]:
+        raise ValueError("the map is not invertible")
+    return [r >> dim for r in rows]
+
+
+def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
+    """theta . c, the cochain (x_1, ..) -> theta c(theta^-1 x_1, ..), for theta with inverse theta^-1.
+
+    Both maps are given by their packed basis images.  The basis cochain
+    key -> v goes to the wedge of the functionals b_i^* o theta^-1, i in
+    key, with value theta(v), and b_i^* o theta^-1 is the sum of the b_j^*
+    with b_i in theta^-1(b_j).  The wedge expands into one index from each
+    factor, and a term that repeats an index is 0.  Where every image is
+    one basis vector, as for almost every basis vector under an
+    automorphism of L, the key just moves.
+    """
+    if len(theta) != c.dim or len(inverse) != c.dim:
+        raise ValueError(f"a map of dimension {len(theta)} on a cochain of dimension {c.dim}")
+    dual: list[list[int]] = [[] for _ in range(c.dim)]
+    for j, v in enumerate(inverse):
+        for i in bit_indices(v):
+            dual[i].append(j)
+    data: dict[tuple[int, ...], int] = {}
+    for key, v in c.data.items():
+        value = 0
+        for m in bit_indices(v):
+            value ^= theta[m]
+        for js in product(*map(dual.__getitem__, key)):
+            if len(set(js)) == len(js):
+                k = tuple(sorted(js))
+                data[k] = data.get(k, 0) ^ value
+    return Cochain(c.degree, c.dim, data)
+
+
 def _signed_permutation_generators(l: int) -> dict:
     """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name; none at l = 0."""
     gens = {
@@ -381,16 +438,12 @@ def _signed_permutation_generators(l: int) -> dict:
 def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
     """The basis images of an automorphism of L over each generator, found once per algebra.
 
-    theta_g is find_graded_isomorphism from L with every weight w relabelled
-    g(w) onto L.  Empty unless every generator gets one, and then the
-    survey ranks every weight.
+    theta_g is find_graded_isomorphism(L, L, g).  Empty unless every
+    generator gets one, and then the survey ranks every weight.
     """
     if L._automorphisms is None:
         gens = _signed_permutation_generators(len(L.weights[0])) if L.weights else {}
-        found = {
-            name: find_graded_isomorphism(LieAlgebra(L.labels, map(g, L.weights), L.brackets), L)
-            for name, g in gens.items()
-        }
+        found = {name: find_graded_isomorphism(L, L, g) for name, g in gens.items()}
         L._automorphisms = found if None not in found.values() else {}
     return L._automorphisms
 

@@ -60,9 +60,12 @@ from .algebra import (
 from .cohomology import (
     Cochain,
     cochain_weight,
+    find_graded_isomorphism,
     h2_survey_rows,
+    invert,
     is_coboundary,
     require_cocycle,
+    transport,
 )
 from .gf2 import PivotBasis, bit_indices
 
@@ -120,6 +123,11 @@ def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
     """ZERO / COBOUNDARY / NONTRIVIAL for the cup square of a cocycle."""
     cup = cup_square(L, psi)  # first, so that it rejects a cochain of another degree
     require_cocycle(L, psi)
+    return _cup_verdict(L, psi, cup)
+
+
+def _cup_verdict(L: LieAlgebra, psi: Cochain, cup: Cochain) -> ObstructionReport:
+    """obstruction_verdict for a psi already known to be a cocycle, with its cup square."""
     w = cochain_weight(L, psi)
     if cup.is_zero():
         return ObstructionReport(w, VERDICT_ZERO, psi)
@@ -204,15 +212,25 @@ def build_even_cocycle(L: LieAlgebra, mu: Weight | None = None) -> Cochain:
 
 
 def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
-    """Verdict per basis class phi of the odd-rank model's H^2.
+    """Verdict per basis class phi of the odd-rank model's H^2, in weight order.
 
     The classes judged are the 2l quadratic cocycles of the basis vectors of
     V, one per weight ±2 eps_i; each must come back NONTRIVIAL.  That they
     span H^2 and that their nonzero combinations are obstructed too, as
-    rigidity needs, is not checked here.  Each weight is checked directly
-    rather than transported by symmetry.  Both scans re-raise a ValueError
-    from building or judging their own cocycles as ArithmeticError naming
-    the class.
+    rigidity needs, is not checked here.
+
+    The signed cyclic shift g(w) = (-w_l, w_1, .., w_(l-1)) walks every
+    class: -2 eps_1 -> .. -> -2 eps_l -> 2 eps_1 -> .. -> 2 eps_l.  The
+    automorphism theta over g is found once (find_graded_isomorphism) and
+    inverted once.  The first class goes through obstruction_verdict.  A
+    later one whose phi equals theta . phi of the class before it
+    (cohomology.transport) is a cocycle, since d(theta . c) = theta . d c
+    and d of that class is 0; its cup square, weight and coboundary test
+    still run.  Any other class, and every class when no theta is found,
+    goes through obstruction_verdict.  A ValueError from building or
+    judging a class is re-raised as ArithmeticError naming the class, the
+    first in weight order when several fail; integrability_scan re-raises
+    its own the same way.
     """
     from .exterior import phi
 
@@ -221,20 +239,32 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
         raise ValueError("rigidity scan applies at odd rank")
     if l < 5:
         raise ValueError("rigidity scan needs rank > 3")
-    # The cocycle of e_(sign i) has weight 2 sign eps_i; the classes go in weight order.
+    L = model.algebra
+    theta = find_graded_isomorphism(L, L, lambda w: (-w[-1], *w[:-1]))
+    inverse = theta and invert(theta)
+    # The cocycle of e_(sign i) has weight 2 sign eps_i.
     ranks = range(1, l + 1)
-    items = sorted((tuple(2 * sign * (k == i) for k in ranks), sign * i) for i in ranks for sign in (1, -1))
-    reports = []
-    for w, label in items:
+    outcomes = {}
+    cocycle = None  # the previous class, when its d phi = 0 is known
+    for sign, i in [(sign, i) for sign in (-1, 1) for i in ranks]:
+        label, w = sign * i, tuple(2 * sign * (k == i) for k in ranks)
         try:
-            report = obstruction_verdict(model.algebra, phi(label, model))
+            psi = phi(label, model)
+            if cocycle is not None and transport(theta, inverse, cocycle) == psi:
+                outcomes[w] = label, _cup_verdict(L, psi, cup_square(L, psi))
+            else:
+                outcomes[w] = label, obstruction_verdict(L, psi)
+            cocycle = psi if theta else None
         except ValueError as exc:
-            raise ArithmeticError(f"quadratic cocycle {label} at weight {w}: {exc}") from exc
-        if report.weight != w:
-            raise ArithmeticError(
-                f"quadratic cocycle {label} has weight {report.weight}, expected {w}"
-            )
-        reports.append(report)
+            outcomes[w] = label, exc
+            cocycle = None
+    reports = []
+    for w, (label, outcome) in sorted(outcomes.items()):
+        if isinstance(outcome, ValueError):
+            raise ArithmeticError(f"quadratic cocycle {label} at weight {w}: {outcome}") from outcome
+        if outcome.weight != w:
+            raise ArithmeticError(f"quadratic cocycle {label} has weight {outcome.weight}, expected {w}")
+        reports.append(outcome)
     return reports
 
 

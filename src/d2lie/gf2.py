@@ -10,7 +10,9 @@ rest of the library calls it rather than repeat its loop.
 
 PivotBasis is the one elimination: every rank, canonical form, span
 test and kernel reduces packed ints against it, and add is reduce plus
-one insert of what is left, pivoted on its lowest set bit.
+one insert of what is left, pivoted on its lowest set bit.  A pivot is
+keyed by that bit's position, a small int, not by the power of two:
+Python hashes a large int digit by digit on every lookup.
 
 - Rank and canonical form eliminate the rows.  The RREF of a row space
   is unique, and the basis sorted by pivot and back-substituted is one,
@@ -40,7 +42,8 @@ def bit_indices(x: int) -> Iterator[int]:
 class PivotBasis:
     """Incremental independent set of packed rows, pivoted on lowest set bit.
 
-    A stored row has no set bit below its pivot.  The ambient coordinate
+    pivots maps the position of a stored row's lowest set bit to the row,
+    which has no set bit below it.  The ambient coordinate
     space may be discovered lazily: no length is fixed.
     """
 
@@ -55,8 +58,7 @@ class PivotBasis:
         """v minus stored rows until its lowest set bit is no pivot (0 if none is left)."""
         pivots = self.pivots
         while v:
-            low = v & -v
-            row = pivots.get(low)
+            row = pivots.get((v & -v).bit_length() - 1)
             if row is None:
                 return v
             v ^= row
@@ -65,7 +67,7 @@ class PivotBasis:
     def add(self, v: int) -> bool:
         """Insert v if independent of the current rows; True when inserted."""
         if v := self.reduce(v):
-            self.pivots[v & -v] = v
+            self.pivots[(v & -v).bit_length() - 1] = v
         return bool(v)
 
     def contains(self, v: int) -> bool:
@@ -79,15 +81,15 @@ class PivotBasis:
 def row_reduce(rows: Iterable[int]) -> tuple[int, ...]:
     """The RREF of the span of rows, zero rows dropped, sorted by pivot; canonical for row-space comparison."""
     pivots = PivotBasis(rows).pivots
-    mask = sum(pivots)  # the pivots are distinct powers of two
+    mask = sum(1 << p for p in pivots)
     reduced: dict[int, int] = {}
     # A row's other pivot bits lie above its own; rows reduced earlier
     # carry no pivot bit but their own, so one pass clears each.
-    for low in sorted(pivots, reverse=True):
-        v = pivots[low]
-        for q in bit_indices((v & mask) ^ low):
-            v ^= reduced[1 << q]
-        reduced[low] = v
+    for p in sorted(pivots, reverse=True):
+        v = pivots[p]
+        for q in bit_indices((v & mask) ^ 1 << p):
+            v ^= reduced[q]
+        reduced[p] = v
     return tuple(reversed(reduced.values()))
 
 

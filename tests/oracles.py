@@ -58,6 +58,13 @@
   E_a -> E_(g a) and H_i -> H_(g alpha_i) on D_l, and e_a e_b ->
   per_bit_reduce(e_(g a) e_(g b)) on the model; the automorphisms the
   survey derives from the algebra must equal them.
+- The action of such a theta on cochains by its definition
+  (dense_transport): theta^-1 from a column-sweep RREF (dense_inverse),
+  and theta c(theta^-1 b_j1, ..) evaluated at every index tuple.
+  cohomology.transport, which moves each key of c, must equal it.
+- The rigidity scan that judges every class with obstruction_verdict
+  (per_class_rigidity_scan); the scan that carries d phi = 0 along the
+  orbit must return the same reports.
 
 - The quotient of D_l by its centre, built by projecting every bracket;
   the wedge-square model must be graded-isomorphic to it.
@@ -78,7 +85,7 @@ the model index of a monomial, symplectic transvections and Weyl orbits.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import add, sub
 from typing import NamedTuple
 
@@ -94,7 +101,8 @@ from d2lie.cohomology import (
     h2_survey_rows,
     weight_block,
 )
-from d2lie.exterior import SymplecticSpace
+from d2lie.deformation import obstruction_verdict
+from d2lie.exterior import SymplecticSpace, phi
 from d2lie.algebra import Label, LieAlgebra, Weight, _coord_code, express_in_simple_roots, odd_coords
 from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices, row_reduce
 
@@ -742,6 +750,66 @@ def model_automorphism(model, g):
     by_weight = {space.weight_of_index(a): a for a in range(space.dim)}
     img = [by_weight[g(space.weight_of_index(a))] for a in range(space.dim)]
     return [per_bit_reduce(model, wedge_of_vectors(space, 1 << img[a], 1 << img[b])) for a, b in model.monomials]
+
+
+def eval_vectors(c, *vectors):
+    """c on packed vectors, expanded over their basis vectors one argument at a time."""
+    if len(vectors) != c.degree:
+        raise ValueError("arity mismatch")
+    out = 0
+    for indices in product(*(list(bit_indices(x)) for x in vectors)):
+        out ^= eval_basis(c, *indices)
+    return out
+
+
+def dense_inverse(theta):
+    """theta^-1 by images, from the column-sweep RREF of [A | I], where column i of A is theta(b_i):
+    row k then reads e_k | row k of A^-1, and theta^-1(b_j) is column j of A^-1."""
+    dim = len(theta)
+    a = [sum((theta[i] >> k & 1) << i for i in range(dim)) | 1 << (dim + k) for k in range(dim)]
+    rows, pivots = rref(a, dim)
+    if pivots != list(range(dim)):
+        raise ValueError("singular map")
+    return [sum((rows[k] >> (dim + j) & 1) << k for k in range(dim)) for j in range(dim)]
+
+
+def dense_transport(theta, c):
+    """theta . c by its definition: theta c(theta^-1 b_j1, ..) at every sorted index tuple J.
+
+    A b_j whose theta^-1 b_j meets no index of c's keys makes every term 0,
+    so J runs over the other j only.
+    """
+    inverse = dense_inverse(theta)
+    support = 0
+    for key in c.data:
+        for i in key:
+            support |= 1 << i
+    live = [j for j in range(c.dim) if inverse[j] & support]
+    data = {}
+    for J in combinations(live, c.degree):
+        image = 0
+        for m in bit_indices(eval_vectors(c, *(inverse[j] for j in J))):
+            image ^= theta[m]
+        if image:
+            data[J] = image
+    return Cochain(c.degree, c.dim, data)
+
+
+def per_class_rigidity_scan(model):
+    """The rigidity scan that judges every class with obstruction_verdict, in weight order."""
+    l = model.l
+    ranks = range(1, l + 1)
+    items = sorted((tuple(2 * sign * (k == i) for k in ranks), sign * i) for i in ranks for sign in (1, -1))
+    reports = []
+    for w, label in items:
+        try:
+            report = obstruction_verdict(model.algebra, phi(label, model))
+        except ValueError as exc:
+            raise ArithmeticError(f"quadratic cocycle {label} at weight {w}: {exc}") from exc
+        if report.weight != w:
+            raise ArithmeticError(f"quadratic cocycle {label} has weight {report.weight}, expected {w}")
+        reports.append(report)
+    return reports
 
 
 # -- symplectic transvections --------------------------------------------

@@ -214,7 +214,7 @@ def test_criterion_8_oracle_equivalences(model5, d4, d5_quotient):
     # (c) explicit graded isomorphism onto the centre quotient, verified
     # on every basis pair.
     A, B = model5.algebra, d5_quotient
-    theta = find_graded_isomorphism(A, B)
+    theta = find_graded_isomorphism(A, B, lambda w: w)
     assert theta is not None
     assert GF2Matrix(A.dim, B.dim, theta).rank() == A.dim
 

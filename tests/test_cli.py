@@ -168,6 +168,26 @@ def test_scan_non_cocycle_exits_2(monkeypatch, model5, d4, capsys):
     assert f"basis triple {triple}" in err
 
 
+def test_rigidity_names_the_first_class_that_is_no_cocycle(monkeypatch, model5, capsys):
+    # Only the broken classes fail d phi = 0.  Their neighbours along the
+    # walk are no transports of them, so each broken class is judged
+    # directly; when several fail, the first in weight order is named
+    # (weight order runs 2 eps_5 .. 2 eps_1, the walk 2 eps_1 .. 2 eps_5).
+    phi = d2lie.exterior.phi
+    extra = Cochain(2, model5.algebra.dim, {(0, 4): 1 << 5})
+    for broken, named, w in (({3}, 3, "(0, 0, 2, 0, 0)"), ({2, 4}, 4, "(0, 0, 0, 2, 0)")):
+        def built(label, model, broken=broken):
+            return phi(label, model) + extra if label in broken else phi(label, model)
+
+        monkeypatch.setattr("d2lie.exterior.phi", built)
+        triple = min(differential(model5.algebra, built(named, model5)).data)
+        assert main(["rigidity", "--l", "5"]) == EXIT_DISCREPANCY
+        out, err = capsys.readouterr()
+        assert err.startswith(f"discrepancy: quadratic cocycle {named} at weight {w}: not a cocycle")
+        assert f"basis triple {triple}" in err
+        assert "rigid" not in out
+
+
 def test_rigidity_class_of_another_weight_exits_2(monkeypatch, capsys):
     # phi(-label) has the weight of phi(label) negated; rigidity_scan checks
     # the class at -2 eps_1 (label -1) first and must refuse its weight.

@@ -13,6 +13,7 @@ from oracles import (
     composite_is_zero,
     coord_of_code,
     dense_differential,
+    dense_transport,
     eval_basis,
     functional_pruned_weights,
     h2_weight_survey,
@@ -36,6 +37,7 @@ from d2lie.algebra import (
     center,
     check_jacobi,
     check_weight_additivity,
+    express_in_simple_roots,
 )
 from d2lie.cohomology import (
     Cochain,
@@ -44,8 +46,10 @@ from d2lie.cohomology import (
     differential,
     find_graded_isomorphism,
     h2_survey_rows,
+    invert,
     is_coboundary,
     is_homomorphism,
+    transport,
     weight_block,
     _automorphisms,
     _block_coords,
@@ -563,6 +567,131 @@ def test_automorphisms_equal_the_closed_formulas(d4, d5, d6, d7, d8, model5, mod
         assert _automorphisms(L) == {name: formula(g) for name, g in gens.items()}
 
 
+def _apply(theta, x):
+    """theta(x) for a packed vector x."""
+    out = 0
+    for m in bit_indices(x):
+        out ^= theta[m]
+    return out
+
+
+def _shift(w):
+    """The signed cyclic shift (-w_l, w_1, .., w_(l-1)) that rigidity_scan walks."""
+    return (-w[-1], *w[:-1])
+
+
+def _closed_form_maps(L, formula):
+    """(name, g, theta_g by the closed formula) for every generator and the shift."""
+    gens = {**_signed_permutation_generators(len(L.weights[0])), "shift": _shift}
+    return [(name, g, formula(g)) for name, g in gens.items()]
+
+
+def _random_homogeneous_cochain(L, n, mu_code, rng, size=8):
+    """Up to size random basis cochains of degree n and packed weight mu_code, summed."""
+    sums = L.weight_sums(n)
+    coords = [(key, m) for m, c in enumerate(L.weight_codes) for key in sums.get(c - mu_code, ())]
+    data = {}
+    for key, m in rng.sample(coords, min(size, len(coords))):
+        data[key] = data.get(key, 0) | 1 << m
+    return Cochain(n, L.dim, data)
+
+
+def _transport_cases(d4, d5, d6, model5, model7):
+    """(L, name, g, theta_g, cochains): random weight-homogeneous cochains of degrees 1-3 under each map.
+
+    Each degree gets two cochains at the weights of random basis cochains and
+    one on the weight-0 indices alone, where the images of D_l's Cartans and
+    of the model's dual pairs are not single basis vectors.
+    """
+    rng = random.Random(32)
+    cases = [(L, lambda g, l=len(L.weights[0]): chevalley_automorphism(l, g)) for L in (d4, d5, d6)]
+    cases += [(m.algebra, lambda g, m=m: model_automorphism(m, g)) for m in (model5, model7)]
+    for L, formula in cases:
+        zero = [i for i, c in enumerate(L.weight_codes) if not c]
+        cochains = []
+        for n in (1, 2, 3):
+            for _ in range(2):
+                key, k = rng.sample(range(L.dim), n), rng.randrange(L.dim)
+                mu = L.weight_codes[k] - sum(L.weight_codes[i] for i in key)
+                cochains.append(_random_homogeneous_cochain(L, n, mu, rng))
+            keys = rng.sample(list(combinations(zero, n)), 4)
+            cochains.append(Cochain(n, L.dim, {key: sum(1 << i for i in rng.sample(zero, 2)) for key in keys}))
+        for name, g, theta in _closed_form_maps(L, formula):
+            yield L, name, g, theta, cochains
+
+
+def test_transport_equals_the_dense_oracle(d4, d5, d6, model5, model7):
+    for L, name, g, theta, cochains in _transport_cases(d4, d5, d6, model5, model7):
+        inverse = invert(theta)
+        assert [_apply(inverse, t) for t in theta] == [1 << i for i in range(L.dim)], name
+        for c in cochains:
+            moved = transport(theta, inverse, c)
+            assert moved == dense_transport(theta, c), (L, name, c)
+            w = cochain_weight(L, c)
+            assert cochain_weight(L, moved) == (None if w is None else g(w)), (L, name)
+
+
+def test_transport_commutes_with_the_differential(d4, d5, d6, model5, model7):
+    for L, name, _, theta, cochains in _transport_cases(d4, d5, d6, model5, model7):
+        inverse = invert(theta)
+        for c in cochains:
+            dc = differential(L, c)
+            assert differential(L, transport(theta, inverse, c)) == transport(theta, inverse, dc), (L, name, c)
+
+
+def test_shift_automorphism_is_found_by_its_weight_map(d4, d5, model5, model7):
+    # The shift is no generator: find_graded_isomorphism relabels the weights
+    # by it directly and must land on the closed formula.
+    assert find_graded_isomorphism(d4, d4, _shift) == chevalley_automorphism(4, _shift)
+    assert find_graded_isomorphism(d5, d5, _shift) == chevalley_automorphism(5, _shift)
+    for m in (model5, model7):
+        assert find_graded_isomorphism(m.algebra, m.algebra, _shift) == model_automorphism(m, _shift)
+
+
+def _triality(w):
+    """The weight map of the D_4 diagram automorphism alpha_1 -> alpha_3 -> alpha_4 -> alpha_1 fixing
+    alpha_2, on the root lattice: w's simple-root coordinates applied to the permuted roots."""
+    simple = [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)]
+    images = [simple[2], simple[1], simple[3], simple[0]]
+    coords = express_in_simple_roots(w)
+    return tuple(sum(c * a[k] for c, a in zip(coords, images)) for k in range(4))
+
+
+def test_triality_is_found_by_its_weight_map_and_joins_the_d4_orbits(d4, timed_survey):
+    # Triality is no signed permutation: T(2 eps_1) = (1, 1, 1, -1).  Its
+    # automorphism has order 3, and with it the 24 H^2 weights of D_4 are
+    # one orbit; the signed permutations alone leave the ±2 eps_i (8) and
+    # the (±1)^4 (16) apart.
+    assert _triality((2, 0, 0, 0)) == (1, 1, 1, -1)
+    theta = find_graded_isomorphism(d4, d4, _triality)
+    assert theta is not None and is_homomorphism(d4, d4, theta)
+    assert [_apply(theta, _apply(theta, t)) for t in theta] == [1 << i for i in range(d4.dim)]
+    maps = list(_signed_permutation_generators(4).values())
+    weights = set(timed_survey(d4)[0])
+    assert len(weights) == 24
+
+    def orbit(w, maps):
+        seen, todo = {w}, [w]
+        while todo:
+            v = todo.pop()
+            for g in maps:
+                if (u := g(v)) not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    assert orbit((2, 0, 0, 0), maps + [_triality]) == weights
+    assert sorted(len(orbit(w, maps)) for w in weights) == [8] * 8 + [16] * 16
+
+
+def test_invert_rejects_a_singular_map():
+    with pytest.raises(ValueError, match="not invertible"):
+        invert([0b11, 0b11])
+    assert invert([0b01, 0b11]) == [0b01, 0b11]
+    with pytest.raises(ValueError, match="dimension"):
+        transport([1], [1], Cochain(1, 2))
+
+
 def test_is_homomorphism_rejects_swapped_root_images():
     L = build_chevalley_D(4)
     theta = list(_automorphisms(L)["eps_2<->eps_3"])
@@ -572,8 +701,8 @@ def test_is_homomorphism_rejects_swapped_root_images():
     # One bracket entry of the target changed: [E_a, E_b] = E_(a+b) dropped.
     key = next((i, j) for (i, j), v in sorted(L.brackets.items()) if i >= 4 and v.bit_count() == 1)
     B = LieAlgebra(L.labels, L.weights, {k: v for k, v in L.brackets.items() if k != key})
-    assert find_graded_isomorphism(L, L) == [1 << i for i in range(L.dim)]
-    assert find_graded_isomorphism(L, B) is None
+    assert find_graded_isomorphism(L, L, lambda w: w) == [1 << i for i in range(L.dim)]
+    assert find_graded_isomorphism(L, B, lambda w: w) is None
 
 
 def test_survey_without_a_negative_weight_ranks_per_weight():
@@ -581,7 +710,7 @@ def test_survey_without_a_negative_weight_ranks_per_weight():
     # fixes theta on h, so no generator gets an automorphism.
     L = LieAlgebra(["h", "x"], [(0, 0), (-1, -1)], {(0, 1): 0b10})
     assert check_jacobi(L).ok and check_weight_additivity(L)
-    assert find_graded_isomorphism(L, L) is None
+    assert find_graded_isomorphism(L, L, lambda w: w) is None
     assert _automorphisms(L) == {}
     assert h2_survey_rows(L) == unpruned_survey_rows(L)
 
@@ -591,8 +720,7 @@ def test_graded_isomorphism_needs_equal_weight_multiplicities():
     # has weight 1 twice and weight -1 once, so the sign flip of eps_1 gets
     # no automorphism.
     A = LieAlgebra("hxyz", [(0,), (1,), (1,), (-1,)], {})
-    flipped = LieAlgebra(A.labels, [(-c,) for (c,) in A.weights], A.brackets)
-    assert find_graded_isomorphism(flipped, A) is None
+    assert find_graded_isomorphism(A, A, lambda w: (-w[0],)) is None
     assert _automorphisms(A) == {}
 
 
@@ -601,7 +729,7 @@ def test_graded_isomorphism_needs_one_dimensional_nonzero_weight_spaces():
     # gives up although the identity is an automorphism.
     L = LieAlgebra("wxyz", [(1,), (1,), (-1,), (-1,)], {})
     assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
-    assert find_graded_isomorphism(L, L) is None
+    assert find_graded_isomorphism(L, L, lambda w: w) is None
     assert _automorphisms(L) == {}
 
 
@@ -611,7 +739,7 @@ def test_graded_isomorphism_needs_the_dual_pairs_to_fix_weight_0():
     L = LieAlgebra("hkef", [(0,), (0,), (1,), (-1,)], {(2, 3): 0b11})
     assert check_jacobi(L).ok and check_weight_additivity(L)
     assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
-    assert find_graded_isomorphism(L, L) is None
+    assert find_graded_isomorphism(L, L, lambda w: w) is None
     assert _automorphisms(L) == {}
 
 

@@ -12,6 +12,7 @@ from oracles import (
     first_truncated_failures,
     h2_weight_survey,
     monomial_index,
+    per_class_rigidity_scan,
     representative,
     root_pair_keys,
     rref_nullspace,
@@ -21,6 +22,8 @@ from oracles import (
     wneg,
 )
 
+import d2lie.cohomology
+import d2lie.deformation
 from d2lie.algebra import (
     LieAlgebra,
     _coord_code,
@@ -559,6 +562,49 @@ def test_cup_square_weights_hold_no_other_term(model5, model7, model9, timed_sur
                 target = e_weight(l, i, 4 * sign)
                 assert _block_coords(L, 2, target) == [], (l, target)
                 assert not [(a, b) for a, b in combinations(weights, 2) if wadd(a, b) == target], (l, target)
+
+
+def test_rigidity_scan_equals_the_per_class_oracle(model5, model7, model9):
+    for model in (model5, model7, model9):
+        assert rigidity_scan(model) == per_class_rigidity_scan(model)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a function that records its arguments; return the record."""
+    fn = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_rigidity_scan_judges_one_class_directly(model5, model7, monkeypatch):
+    # Only the class at -2 eps_1 runs obstruction_verdict, and with it the
+    # one degree-2 cocycle check; every class still gets its coboundary test,
+    # and each of those checks that the cup square is a cocycle.
+    for model in (model5, model7):
+        verdicts = _counted(monkeypatch, d2lie.deformation, "obstruction_verdict")
+        coboundaries = _counted(monkeypatch, d2lie.deformation, "is_coboundary")
+        cocycles = _counted(monkeypatch, d2lie.cohomology, "require_cocycle")
+        reports = rigidity_scan(model)
+        assert [psi for _, psi in verdicts] == [phi(-1, model)]
+        assert len(coboundaries) == 2 * model.l
+        assert [c for _, c in cocycles] == [cup for _, cup in coboundaries]
+        assert [cup_square(model.algebra, r.representative) for r in reports] == sorted(
+            (c for _, c in coboundaries), key=lambda c: cochain_weight(model.algebra, c)
+        )
+        monkeypatch.undo()
+
+
+def test_rigidity_scan_without_an_automorphism_judges_every_class(model5, monkeypatch):
+    monkeypatch.setattr(d2lie.deformation, "find_graded_isomorphism", lambda A, B, g: None)
+    verdicts = _counted(monkeypatch, d2lie.deformation, "obstruction_verdict")
+    assert rigidity_scan(model5) == per_class_rigidity_scan(model5)
+    assert len(verdicts) == 10
 
 
 def test_rigidity_scan_rejects_small_rank(model3):

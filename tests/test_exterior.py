@@ -430,7 +430,7 @@ def test_isomorphism_model_to_quotient():
     for l in (5, 7, 9):
         D = build_chevalley_D(l)
         A, B = build_quotient_model(l).algebra, quotient_with_projection(D, center(D))[0]
-        theta = find_graded_isomorphism(A, B)
+        theta = find_graded_isomorphism(A, B, lambda w: w)
         assert theta is not None
         assert PivotBasis(theta).rank == A.dim
 
@@ -450,9 +450,9 @@ def test_isomorphism_model_to_quotient():
 
 
 def test_isomorphism_wrong_dimension_is_none(model5, d5):
-    assert find_graded_isomorphism(model5.algebra, d5) is None
+    assert find_graded_isomorphism(model5.algebra, d5, lambda w: w) is None
 
 
 def test_isomorphism_model_to_itself_is_identity(model5):
-    theta = find_graded_isomorphism(model5.algebra, model5.algebra)
+    theta = find_graded_isomorphism(model5.algebra, model5.algebra, lambda w: w)
     assert theta == [1 << i for i in range(model5.algebra.dim)]
