@@ -32,10 +32,11 @@ The survey then ranks one block per orbit of the signed permutations of
 the eps coordinates.  An automorphism theta of L that moves each weight
 w to g(w) acts on cochains by c -> theta c (theta^-1 x, ..), a
 bijection C^n_mu -> C^n_(g mu) that commutes with d, since d is built
-from the bracket alone; so the rows of mu and g(mu) agree.  The eps_i <->
-eps_(i+1) and eps_l -> -eps_l generate every signed permutation, so once
-each of them has a theta, two weights lie in one orbit exactly when
-their sorted absolute coordinates agree, and that is the orbit key.
+from the bracket alone; so the rows of mu and g(mu) agree.  The pair
+of the signed cyclic shift (-w_l, w_1, .., w_(l-1)) and eps_1 <-> eps_2
+generates every signed permutation (Coxeter and Moser 1957), so when
+both have a theta, two weights lie in one orbit exactly when their
+sorted absolute coordinates agree, the orbit key; else each is ranked.
 theta is derived from the algebra, not supplied: find_graded_isomorphism
 relabels each basis weight w as g(w), by the weight map it is given, so
 on the one-dimensional nonzero weight spaces theta must send b_w to
@@ -44,14 +45,12 @@ candidate is kept only if it has full rank and keeps every bracket.  It
 exists on D_l because W(D_l) and the graph automorphism act on the
 Chevalley Z-form (Chevalley 1955; Steinberg 1967) with signs that
 vanish mod 2, and on the model because a signed permutation of the
-basis of V keeps the form and omega.  Where a generator gets no theta,
-every weight is ranked.
+basis of V keeps the form and omega.
 
 transport applies theta to a cochain itself, key by key, with theta^-1
 from invert.  The survey only needs theta to exist; the rigidity scan
-(deformation.rigidity_scan) transports each phi along the orbit of one
-signed cyclic shift, so that d phi = 0 is checked on one class and
-carried to the rest.
+(deformation.rigidity_scan) transports each phi along the orbit of the
+shift, so that d phi = 0 is checked on one class and carried to the rest.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (algebra._coord_code): the key's index mask shifted left by
@@ -402,9 +401,10 @@ def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
     key -> v goes to the wedge of the functionals b_i^* o theta^-1, i in
     key, with value theta(v), and b_i^* o theta^-1 is the sum of the b_j^*
     with b_i in theta^-1(b_j).  The wedge expands into one index from each
-    factor, and a term that repeats an index is 0.  Where every image is
-    one basis vector, as for almost every basis vector under an
-    automorphism of L, the key just moves.
+    factor, and a term that repeats an index is 0.  Where b_i lies in one
+    theta^-1(b_j) alone, as almost every b_i does under an automorphism of
+    L, its functional is b_j^*, and distinct such i have distinct j, or
+    theta^-1 would miss b_i; a key of such indices just moves, unexpanded.
     """
     if len(theta) != c.dim or len(inverse) != c.dim:
         raise ValueError(f"a map of dimension {len(theta)} on a cochain of dimension {c.dim}")
@@ -412,11 +412,16 @@ def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
     for j, v in enumerate(inverse):
         for i in bit_indices(v):
             dual[i].append(j)
+    moves = [js[0] if len(js) == 1 else None for js in dual]
     data: dict[tuple[int, ...], int] = {}
     for key, v in c.data.items():
         value = 0
         for m in bit_indices(v):
             value ^= theta[m]
+        if None not in (js := tuple(map(moves.__getitem__, key))):
+            k = tuple(sorted(js))
+            data[k] = data.get(k, 0) ^ value
+            continue
         for js in product(*map(dual.__getitem__, key)):
             if len(set(js)) == len(js):
                 k = tuple(sorted(js))
@@ -424,15 +429,15 @@ def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
     return Cochain(c.degree, c.dim, data)
 
 
+def signed_cyclic_shift(w: Weight) -> Weight:
+    """(-w_l, w_1, .., w_(l-1)): eps_i -> eps_(i+1) for i < l, and eps_l -> -eps_1."""
+    return (-w[-1], *w[:-1])
+
+
 def _signed_permutation_generators(l: int) -> dict:
-    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, as maps of weights, by name; none at l = 0."""
-    gens = {
-        f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
-        for i in range(1, l)
-    }
-    if l:
-        gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
-    return gens
+    """The shift and eps_1 <-> eps_2, as maps of weights, by name; the shift alone at l = 1, none at l = 0."""
+    swap = {"eps_1<->eps_2": lambda w: (w[1], w[0], *w[2:])} if l > 1 else {}
+    return {"shift": signed_cyclic_shift, **swap} if l else {}
 
 
 def _automorphisms(L: LieAlgebra) -> dict[str, list[int]]:
@@ -536,6 +541,8 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> bool:
     if c.is_zero():
         return True
     src = _block_coords(L, c.degree - 1, cochain_weight(L, c))
+    if not src:  # B^n_mu = 0, and c is not 0
+        return False
     # c's own coordinates come first, so c is the all-ones vector on them;
     # coordinates only the images reach are numbered after.
     coords = [_coord_code(key, m, L.dim) for key, v in c.data.items() for m in bit_indices(v)]

@@ -65,6 +65,7 @@ from .cohomology import (
     invert,
     is_coboundary,
     require_cocycle,
+    signed_cyclic_shift,
     transport,
 )
 from .gf2 import PivotBasis, bit_indices
@@ -219,18 +220,18 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     span H^2 and that their nonzero combinations are obstructed too, as
     rigidity needs, is not checked here.
 
-    The signed cyclic shift g(w) = (-w_l, w_1, .., w_(l-1)) walks every
-    class: -2 eps_1 -> .. -> -2 eps_l -> 2 eps_1 -> .. -> 2 eps_l.  The
-    automorphism theta over g is found once (find_graded_isomorphism) and
-    inverted once.  The first class goes through obstruction_verdict.  A
-    later one whose phi equals theta . phi of the class before it
-    (cohomology.transport) is a cocycle, since d(theta . c) = theta . d c
-    and d of that class is 0; its cup square, weight and coboundary test
-    still run.  Any other class, and every class when no theta is found,
-    goes through obstruction_verdict.  A ValueError from building or
-    judging a class is re-raised as ArithmeticError naming the class, the
-    first in weight order when several fail; integrability_scan re-raises
-    its own the same way.
+    The survey's signed cyclic shift g(w) = (-w_l, w_1, .., w_(l-1))
+    walks every class: -2 eps_1 -> .. -> -2 eps_l -> 2 eps_1 -> .. ->
+    2 eps_l.  Only its theta is found (find_graded_isomorphism), not the
+    survey's pair, and inverted once.  The first class goes through
+    obstruction_verdict.  A later one whose phi is theta . phi of the
+    class before (cohomology.transport) is a cocycle, since d(theta . c)
+    = theta . d c and d of that class is 0; its cup square, weight and
+    coboundary test still run.  Any other class, and every class when no
+    theta is found, goes through obstruction_verdict.  A ValueError from
+    building or judging a class is re-raised as ArithmeticError naming
+    the class, the first in weight order when several fail;
+    integrability_scan re-raises its own the same way.
     """
     from .exterior import phi
 
@@ -240,7 +241,7 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     if l < 5:
         raise ValueError("rigidity scan needs rank > 3")
     L = model.algebra
-    theta = find_graded_isomorphism(L, L, lambda w: (-w[-1], *w[:-1]))
+    theta = find_graded_isomorphism(L, L, signed_cyclic_shift)
     inverse = theta and invert(theta)
     # The cocycle of e_(sign i) has weight 2 sign eps_i.
     ranks = range(1, l + 1)

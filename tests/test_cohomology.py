@@ -1,6 +1,7 @@
 import random
 import re
 from itertools import combinations
+from math import factorial
 
 import pytest
 from oracles import (
@@ -58,10 +59,11 @@ from d2lie.cohomology import (
     _c2_weights,
     _signed_permutation_generators,
     _torus_characters,
+    signed_cyclic_shift,
 )
 from d2lie.deformation import cup_square, rigidity_scan
 from d2lie.exterior import build_quotient_model, phi
-from d2lie.gf2 import GF2Matrix, bit_indices
+from d2lie.gf2 import GF2Matrix, PivotBasis, bit_indices
 
 
 def e4_weight(c):
@@ -541,13 +543,65 @@ def test_survey_drops_torus_elements_without_a_functional():
 
 def test_orbit_survey_equals_per_weight_oracle(d4, d5, d6, d7, d8, model5, model7, model9):
     for L in (d4, d5, d6, d7, d8, model5.algebra, model7.algebra, model9.algebra):
-        assert len(_automorphisms(L)) == len(L.weights[0])
+        assert list(_automorphisms(L)) == ["shift", "eps_1<->eps_2"]
         assert h2_survey_rows(L) == per_weight_survey_rows(L)
+
+
+def _orbit(w, maps):
+    """The orbit of the weight w under the group the maps generate, walked point by point."""
+    seen, todo = {w}, [w]
+    while todo:
+        v = todo.pop()
+        for g in maps:
+            if (u := g(v)) not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen
+
+
+def _generic_orbit_size(l, maps):
+    """Points in the orbit of x = (1, .., l) under maps of signed permutations, counted without listing them.
+
+    The walk visits the orbit of |x|, keeping the first signed point r that
+    reaches each arrangement p.  For a step g and the group elements rho,
+    rho' taking x to r and to the point r' kept for g(p), rho'^-1 g rho
+    fixes |x|, so it only changes signs, those at |r'_j| for the j where
+    g(r) and r' differ.  By Schreier's lemma these sign changes generate
+    the stabilizer of |x|, and x, with distinct nonzero |coordinates|, has
+    one point per group element, so the orbit has 2^rank points per p.
+    """
+    x = tuple(range(1, l + 1))
+    kept, todo, signs = {x: x}, [x], PivotBasis()
+    while todo:
+        r = todo.pop()
+        for g in maps:
+            y = g(r)
+            if (p := tuple(map(abs, y))) not in kept:
+                kept[p] = y
+                todo.append(y)
+            signs.add(sum(1 << (abs(b) - 1) for a, b in zip(y, kept[p]) if a != b))
+    return len(kept) << signs.rank
+
+
+def test_the_pair_generates_every_signed_permutation():
+    # A generic weight has one point per signed permutation in its orbit,
+    # 2^l l! of them, the order of B_l, so the orbit key of the survey
+    # holds.  The walk checks the count up to l = 6; the shift alone, a
+    # cyclic group of order 2l, checks the counter.
+    assert list(_signed_permutation_generators(1)) == ["shift"]
+    for l in range(1, 9):
+        pair = list(_signed_permutation_generators(l).values())
+        assert _generic_orbit_size(l, pair) == 2**l * factorial(l)
+        assert _generic_orbit_size(l, pair[:1]) == 2 * l
+        if l <= 6:
+            x = tuple(range(1, l + 1))
+            assert len(_orbit(x, pair)) == 2**l * factorial(l)
+            assert len(_orbit(x, pair[:1])) == 2 * l
 
 
 def test_only_the_survey_builds_the_automorphisms():
     # Building, the Jacobi check, the centre and the rigidity scan never
-    # pay for the generators; the first survey builds all l of them.
+    # pay for the pair; the first survey builds both.
     L, model = build_chevalley_D(4), build_quotient_model(5)
     for A in (L, model.algebra):
         check_jacobi(A)
@@ -555,16 +609,20 @@ def test_only_the_survey_builds_the_automorphisms():
     rigidity_scan(model)
     assert L._automorphisms is None and model.algebra._automorphisms is None
     h2_survey_rows(L)
-    assert list(L._automorphisms) == ["eps_1<->eps_2", "eps_2<->eps_3", "eps_3<->eps_4", "eps_4->-eps_4"]
+    assert list(L._automorphisms) == ["shift", "eps_1<->eps_2"]
     assert model.algebra._automorphisms is None
 
 
 def test_automorphisms_equal_the_closed_formulas(d4, d5, d6, d7, d8, model5, model7, model9):
+    # The pair the survey finds, and find_graded_isomorphism on each simple
+    # reflection of B_l, all land on the closed formulas.
     cases = [(L, lambda g, l=len(L.weights[0]): chevalley_automorphism(l, g)) for L in (d4, d5, d6, d7, d8)]
     cases += [(m.algebra, lambda g, m=m: model_automorphism(m, g)) for m in (model5, model7, model9)]
     for L, formula in cases:
         gens = _signed_permutation_generators(len(L.weights[0]))
         assert _automorphisms(L) == {name: formula(g) for name, g in gens.items()}
+        for name, g, theta in _closed_form_maps(L, formula):
+            assert find_graded_isomorphism(L, L, g) == theta, (L, name)
 
 
 def _apply(theta, x):
@@ -575,14 +633,20 @@ def _apply(theta, x):
     return out
 
 
-def _shift(w):
-    """The signed cyclic shift (-w_l, w_1, .., w_(l-1)) that rigidity_scan walks."""
-    return (-w[-1], *w[:-1])
+def _simple_reflections(l):
+    """eps_i <-> eps_(i+1) for i < l and eps_l -> -eps_l, the Coxeter generators of B_l, by name."""
+    gens = {
+        f"eps_{i}<->eps_{i + 1}": lambda w, i=i: (*w[: i - 1], w[i], w[i - 1], *w[i + 1 :])
+        for i in range(1, l)
+    }
+    gens[f"eps_{l}->-eps_{l}"] = lambda w: (*w[:-1], -w[-1])
+    return gens
 
 
 def _closed_form_maps(L, formula):
-    """(name, g, theta_g by the closed formula) for every generator and the shift."""
-    gens = {**_signed_permutation_generators(len(L.weights[0])), "shift": _shift}
+    """(name, g, theta_g by the closed formula) for every simple reflection and the survey's pair."""
+    l = len(L.weights[0])
+    gens = {**_simple_reflections(l), **_signed_permutation_generators(l)}
     return [(name, g, formula(g)) for name, g in gens.items()]
 
 
@@ -596,26 +660,32 @@ def _random_homogeneous_cochain(L, n, mu_code, rng, size=8):
     return Cochain(n, L.dim, data)
 
 
-def _transport_cases(d4, d5, d6, model5, model7):
-    """(L, name, g, theta_g, cochains): random weight-homogeneous cochains of degrees 1-3 under each map.
+def _random_cochains(L, rng):
+    """Random weight-homogeneous cochains of degrees 1-3.
 
     Each degree gets two cochains at the weights of random basis cochains and
     one on the weight-0 indices alone, where the images of D_l's Cartans and
     of the model's dual pairs are not single basis vectors.
     """
+    zero = [i for i, c in enumerate(L.weight_codes) if not c]
+    cochains = []
+    for n in (1, 2, 3):
+        for _ in range(2):
+            key, k = rng.sample(range(L.dim), n), rng.randrange(L.dim)
+            mu = L.weight_codes[k] - sum(L.weight_codes[i] for i in key)
+            cochains.append(_random_homogeneous_cochain(L, n, mu, rng))
+        keys = rng.sample(list(combinations(zero, n)), 4)
+        cochains.append(Cochain(n, L.dim, {key: sum(1 << i for i in rng.sample(zero, 2)) for key in keys}))
+    return cochains
+
+
+def _transport_cases(d4, d5, d6, model5, model7):
+    """(L, name, g, theta_g, cochains): _random_cochains of L under each map of _closed_form_maps."""
     rng = random.Random(32)
     cases = [(L, lambda g, l=len(L.weights[0]): chevalley_automorphism(l, g)) for L in (d4, d5, d6)]
     cases += [(m.algebra, lambda g, m=m: model_automorphism(m, g)) for m in (model5, model7)]
     for L, formula in cases:
-        zero = [i for i, c in enumerate(L.weight_codes) if not c]
-        cochains = []
-        for n in (1, 2, 3):
-            for _ in range(2):
-                key, k = rng.sample(range(L.dim), n), rng.randrange(L.dim)
-                mu = L.weight_codes[k] - sum(L.weight_codes[i] for i in key)
-                cochains.append(_random_homogeneous_cochain(L, n, mu, rng))
-            keys = rng.sample(list(combinations(zero, n)), 4)
-            cochains.append(Cochain(n, L.dim, {key: sum(1 << i for i in rng.sample(zero, 2)) for key in keys}))
+        cochains = _random_cochains(L, rng)
         for name, g, theta in _closed_form_maps(L, formula):
             yield L, name, g, theta, cochains
 
@@ -639,13 +709,28 @@ def test_transport_commutes_with_the_differential(d4, d5, d6, model5, model7):
             assert differential(L, transport(theta, inverse, c)) == transport(theta, inverse, dc), (L, name, c)
 
 
+def test_the_pair_commutes_with_the_differential_at_higher_rank(d7, d8, model9):
+    # The survey's own theta_shift and theta_swap, at ranks past the dense
+    # transport oracle's.
+    rng = random.Random(34)
+    for L in (d7, d8, model9.algebra):
+        cochains = _random_cochains(L, rng)
+        for name, theta in _automorphisms(L).items():
+            inverse = invert(theta)
+            for c in cochains:
+                dc = differential(L, c)
+                assert differential(L, transport(theta, inverse, c)) == transport(theta, inverse, dc), (L, name, c)
+
+
 def test_shift_automorphism_is_found_by_its_weight_map(d4, d5, model5, model7):
-    # The shift is no generator: find_graded_isomorphism relabels the weights
-    # by it directly and must land on the closed formula.
-    assert find_graded_isomorphism(d4, d4, _shift) == chevalley_automorphism(4, _shift)
-    assert find_graded_isomorphism(d5, d5, _shift) == chevalley_automorphism(5, _shift)
+    # rigidity_scan asks for the shift alone, outside _automorphisms:
+    # find_graded_isomorphism relabels the weights by it directly and must
+    # land on the closed formula.
+    shift = signed_cyclic_shift
+    assert find_graded_isomorphism(d4, d4, shift) == chevalley_automorphism(4, shift)
+    assert find_graded_isomorphism(d5, d5, shift) == chevalley_automorphism(5, shift)
     for m in (model5, model7):
-        assert find_graded_isomorphism(m.algebra, m.algebra, _shift) == model_automorphism(m, _shift)
+        assert find_graded_isomorphism(m.algebra, m.algebra, shift) == model_automorphism(m, shift)
 
 
 def _triality(w):
@@ -669,19 +754,8 @@ def test_triality_is_found_by_its_weight_map_and_joins_the_d4_orbits(d4, timed_s
     maps = list(_signed_permutation_generators(4).values())
     weights = set(timed_survey(d4)[0])
     assert len(weights) == 24
-
-    def orbit(w, maps):
-        seen, todo = {w}, [w]
-        while todo:
-            v = todo.pop()
-            for g in maps:
-                if (u := g(v)) not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return seen
-
-    assert orbit((2, 0, 0, 0), maps + [_triality]) == weights
-    assert sorted(len(orbit(w, maps)) for w in weights) == [8] * 8 + [16] * 16
+    assert _orbit((2, 0, 0, 0), maps + [_triality]) == weights
+    assert sorted(len(_orbit(w, maps)) for w in weights) == [8] * 8 + [16] * 16
 
 
 def test_invert_rejects_a_singular_map():
@@ -694,7 +768,7 @@ def test_invert_rejects_a_singular_map():
 
 def test_is_homomorphism_rejects_swapped_root_images():
     L = build_chevalley_D(4)
-    theta = list(_automorphisms(L)["eps_2<->eps_3"])
+    theta = list(_automorphisms(L)["eps_1<->eps_2"])
     assert is_homomorphism(L, L, theta)
     theta[4], theta[5] = theta[5], theta[4]
     assert not is_homomorphism(L, L, theta)
