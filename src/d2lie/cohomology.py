@@ -401,10 +401,9 @@ def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
     key -> v goes to the wedge of the functionals b_i^* o theta^-1, i in
     key, with value theta(v), and b_i^* o theta^-1 is the sum of the b_j^*
     with b_i in theta^-1(b_j).  The wedge expands into one index from each
-    factor, and a term that repeats an index is 0.  Where b_i lies in one
-    theta^-1(b_j) alone, as almost every b_i does under an automorphism of
-    L, its functional is b_j^*, and distinct such i have distinct j, or
-    theta^-1 would miss b_i; a key of such indices just moves, unexpanded.
+    factor, and a term that repeats an index is 0.  Where every image is
+    one basis vector, as for almost every basis vector under an
+    automorphism of L, the key just moves.
     """
     if len(theta) != c.dim or len(inverse) != c.dim:
         raise ValueError(f"a map of dimension {len(theta)} on a cochain of dimension {c.dim}")
@@ -412,16 +411,11 @@ def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
     for j, v in enumerate(inverse):
         for i in bit_indices(v):
             dual[i].append(j)
-    moves = [js[0] if len(js) == 1 else None for js in dual]
     data: dict[tuple[int, ...], int] = {}
     for key, v in c.data.items():
         value = 0
         for m in bit_indices(v):
             value ^= theta[m]
-        if None not in (js := tuple(map(moves.__getitem__, key))):
-            k = tuple(sorted(js))
-            data[k] = data.get(k, 0) ^ value
-            continue
         for js in product(*map(dual.__getitem__, key)):
             if len(set(js)) == len(js):
                 k = tuple(sorted(js))
@@ -541,8 +535,6 @@ def is_coboundary(L: LieAlgebra, c: Cochain) -> bool:
     if c.is_zero():
         return True
     src = _block_coords(L, c.degree - 1, cochain_weight(L, c))
-    if not src:  # B^n_mu = 0, and c is not 0
-        return False
     # c's own coordinates come first, so c is the all-ones vector on them;
     # coordinates only the images reach are numbered after.
     coords = [_coord_code(key, m, L.dim) for key, v in c.data.items() for m in bit_indices(v)]
