@@ -47,10 +47,12 @@ Chevalley Z-form (Chevalley 1955; Steinberg 1967) with signs that
 vanish mod 2, and on the model because a signed permutation of the
 basis of V keeps the form and omega.
 
-transport applies theta to a cochain itself, key by key, with theta^-1
-from invert.  The survey only needs theta to exist; the rigidity scan
-(deformation.rigidity_scan) transports each phi along the orbit of the
-shift, so that d phi = 0 is checked on one class and carried to the rest.
+The survey only needs theta to exist.  The rigidity scan
+(deformation.rigidity_scan) carries d phi = 0 along the orbit of the
+shift, from one class to the next.  For an invertible theta, phi' is
+theta . phi exactly when theta phi(x, y) = phi'(theta x, theta y) on every
+basis pair, which intertwines checks as it checks that theta keeps every
+bracket, so theta^-1 is never formed.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (algebra._coord_code): the key's index mask shifted left by
@@ -64,7 +66,6 @@ PivotBasis membership.  Cochain is the type at the module's boundary.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from .algebra import (
@@ -297,25 +298,28 @@ def cohomology_dim(L: LieAlgebra, mu: Weight) -> int:
 # -- graded isomorphisms ----------------------------------------------
 
 
-def is_homomorphism(A: LieAlgebra, B: LieAlgebra, theta: list[int]) -> bool:
-    """Whether b_i -> theta[i], packed over the basis of B, keeps the bracket of every basis pair.
+def intertwines(theta: list[int], f: dict, g: dict) -> bool:
+    """Whether theta f(b_i, b_j) = g(theta b_i, theta b_j) on every basis pair, for b_i -> theta[i], packed.
 
-    [theta b_i, theta b_j] is the sum of the [b_a, b_b] with b_a in theta b_i
-    and b_b in theta b_j, so each bracket entry of B is spread over the pairs
-    whose images meet it, and the pairs that none meets bracket to 0.
+    f and g are alternating tables {(i, j): packed value}, i < j: two
+    bracket tables, when theta is to be a homomorphism, or two degree-2
+    cochains, when theta . f is to be g.  g(theta b_i, theta b_j) is the
+    sum of the g(b_a, b_b) with b_a in theta b_i and b_b in theta b_j, so
+    each entry of g is spread over the pairs whose images meet it, and the
+    pairs that none meets give 0.
     """
-    preimages: list[list[int]] = [[] for _ in range(B.dim)]
+    preimages: list[list[int]] = [[] for _ in range(len(theta))]
     for i, t in enumerate(theta):
         for m in bit_indices(t):
             preimages[m].append(i)
     lhs = {}
-    for key, v in A.brackets.items():
+    for key, v in f.items():
         image = 0
         for m in bit_indices(v):
             image ^= theta[m]
         lhs[key] = image
     rhs: dict[tuple[int, int], int] = {}
-    for (a, b), v in B.brackets.items():
+    for (a, b), v in g.items():
         for i in preimages[a]:
             for j in preimages[b]:
                 if i != j:
@@ -334,8 +338,8 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra, g) -> list[int] | None
     pair: one row reduction of these equations, the image of each bracket
     tagged above bit dim, must leave a unit row on every weight-0 basis
     vector, its image in the tag.  The candidate is returned only if it
-    has full rank and is_homomorphism accepts it, so a g that is not
-    linear can only give None.
+    has full rank and keeps every bracket (intertwines), so a g that is
+    not linear can only give None.
 
     None does not prove that no isomorphism exists: a nonzero weight space
     of dimension above 1, or a weight-0 part that the dual pairs leave
@@ -375,52 +379,9 @@ def find_graded_isomorphism(A: LieAlgebra, B: LieAlgebra, g) -> list[int] | None
             return None
         theta[low.bit_length() - 1] = image
         solved |= low
-    if solved != zero_a or PivotBasis(theta).rank != dim or not is_homomorphism(A, B, theta):
+    if solved != zero_a or PivotBasis(theta).rank != dim or not intertwines(theta, A.brackets, B.brackets):
         return None
     return theta
-
-
-def invert(theta: list[int]) -> list[int]:
-    """The packed images of theta^-1, for a theta given by its packed images theta(b_i).
-
-    Row i, theta(b_i) tagged with bit dim + i, is reduced once: the RREF
-    has a unit row on each b_j exactly when theta is invertible, and its
-    tag is theta^-1(b_j).
-    """
-    dim = len(theta)
-    rows = row_reduce(t | 1 << (dim + i) for i, t in enumerate(theta))
-    if [r & ((1 << dim) - 1) for r in rows] != [1 << j for j in range(dim)]:
-        raise ValueError("the map is not invertible")
-    return [r >> dim for r in rows]
-
-
-def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
-    """theta . c, the cochain (x_1, ..) -> theta c(theta^-1 x_1, ..), for theta with inverse theta^-1.
-
-    Both maps are given by their packed basis images.  The basis cochain
-    key -> v goes to the wedge of the functionals b_i^* o theta^-1, i in
-    key, with value theta(v), and b_i^* o theta^-1 is the sum of the b_j^*
-    with b_i in theta^-1(b_j).  The wedge expands into one index from each
-    factor, and a term that repeats an index is 0.  Where every image is
-    one basis vector, as for almost every basis vector under an
-    automorphism of L, the key just moves.
-    """
-    if len(theta) != c.dim or len(inverse) != c.dim:
-        raise ValueError(f"a map of dimension {len(theta)} on a cochain of dimension {c.dim}")
-    dual: list[list[int]] = [[] for _ in range(c.dim)]
-    for j, v in enumerate(inverse):
-        for i in bit_indices(v):
-            dual[i].append(j)
-    data: dict[tuple[int, ...], int] = {}
-    for key, v in c.data.items():
-        value = 0
-        for m in bit_indices(v):
-            value ^= theta[m]
-        for js in product(*map(dual.__getitem__, key)):
-            if len(set(js)) == len(js):
-                k = tuple(sorted(js))
-                data[k] = data.get(k, 0) ^ value
-    return Cochain(c.degree, c.dim, data)
 
 
 def signed_cyclic_shift(w: Weight) -> Weight:

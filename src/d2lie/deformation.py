@@ -62,11 +62,10 @@ from .cohomology import (
     cochain_weight,
     find_graded_isomorphism,
     h2_survey_rows,
-    invert,
+    intertwines,
     is_coboundary,
     require_cocycle,
     signed_cyclic_shift,
-    transport,
 )
 from .gf2 import PivotBasis, bit_indices
 
@@ -223,10 +222,11 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
     The survey's signed cyclic shift g(w) = (-w_l, w_1, .., w_(l-1))
     walks every class: -2 eps_1 -> .. -> -2 eps_l -> 2 eps_1 -> .. ->
     2 eps_l.  Only its theta is found (find_graded_isomorphism), not the
-    survey's pair, and inverted once.  The first class goes through
-    obstruction_verdict.  A later one whose phi is theta . phi of the
-    class before (cohomology.transport) is a cocycle, since d(theta . c)
-    = theta . d c and d of that class is 0; its cup square, weight and
+    survey's pair.  The first class goes through obstruction_verdict.  A
+    later one whose phi is theta . phi_prev for the class before, that is
+    theta phi_prev(x, y) = phi(theta x, theta y) on every basis pair
+    (cohomology.intertwines), is a cocycle, since d(theta . c) =
+    theta . d c and d phi_prev is 0; its cup square, weight and
     coboundary test still run.  Any other class, and every class when no
     theta is found, goes through obstruction_verdict.  A ValueError from
     building or judging a class is re-raised as ArithmeticError naming
@@ -242,7 +242,6 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
         raise ValueError("rigidity scan needs rank > 3")
     L = model.algebra
     theta = find_graded_isomorphism(L, L, signed_cyclic_shift)
-    inverse = theta and invert(theta)
     # The cocycle of e_(sign i) has weight 2 sign eps_i.
     ranks = range(1, l + 1)
     outcomes = {}
@@ -251,7 +250,7 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
         label, w = sign * i, tuple(2 * sign * (k == i) for k in ranks)
         try:
             psi = phi(label, model)
-            if cocycle is not None and transport(theta, inverse, cocycle) == psi:
+            if cocycle is not None and intertwines(theta, cocycle.data, psi.data):
                 outcomes[w] = label, _cup_verdict(L, psi, cup_square(L, psi))
             else:
                 outcomes[w] = label, obstruction_verdict(L, psi)

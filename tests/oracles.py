@@ -61,7 +61,11 @@
 - The action of such a theta on cochains by its definition
   (dense_transport): theta^-1 from a column-sweep RREF (dense_inverse),
   and theta c(theta^-1 b_j1, ..) evaluated at every index tuple.
-  cohomology.transport, which moves each key of c, must equal it.
+  The sparse transport, which moves each key of c with theta^-1 from
+  one tagged row reduction (invert), must equal it and commute with the
+  differential.  cohomology.intertwines, which the rigidity scan uses to
+  carry d phi = 0 without forming theta^-1, must accept a 2-cochain
+  against theta . c and against nothing else.
 - The rigidity scan that judges every class with obstruction_verdict
   (per_class_rigidity_scan); the scan that carries d phi = 0 along the
   orbit must return the same reports.
@@ -792,6 +796,49 @@ def dense_transport(theta, c):
             image ^= theta[m]
         if image:
             data[J] = image
+    return Cochain(c.degree, c.dim, data)
+
+
+def invert(theta: list[int]) -> list[int]:
+    """The packed images of theta^-1, for a theta given by its packed images theta(b_i).
+
+    Row i, theta(b_i) tagged with bit dim + i, is reduced once: the RREF
+    has a unit row on each b_j exactly when theta is invertible, and its
+    tag is theta^-1(b_j).
+    """
+    dim = len(theta)
+    rows = row_reduce(t | 1 << (dim + i) for i, t in enumerate(theta))
+    if [r & ((1 << dim) - 1) for r in rows] != [1 << j for j in range(dim)]:
+        raise ValueError("the map is not invertible")
+    return [r >> dim for r in rows]
+
+
+def transport(theta: list[int], inverse: list[int], c: Cochain) -> Cochain:
+    """theta . c, the cochain (x_1, ..) -> theta c(theta^-1 x_1, ..), for theta with inverse theta^-1.
+
+    Both maps are given by their packed basis images.  The basis cochain
+    key -> v goes to the wedge of the functionals b_i^* o theta^-1, i in
+    key, with value theta(v), and b_i^* o theta^-1 is the sum of the b_j^*
+    with b_i in theta^-1(b_j).  The wedge expands into one index from each
+    factor, and a term that repeats an index is 0.  Where every image is
+    one basis vector, as for almost every basis vector under an
+    automorphism of L, the key just moves.
+    """
+    if len(theta) != c.dim or len(inverse) != c.dim:
+        raise ValueError(f"a map of dimension {len(theta)} on a cochain of dimension {c.dim}")
+    dual: list[list[int]] = [[] for _ in range(c.dim)]
+    for j, v in enumerate(inverse):
+        for i in bit_indices(v):
+            dual[i].append(j)
+    data: dict[tuple[int, ...], int] = {}
+    for key, v in c.data.items():
+        value = 0
+        for m in bit_indices(v):
+            value ^= theta[m]
+        for js in product(*map(dual.__getitem__, key)):
+            if len(set(js)) == len(js):
+                k = tuple(sorted(js))
+                data[k] = data.get(k, 0) ^ value
     return Cochain(c.degree, c.dim, data)
 
 

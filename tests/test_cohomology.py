@@ -18,11 +18,13 @@ from oracles import (
     eval_basis,
     functional_pruned_weights,
     h2_weight_survey,
+    invert,
     is_zero_weight,
     model_automorphism,
     per_weight_survey_rows,
     representative,
     rref_rank,
+    transport,
     ungraded_h2_dim,
     unpruned_survey_rows,
     wadd,
@@ -47,10 +49,8 @@ from d2lie.cohomology import (
     differential,
     find_graded_isomorphism,
     h2_survey_rows,
-    invert,
+    intertwines,
     is_coboundary,
-    is_homomorphism,
-    transport,
     weight_block,
     _automorphisms,
     _block_coords,
@@ -697,6 +697,30 @@ def test_the_pair_commutes_with_the_differential_at_higher_rank(d7, d8, model9):
                 assert differential(L, transport(theta, inverse, c)) == transport(theta, inverse, dc), (L, name, c)
 
 
+def test_intertwines_accepts_exactly_the_transported_cochain(d4, d5, d6, model5, model7, model9):
+    # The rigidity walk -2 eps_1 -> .. -> 2 eps_l: intertwines must agree
+    # with the transport oracle on each step and on a skipped step.
+    for m in (model5, model7, model9):
+        L = m.algebra
+        theta = find_graded_isomorphism(L, L, signed_cyclic_shift)
+        inverse = invert(theta)
+        walk = [phi(sign * i, m) for sign in (-1, 1) for i in range(1, m.l + 1)]
+        for k, (a, b) in enumerate(zip(walk, walk[1:])):
+            assert transport(theta, inverse, a) == b, (m.l, k)
+            assert intertwines(theta, a.data, b.data), (m.l, k)
+        assert transport(theta, inverse, walk[0]) != walk[2]
+        assert not intertwines(theta, walk[0].data, walk[2].data)
+    # Random degree-2 cochains against their dense transport, and with one value bit flipped.
+    for L, name, _, theta, cochains in _transport_cases(d4, d5, d6, model5, model7):
+        for c in cochains:
+            if c.degree != 2:
+                continue
+            moved = dense_transport(theta, c).data
+            assert intertwines(theta, c.data, moved), (L, name, c)
+            key = min(moved)
+            assert not intertwines(theta, c.data, {**moved, key: moved[key] ^ 1}), (L, name, c)
+
+
 def test_shift_automorphism_is_found_by_its_weight_map(d4, d5, model5, model7):
     # rigidity_scan asks for the shift alone, outside _automorphisms:
     # find_graded_isomorphism relabels the weights by it directly and must
@@ -724,7 +748,7 @@ def test_triality_is_found_by_its_weight_map_and_joins_the_d4_orbits(d4, timed_s
     # the (±1)^4 (16) apart.
     assert _triality((2, 0, 0, 0)) == (1, 1, 1, -1)
     theta = find_graded_isomorphism(d4, d4, _triality)
-    assert theta is not None and is_homomorphism(d4, d4, theta)
+    assert theta is not None and intertwines(theta, d4.brackets, d4.brackets)
     assert [_apply(theta, _apply(theta, t)) for t in theta] == [1 << i for i in range(d4.dim)]
     maps = list(_signed_permutation_generators(4).values())
     weights = set(timed_survey(d4)[0])
@@ -744,9 +768,9 @@ def test_invert_rejects_a_singular_map():
 def test_is_homomorphism_rejects_swapped_root_images():
     L = build_chevalley_D(4)
     theta = list(_automorphisms(L)["eps_1<->eps_2"])
-    assert is_homomorphism(L, L, theta)
+    assert intertwines(theta, L.brackets, L.brackets)
     theta[4], theta[5] = theta[5], theta[4]
-    assert not is_homomorphism(L, L, theta)
+    assert not intertwines(theta, L.brackets, L.brackets)
     # One bracket entry of the target changed: [E_a, E_b] = E_(a+b) dropped.
     key = next((i, j) for (i, j), v in sorted(L.brackets.items()) if i >= 4 and v.bit_count() == 1)
     B = LieAlgebra(L.labels, L.weights, {k: v for k, v in L.brackets.items() if k != key})
@@ -777,7 +801,7 @@ def test_graded_isomorphism_needs_one_dimensional_nonzero_weight_spaces():
     # Weights 1 and -1 are planes, which force no image, so the search
     # gives up although the identity is an automorphism.
     L = LieAlgebra("wxyz", [(1,), (1,), (-1,), (-1,)], {})
-    assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
+    assert intertwines([1 << i for i in range(L.dim)], L.brackets, L.brackets)
     assert find_graded_isomorphism(L, L, lambda w: w) is None
     assert _automorphisms(L) == {}
 
@@ -787,7 +811,7 @@ def test_graded_isomorphism_needs_the_dual_pairs_to_fix_weight_0():
     # is no unit row, so theta(h) and theta(k) stay undetermined.
     L = LieAlgebra("hkef", [(0,), (0,), (1,), (-1,)], {(2, 3): 0b11})
     assert check_jacobi(L).ok and check_weight_additivity(L)
-    assert is_homomorphism(L, L, [1 << i for i in range(L.dim)])
+    assert intertwines([1 << i for i in range(L.dim)], L.brackets, L.brackets)
     assert find_graded_isomorphism(L, L, lambda w: w) is None
     assert _automorphisms(L) == {}
 

@@ -114,7 +114,7 @@ print(type(cochain) is Cochain)
     # to cohomology; and an algebra carries its weight index from the start.
     tree = ast.parse((SRC / "algebra.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    assert not defined & {"find_graded_isomorphism", "is_homomorphism", "weight_codes"}
+    assert not defined & {"find_graded_isomorphism", "intertwines", "weight_codes"}
     codes = build_chevalley_D(5).weight_codes
     assert type(codes) is tuple and len(codes) == 45 and all(type(c) is int for c in codes)
 
