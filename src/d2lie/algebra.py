@@ -94,10 +94,10 @@ class LieAlgebra:
         self._center = None
         self._graded = None
         # weight_codes packs the basis weights by pack_weight in _weight_field,
-        # (rank, field width): fields that hold any signed sum of five of them, the
-        # weight of a degree-4 basis cochain.  _weight_top is their largest |coordinate|.
+        # (rank, field width): fields that hold any signed sum of four of them, the
+        # weight of a degree-3 basis cochain.  _weight_top is their largest |coordinate|.
         self._weight_top = top = max((abs(c) for w in weights for c in w), default=0)
-        self._weight_field = (len(weights[0]) if weights else 0, (5 * top).bit_length() + 1)
+        self._weight_field = (len(weights[0]) if weights else 0, (4 * top).bit_length() + 1)
         self.weight_codes = tuple(pack_weight(w, self._weight_field[1]) for w in weights)
         self._weight_sums: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
 

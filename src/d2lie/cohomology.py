@@ -47,12 +47,8 @@ Chevalley Z-form (Chevalley 1955; Steinberg 1967) with signs that
 vanish mod 2, and on the model because a signed permutation of the
 basis of V keeps the form and omega.
 
-The survey only needs theta to exist.  The rigidity scan
-(deformation.rigidity_scan) carries d phi = 0 along the orbit of the
-shift, from one class to the next.  For an invertible theta, phi' is
-theta . phi exactly when theta phi(x, y) = phi'(theta x, theta y) on every
-basis pair, which intertwines checks as it checks that theta keeps every
-bracket, so theta^-1 is never formed.
+The survey only needs theta to exist; the rigidity scan
+(deformation.rigidity_scan) also walks the shift's theta, by intertwines.
 
 Inside this module a basis cochain key -> b_k is one int, its packed
 coordinate (algebra._coord_code): the key's index mask shifted left by
@@ -84,20 +80,19 @@ class Cochain:
     """Sparse alternating multilinear map, keyed on index subsets.
 
     data maps sorted index tuples (the arguments) to packed value
-    vectors.  Degrees 1..3 form the working complex; degree 4 exists
-    only as the image of a degree-3 differential.
+    vectors.  Degrees 1..3 are the working complex C^1 -> C^2 -> C^3.
     """
 
     __slots__ = ("degree", "dim", "data")
 
     def __init__(self, degree: int, dim: int, data: dict | None = None):
-        if not 1 <= degree <= 4:
+        if not 1 <= degree <= 3:
             raise ValueError(f"unsupported cochain degree {degree}")
-        # Padded with dim, dim + 1, .. to five entries, a canonical key passes one chained comparison.
-        pad = tuple(range(dim, dim + 5 - degree))
+        # Padded with dim, dim + 1, .. to four entries, a canonical key passes one chained comparison.
+        pad = tuple(range(dim, dim + 4 - degree))
         clean = {}
         for key, v in (data or {}).items():
-            if not (len(k := key + pad) == 5 and -1 < k[0] < k[1] < k[2] < k[3] < k[4]):
+            if not (len(k := key + pad) == 4 and -1 < k[0] < k[1] < k[2] < k[3]):
                 key = tuple(sorted(key))
                 if len(key) != degree or len(set(key)) != degree:
                     raise ValueError(f"bad key {key} for degree {degree}")
@@ -146,13 +141,10 @@ def cochain_weight(L: LieAlgebra, c: Cochain) -> Weight | None:
 
 
 def differential(L: LieAlgebra, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential; degrees 1..3 accepted.
+    """Chevalley-Eilenberg differential C^1 -> C^2 -> C^3, composed from the term tables of L and c.
 
-    Degree 3 is admitted (image degree 4) solely so that cocycle
-    preconditions on degree-3 inputs can be machine-checked.  The terms
-    are packed coordinates, composed from the term tables of L and c.
-    """
-    if c.degree not in (1, 2, 3):
+    d on C^3 is never needed: a cup square is a cocycle whenever psi is (see deformation)."""
+    if c.degree not in (1, 2):
         raise ValueError(f"differential not supported in degree {c.degree}")
     if c.dim != L.dim:
         raise ValueError(f"cochain of dimension {c.dim} on an algebra of dimension {L.dim}")
@@ -483,16 +475,19 @@ def require_cocycle(L: LieAlgebra, c: Cochain) -> None:
     """Raise ValueError unless d c = 0, naming the lex-first basis tuple where it is not."""
     if dc := differential(L, c).data:
         t = min(dc)
-        noun = ("pair", "triple", "quadruple")[len(t) - 2]
+        noun = ("pair", "triple")[len(t) - 2]
         raise ValueError(f"not a cocycle: d at the basis {noun} {t} is {tuple(bit_indices(dc[t]))}")
 
 
 def is_coboundary(L: LieAlgebra, c: Cochain) -> bool:
-    """Whether c, a weight-homogeneous cocycle of degree 2 or 3, is in the span of its block's images."""
+    """Whether c, a weight-homogeneous cochain of degree 2 or 3, is in the span of its block's images.
+
+    A non-cocycle never is, so False means a nonzero class only where d c = 0 is known."""
     if c.degree not in (2, 3):
         raise ValueError("coboundary test supports degrees 2 and 3")
     _require_graded(L)
-    require_cocycle(L, c)
+    if c.dim != L.dim:
+        raise ValueError(f"cochain of dimension {c.dim} on an algebra of dimension {L.dim}")
     if c.is_zero():
         return True
     src = _block_coords(L, c.degree - 1, cochain_weight(L, c))

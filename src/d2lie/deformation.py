@@ -17,6 +17,13 @@ Because f_t has no t^2 term, no power above t^2 occurs, so working over
 K[t]/(t^3) loses nothing: the three coefficients are the whole identity.
 Triviality of the cup square in H^3 is the first obstruction; a class
 whose cup square is not even a coboundary admits no extension at all.
+Once d psi = 0 the cup square Sq psi is a 3-cocycle.  Under the
+Nijenhuis-Richardson bracket of alternating cochains, with mu the bracket
+of L, d psi = ±[mu, psi] and 2 Sq psi = ±[psi, psi], so the graded Jacobi
+identity [mu, [psi, psi]] = 2 [[mu, psi], psi] gives d(Sq psi) =
+±[psi, d psi] (Gerstenhaber 1964; Nijenhuis and Richardson 1967).  That
+holds over Z for any alternating mu and psi, so for integral lifts of the
+GF(2) tables, and mod 2.  The scans check d psi; the tests d(Sq psi) = 0.
 
 Alternation needs no check: LieAlgebra stores [b_i, b_j] only for
 i < j and Cochain keys are index sets, so both vanish on every (b_i, b_i)
@@ -38,9 +45,9 @@ scalar 2-form sum (E_-g ^ E_-d)* over the root pairs g + d = mu, and z a
 central value.  Since [x, z] = 0, d psi = (d omega) (x) z, so either every
 central z gives a cocycle or none does.  build_even_cocycle tries the
 paper's value H_(l-1) + H_(l-3) + ... + H_1 first, then the rest of the
-centre's span, and keeps the first psi that is_coboundary finds
-nontrivial; its cocycle precondition decides d psi = 0 on the first.
-Every class is thus shown nonzero in H^2 when the scan runs.
+centre's span, and keeps the first psi outside B^2 (is_coboundary).  A
+non-cocycle is outside too, and obstruction_verdict's d psi = 0 on the psi
+kept speaks for every z, so every class is shown nonzero in H^2.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ class ObstructionReport(NamedTuple):
 
 
 def obstruction_verdict(L: LieAlgebra, psi: Cochain) -> ObstructionReport:
-    """ZERO / COBOUNDARY / NONTRIVIAL for the cup square of a cocycle."""
+    """ZERO / COBOUNDARY / NONTRIVIAL for psi's cup square; raises unless d psi = 0, the scans' one cocycle check."""
     cup = cup_square(L, psi)  # first, so that it rejects a cochain of another degree
     require_cocycle(L, psi)
     return _cup_verdict(L, psi, cup)
@@ -250,10 +257,8 @@ def rigidity_scan(model: QuotientModel) -> list[ObstructionReport]:
         label, w = sign * i, tuple(2 * sign * (k == i) for k in ranks)
         try:
             psi = phi(label, model)
-            if cocycle is not None and intertwines(theta, cocycle.data, psi.data):
-                outcomes[w] = label, _cup_verdict(L, psi, cup_square(L, psi))
-            else:
-                outcomes[w] = label, obstruction_verdict(L, psi)
+            carried = cocycle is not None and intertwines(theta, cocycle.data, psi.data)
+            outcomes[w] = label, _cup_verdict(L, psi, cup_square(L, psi)) if carried else obstruction_verdict(L, psi)
             cocycle = psi if theta else None
         except ValueError as exc:
             outcomes[w] = label, exc

@@ -25,6 +25,10 @@
 - The centre from constraint rows (constraint_center): row (j, m) has
   bit i when b_m is in [b_i, b_j], and its RREF kernel, reduced, must
   equal center(L).
+- The differential at every basis tuple (pointwise_differential), in any
+  degree: differential must equal it in degrees 1 and 2, and it must
+  vanish on the cup square of every cocycle tried, the identity that lets
+  the library check d psi = 0 alone.
 - The coboundary test by a dense solve (coboundary_preimage) on the
   block's dense differential (dense_differential): is_coboundary must
   answer whether c is in its column span, and d of the preimage is c.
@@ -280,6 +284,28 @@ def eval_basis(c, *indices):
     if len(set(indices)) != c.degree:
         return 0
     return c.data.get(tuple(sorted(indices)), 0)
+
+
+def pointwise_differential(L, c):
+    """{sorted basis (n+1)-tuple: value} of d c where it is nonzero, for c of any degree n:
+    (dc)(x_0..x_n) = sum_i [x_i, c(..)] + sum_{i<j} c([x_i, x_j], ..) at every tuple."""
+    out = {}
+    for t in combinations(range(L.dim), c.degree + 1):
+        v = 0
+        for i, x in enumerate(t):
+            # t is sorted, so t without x is c's key on those arguments and (x, t[j]) a
+            # bracket key; c vanishes where an argument repeats.
+            if value := c.data.get(t[:i] + t[i + 1:]):
+                v ^= bracket_vec_basis(L, value, x)
+            for j in range(i + 1, len(t)):
+                if bracket := L.brackets.get((x, t[j])):
+                    rest = t[:i] + t[i + 1:j] + t[j + 1:]
+                    for m in bit_indices(bracket):
+                        if m not in rest:
+                            v ^= c.data.get(tuple(sorted((m, *rest))), 0)
+        if v:
+            out[t] = v
+    return out
 
 
 def truncated_jacobi(L, psi, i, j, k):

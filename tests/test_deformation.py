@@ -13,6 +13,7 @@ from oracles import (
     h2_weight_survey,
     monomial_index,
     per_class_rigidity_scan,
+    pointwise_differential,
     representative,
     root_pair_keys,
     rref_nullspace,
@@ -509,6 +510,48 @@ def test_jacobi_coefficients_match_d_and_cup_on_random_cochains(d4, model5):
             assert_decision_agrees(L, psi)
 
 
+def _block_cochain(L, block, bits):
+    """The degree-2 cochain with the coordinates of block.c2 at the set bits."""
+    data = {}
+    for col in bit_indices(bits):
+        key, k = coord_of_code(block.c2[col], L.dim)
+        data[key] = data.get(key, 0) ^ (1 << k)
+    return Cochain(2, L.dim, data)
+
+
+def test_cup_square_of_a_cocycle_is_a_cocycle(d4, model3, model5):
+    # d(Sq psi) = ±[psi, d psi] (deformation module), so the scans never take
+    # d of a cup square.  The pointwise d vanishes on Sq psi for every class
+    # of the rank-3 model, for random D_4 block cocycles with a nonzero cup
+    # square and for phi(±1) of the rank-5 model, and not on the cup squares
+    # of non-cocycles from the same D_4 blocks.
+    A = model3.algebra
+    cocycles = [(A, representative(A, mu)) for mu in h2_weight_survey(A)]
+    cocycles += [(A, phi(sign * i, model3)) for sign in (1, -1) for i in (1, 2, 3)]
+    cocycles += [(model5.algebra, phi(label, model5)) for label in (1, -1)]
+    rng = random.Random(36)
+    non_cocycles = []
+    for mu in ((1, 1, 0, 0), (0, 0, 0, 0)):
+        block = weight_block(d4, mu)
+        kernel = rref_nullspace(block.d2)
+        found = []
+        while len(found) < 2:
+            combo = 0
+            for r in kernel:
+                combo ^= r * rng.getrandbits(1)
+            psi = _block_cochain(d4, block, combo)
+            if not cup_square(d4, psi).is_zero():
+                found.append((d4, psi))
+        cocycles += found
+        non_cocycles.append(_block_cochain(d4, block, rng.getrandbits(len(block.c2))))
+    for L, psi in cocycles:
+        assert differential(L, psi).is_zero()
+        assert pointwise_differential(L, cup_square(L, psi)) == {}
+    for psi in non_cocycles:
+        assert not differential(d4, psi).is_zero()
+        assert pointwise_differential(d4, cup_square(d4, psi))
+
+
 def test_random_cocycles_obstruction_equals_t2(d4):
     # For genuine cocycles the t coefficient vanishes and the t^2
     # coefficient is the whole story.
@@ -525,11 +568,7 @@ def test_random_cocycles_obstruction_equals_t2(d4):
                 combo ^= kernel[r]
         if not combo:
             continue
-        data = {}
-        for col in bit_indices(combo):
-            key, k = coord_of_code(block.c2[col], d4.dim)
-            data[key] = data.get(key, 0) ^ (1 << k)
-        psi = Cochain(2, d4.dim, data)
+        psi = _block_cochain(d4, block, combo)
         assert differential(d4, psi).is_zero()
         report = obstruction_verdict(d4, psi)
         assert (report.verdict == VERDICT_ZERO) == cup_square(d4, psi).is_zero()
@@ -584,16 +623,18 @@ def _counted(monkeypatch, module, name):
 
 def test_rigidity_scan_judges_one_class_directly(model5, model7, monkeypatch):
     # Only the class at -2 eps_1 runs obstruction_verdict, and with it the
-    # one degree-2 cocycle check; every class still gets its coboundary test,
-    # and each of those checks that the cup square is a cocycle.
+    # scan's one cocycle check, one degree-2 differential; every class still
+    # gets its coboundary test, which takes no differential of the cup square.
     for model in (model5, model7):
         verdicts = _counted(monkeypatch, d2lie.deformation, "obstruction_verdict")
         coboundaries = _counted(monkeypatch, d2lie.deformation, "is_coboundary")
-        cocycles = _counted(monkeypatch, d2lie.cohomology, "require_cocycle")
+        cocycles = [_counted(monkeypatch, m, "require_cocycle") for m in (d2lie.deformation, d2lie.cohomology)]
+        differentials = _counted(monkeypatch, d2lie.cohomology, "differential")
         reports = rigidity_scan(model)
         assert [psi for _, psi in verdicts] == [phi(-1, model)]
+        assert [[c for _, c in calls] for calls in cocycles] == [[phi(-1, model)], []]
+        assert [c for _, c in differentials] == [phi(-1, model)]
         assert len(coboundaries) == 2 * model.l
-        assert [c for _, c in cocycles] == [cup for _, cup in coboundaries]
         assert [cup_square(model.algebra, r.representative) for r in reports] == sorted(
             (c for _, c in coboundaries), key=lambda c: cochain_weight(model.algebra, c)
         )
@@ -626,6 +667,17 @@ def test_integrability_scan_l4(d4):
     assert len(reports) == 24
     assert all(r.verdict == VERDICT_ZERO for r in reports)
     assert all(r.central_valued and r.vanishes_on_center for r in reports)
+
+
+def test_integrability_scan_takes_one_differential_per_class(d4, d6, monkeypatch):
+    # obstruction_verdict's d psi = 0 is each class's only differential:
+    # build_even_cocycle's coboundary test and the cup square's take none.
+    for L, count in ((d4, 24), (d6, 12)):
+        differentials = _counted(monkeypatch, d2lie.cohomology, "differential")
+        reports = integrability_scan(L)
+        assert len(reports) == count
+        assert [c for _, c in differentials] == [r.representative for r in reports]
+        monkeypatch.undo()
 
 
 def test_integrability_scan_rejects_odd_rank(d5):
