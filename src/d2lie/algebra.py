@@ -288,7 +288,7 @@ def center(L: LieAlgebra) -> tuple[int, ...]:
     if L._center is None:
         pos: dict[int, int] = {}
         cols = [sum(1 << pos.setdefault(t, len(pos)) for t in row) for row in L.term_tables()[0]]
-        L._center = row_reduce(column_kernel(cols, len(pos)))
+        L._center = row_reduce(column_kernel(cols))
     return L._center
 
 

@@ -62,7 +62,7 @@ PivotBasis membership.  Cochain is the type at the module's boundary.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algebra import (
     LieAlgebra,
@@ -176,20 +176,20 @@ def _block_coords(L: LieAlgebra, n: int, mu: Weight) -> list[int]:
     return [_coord_code(key, 0, L.dim) | k for key, ks in hits for (k,) in ks]
 
 
-def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[int]:
-    """d of each basis cochain in src, packed over target_pos.
+def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> Iterator[int]:
+    """Yield d of each basis cochain in src, packed over target_pos.
 
     Sources and targets are packed coordinates, so a term is a mask
     union and "a not in key" a mask test: no key is sorted and no tuple
     built.  target_pos maps a target coordinate to its bit.  A coordinate
     not yet in it gets the next number, in place, in the order the terms
-    reach it.  Each term toggles its bit, so terms that meet cancel and a
-    numbered coordinate may end up zero in every image.
+    reach it, so its length is final only once every image is consumed.
+    Each term toggles its bit, so terms that meet cancel and a numbered
+    coordinate may end up zero in every image.
     """
     s = L.dim.bit_length()
     low = (1 << s) - 1
     codes, pairs = L.term_tables()
-    images = []
     for code in src:
         k = code & low
         mask = code ^ k
@@ -202,12 +202,8 @@ def _images(L: LieAlgebra, src: list[int], target_pos: dict[int, int]) -> list[i
             terms += [rest | pair for pair in pairs[i] if not pair & rest]
         img = 0
         for t in terms:
-            pos = target_pos.get(t)
-            if pos is None:
-                pos = target_pos[t] = len(target_pos)
-            img ^= 1 << pos
-        images.append(img)
-    return images
+            img ^= 1 << target_pos.setdefault(t, len(target_pos))
+        yield img
 
 
 class WeightBlock(NamedTuple):
@@ -237,7 +233,7 @@ def weight_block(L: LieAlgebra, mu: Weight) -> WeightBlock:
     d = []
     for src, target_pos in ((c1, {code: p for p, code in enumerate(c2)}), (c2, {})):
         # _images numbers new targets in place, so the row count is read after it.
-        images = _images(L, src, target_pos)
+        images = list(_images(L, src, target_pos))
         d.append(GF2Matrix(len(src), len(target_pos), images).transpose())
     return WeightBlock(mu, tuple(c1), tuple(c2), *d)
 

@@ -10,20 +10,21 @@ rest of the library calls it rather than repeat its loop.
 
 PivotBasis is the one elimination: every rank, canonical form, span
 test and kernel reduces packed ints against it, and add is reduce plus
-one insert of what is left, pivoted on its lowest set bit.  A pivot is
-keyed by that bit's position, a small int, not by the power of two:
-Python hashes a large int digit by digit on every lookup.
+one insert of what is left, pivoted on its top set bit.  A pivot is
+keyed by v.bit_length(), a small int read off the int's size in O(1);
+the lowest set bit, v & -v, builds two ints as wide as the row.
 
-- Rank and canonical form eliminate the rows.  The RREF of a row space
-  is unique, and the basis sorted by pivot and back-substituted is one,
-  so the function row_reduce returns the RREF bit for bit, as a tuple
-  of rows sorted by pivot.  A vector is in the span when it reduces to
-  0 (the coboundary and torus-character tests).
-- The kernel eliminates the columns, column j tagged with bit nrows + j,
-  above every row bit.  A stored row with no row bit left names in its
-  tag bits columns that sum to 0, and those rows are a kernel basis.
-  It depends on the column order, so it is canonical only after
-  row_reduce, as the centre takes it.
+- Rank and span test eliminate the rows.  A vector is in the span when
+  it reduces to 0 (the coboundary and torus-character tests).
+- The RREF of a row space is unique.  The reports print, and
+  find_graded_isomorphism reads, the one pivoted on lowest bits, so
+  row_reduce re-pivots the few basis rows on their lowest set bits and
+  returns it bit for bit, as a tuple of rows sorted by pivot.
+- The kernel eliminates the columns, column j shifted above len(cols)
+  tag bits and tagged with bit j.  A stored row whose top bit is a tag
+  has no column bit left: its tags name columns that sum to 0, and
+  those rows are a kernel basis.  It depends on the column order, so it
+  is canonical only after row_reduce, as the centre takes it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ def bit_indices(x: int) -> Iterator[int]:
 
 
 class PivotBasis:
-    """Incremental independent set of packed rows, pivoted on lowest set bit.
+    """Incremental independent set of packed rows, pivoted on the top set bit.
 
-    pivots maps the position of a stored row's lowest set bit to the row,
-    which has no set bit below it.  The ambient coordinate
-    space may be discovered lazily: no length is fixed.
+    pivots maps a stored row's bit_length() to the row: no other stored
+    row has that top bit.  The ambient coordinate space may be discovered
+    lazily: no length is fixed.
     """
 
     __slots__ = ("pivots",)
@@ -55,10 +56,10 @@ class PivotBasis:
             self.add(r)
 
     def reduce(self, v: int) -> int:
-        """v minus stored rows until its lowest set bit is no pivot (0 if none is left)."""
+        """v minus stored rows until its top set bit is no pivot (0 if none is left)."""
         pivots = self.pivots
         while v:
-            row = pivots.get((v & -v).bit_length() - 1)
+            row = pivots.get(v.bit_length())
             if row is None:
                 return v
             v ^= row
@@ -67,7 +68,7 @@ class PivotBasis:
     def add(self, v: int) -> bool:
         """Insert v if independent of the current rows; True when inserted."""
         if v := self.reduce(v):
-            self.pivots[(v & -v).bit_length() - 1] = v
+            self.pivots[v.bit_length()] = v
         return bool(v)
 
     def contains(self, v: int) -> bool:
@@ -79,24 +80,24 @@ class PivotBasis:
 
 
 def row_reduce(rows: Iterable[int]) -> tuple[int, ...]:
-    """The RREF of the span of rows, zero rows dropped, sorted by pivot; canonical for row-space comparison."""
-    pivots = PivotBasis(rows).pivots
-    mask = sum(1 << p for p in pivots)
+    """The RREF of the span of rows, pivoted on lowest bits, zero rows dropped, sorted by pivot; canonical."""
     reduced: dict[int, int] = {}
-    # A row's other pivot bits lie above its own; rows reduced earlier
-    # carry no pivot bit but their own, so one pass clears each.
-    for p in sorted(pivots, reverse=True):
-        v = pivots[p]
-        for q in bit_indices((v & mask) ^ 1 << p):
-            v ^= reduced[q]
-        reduced[p] = v
-    return tuple(reversed(reduced.values()))
+    for v in PivotBasis(rows).pivots.values():
+        for low, r in reduced.items():
+            if v & low:
+                v ^= r
+        low = v & -v
+        reduced = {p: r ^ v if r & low else r for p, r in reduced.items()}
+        reduced[low] = v
+    return tuple(reduced[p] for p in sorted(reduced))
 
 
-def column_kernel(cols: Sequence[int], nrows: int) -> list[int]:
-    """A basis of the x with the sum of the columns j in x equal to 0, packed over the columns."""
-    rows = PivotBasis(c | 1 << (nrows + j) for j, c in enumerate(cols)).pivots.values()
-    return [v >> nrows for v in rows if not v & ((1 << nrows) - 1)]
+def column_kernel(cols: Sequence[int]) -> list[int]:
+    """A basis of the x with the sum of the columns j in x equal to 0, packed over the columns.
+
+    Column j sits above len(cols) tag bits, tagged with bit j; the stored rows pivoted on a tag span the kernel."""
+    pivots = PivotBasis(c << len(cols) | 1 << j for j, c in enumerate(cols)).pivots
+    return [v for p, v in pivots.items() if p <= len(cols)]
 
 
 class GF2Matrix:

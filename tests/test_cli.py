@@ -275,7 +275,7 @@ def test_cohomology_json_byte_stable(tmp_path, capsys):
     assert main(["cohomology", "--l", "5", "--model", "exterior", "--out", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() == (GOLDEN / "cohomology_exterior_l5.json").read_bytes()
+    assert a.read_bytes() == (BENCH_REFERENCE / "cohomology_exterior_l5.json").read_bytes()
 
 
 def test_rigidity_command(tmp_path, capsys):
@@ -301,7 +301,7 @@ def test_integrability_command(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["deformations_verified"] is True
     assert doc["verdicts"] == ["ZERO"]
-    assert out.read_bytes() == (GOLDEN / "integrability_l4.json").read_bytes()
+    assert out.read_bytes() == (BENCH_REFERENCE / "integrability_l4.json").read_bytes()
 
 
 def test_integrability_squares_each_class_once(monkeypatch, capsys):

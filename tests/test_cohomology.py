@@ -56,6 +56,7 @@ from d2lie.cohomology import (
     _block_coords,
     _block_row,
     _c2_groups,
+    _images,
     _c2_weights,
     _signed_permutation_generators,
     _torus_characters,
@@ -836,6 +837,23 @@ def test_weight_block_random_weights(d4):
         mu = wadd(w, rng.choice(weights))
         block = weight_block(d4, mu)
         assert composite_is_zero(block)
+
+
+def test_images_stream_and_weight_block_reads_the_target_count_after(d4, model5):
+    # _images yields one image at a time and numbers each target when a term
+    # first reaches it, so nothing is numbered before the first image and the
+    # target count is final only once every image is consumed: weight_block's
+    # d2 has exactly one row per target numbered by then.
+    mu4 = wadd(d4.weights[d4.dim - 1], d4.weights[d4.dim - 2])
+    for L, mu in ((d4, wzero(4)), (d4, mu4), (model5.algebra, e4_weight(2))):
+        c2 = _block_coords(L, 2, mu)
+        target_pos = {}
+        images = _images(L, c2, target_pos)
+        assert iter(images) is images and not target_pos
+        rows = tuple(images)
+        d2 = weight_block(L, mu).d2
+        assert (d2.nrows, d2.ncols) == (len(target_pos), len(c2))
+        assert d2.transpose().rows == rows
 
 
 # -- coboundary tests ----------------------------------------------------------

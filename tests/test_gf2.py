@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import mul_vector, rref_nullspace, rref_rank, rref_row_reduce, rref_solve
 
+from d2lie.algebra import center
 from d2lie.gf2 import GF2Matrix, PivotBasis, column_kernel, row_reduce
 
 
@@ -24,7 +25,7 @@ def identity(n):
 
 def kernel(m):
     """A kernel basis of m: column_kernel on the columns of m, the path center takes."""
-    return column_kernel(m.transpose().rows, m.nrows)
+    return column_kernel(m.transpose().rows)
 
 
 def in_image(m, b):
@@ -177,6 +178,29 @@ def test_pivot_basis_membership():
     pb.add(0b011)
     assert pb.contains(0b101)
     assert not pb.contains(0b001)
+
+
+def top_pivot_rref(rows, ncols):
+    """The RREF pivoted on top bits: the oracle's RREF of the bit-reversed rows, reversed back."""
+
+    def rev(v):
+        return int(format(v, f"0{ncols}b")[::-1], 2)
+
+    return {rev(v) for v in rref_row_reduce(GF2Matrix(len(rows), ncols, map(rev, rows)))}
+
+
+def test_row_reduce_pivots_on_lowest_bits_where_top_pivots_differ(d4):
+    # PivotBasis pivots on the top set bit, but row_reduce returns the RREF
+    # pivoted on lowest bits, which the reports print and the isomorphism
+    # solver reads.  Each row set here has another top-pivot RREF; one spans
+    # D_4's centre, H1+H4, H3+H4 in that form and H1+H3, H1+H4 on top bits.
+    d4_centre_top = (0b0101, 0b1001)
+    for rows in ((0b011, 0b110), d4_centre_top, (0b1110, 0b0111, 0b1011)):
+        ncols = max(rows).bit_length()
+        assert row_reduce(rows) == rref_row_reduce(GF2Matrix(len(rows), ncols, rows))
+        assert set(row_reduce(rows)) != top_pivot_rref(rows, ncols)
+    assert top_pivot_rref(d4_centre_top, 4) == set(d4_centre_top)
+    assert row_reduce(d4_centre_top) == center(d4) == (0b1001, 0b1100)
 
 
 # -- properties ---------------------------------------------------------

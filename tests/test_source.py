@@ -1,12 +1,16 @@
 import ast
 import os
+import random
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+from oracles import rref_rank
+
 import d2lie
 from d2lie.algebra import build_chevalley_D
+from d2lie.gf2 import GF2Matrix, PivotBasis
 
 SRC = Path(d2lie.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -206,8 +210,8 @@ def _is_lowest_set_bit(node) -> bool:
 
 def test_only_gf2_walks_set_bits_by_hand():
     # gf2.bit_indices is the one walk over the set bits of a packed int, and
-    # PivotBasis pivots on the lowest set bit; any other module that takes
-    # X & -X repeats one of them by hand.
+    # PivotBasis pivots on the top set bit; any other module that takes
+    # X & -X repeats the walk, or the lowest-pivot elimination, by hand.
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "gf2.py":
@@ -215,6 +219,21 @@ def test_only_gf2_walks_set_bits_by_hand():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_lowest_set_bit(n)]
     assert not found, f"set bits walked outside gf2: {found}"
+
+
+def test_pivot_basis_keys_each_row_by_its_top_bit():
+    # PivotBasis pivots on the top set bit, read off bit_length() in O(1):
+    # no method takes a lowest set bit, an X & -X as wide as the row, and
+    # every stored row sits under its own bit_length().
+    tree = ast.parse((SRC / "gf2.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PivotBasis"]
+    found = [f"gf2.py:{n.lineno}" for n in ast.walk(cls) if _is_lowest_set_bit(n)]
+    assert not found, f"PivotBasis takes a lowest set bit: {found}"
+    rng = random.Random(37)
+    rows = [rng.getrandbits(rng.randrange(1, 300)) for _ in range(200)]
+    pb = PivotBasis(rows + rows)
+    assert pb.rank == rref_rank(GF2Matrix(len(rows), 300, rows))
+    assert all(p == v.bit_length() for p, v in pb.pivots.items())
 
 
 def _names_gf2matrix(node) -> bool:
